@@ -78,8 +78,18 @@ def test_cached_batched_vs_seed_throughput(benchmark):
     seed_elapsed = time.perf_counter() - start
 
     cached_engine = _build_engine(plane_cache_entries=N_LAYERS)
-    cached_out = benchmark(lambda: _run_cached_batched_path(cached_engine, acts))
-    cached_elapsed = benchmark.stats.stats.mean
+    # timed here rather than read from benchmark.stats, which is None under
+    # --benchmark-disable
+    cached_times = []
+
+    def run_cached():
+        start = time.perf_counter()
+        out = _run_cached_batched_path(cached_engine, acts)
+        cached_times.append(time.perf_counter() - start)
+        return out
+
+    cached_out = benchmark(run_cached)
+    cached_elapsed = float(np.mean(cached_times))
 
     tokens = N_STEPS * N_SESSIONS
     seed_tps = tokens / seed_elapsed

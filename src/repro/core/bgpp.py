@@ -11,6 +11,26 @@ and only the surviving keys fetch their next bit plane from memory.  This
 terminates both the computation and the KV-cache traffic of obviously trivial
 keys early.
 
+The software model does not slice the keys into planes.  With sign-magnitude
+keys, the first ``r + 1`` magnitude planes sum to the key truncated to its
+top ``r + 1`` magnitude bits, so the running partial sum after round ``r`` is
+
+``psum_r = q_reduced @ (sign(k) * ((|k| >> s) << s)),  s = key_bits - 2 - r``.
+
+All rounds' partial sums for every key and query row therefore come from one
+float64 BLAS product over the stacked truncated keys.  The product is exact:
+the operands are integers, and for int8 keys and queries
+``|psum| <= 127 * 127 * d < 2**53``.  The filter then runs Eq. 1, the
+clock-gated clip and the ``min_keys`` guard as masked array ops, round by
+round.  A key pruned after round ``r`` keeps ``psum_r`` as its estimate,
+just as the bit-serial unit stops accumulating it.
+
+The accounting still follows the hardware of Fig. 9/16, not the software:
+``kv_bits_loaded`` charges the sign plane of every key plus one plane per
+key per round that key was alive in, and ``mac_ops`` charges ``d`` MACs per
+such plane.  Computing a pruned key's later partial sums anyway costs the
+model nothing the bit-serial unit would fetch, so it is not charged.
+
 The module provides:
 
 * :func:`bgpp_select` -- the progressive filter for one query row, returning
@@ -28,8 +48,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .bitslice import to_bitslices
 
 __all__ = [
     "BGPPConfig",
@@ -136,19 +154,8 @@ def _reduced_precision_query(query: np.ndarray, query_bits: int, full_bits: int 
     return (query.astype(np.int64) >> shift) << shift
 
 
-def _signed_key_planes(keys: np.ndarray, key_bits: int) -> List[np.ndarray]:
-    """Return key bit planes MSB-first as {-1, 0, 1} matrices with signs applied."""
-    slices = to_bitslices(keys, bits=key_bits, fmt="sign_magnitude")
-    sign = slices[-1].astype(np.int64)
-    sign_factor = 1 - 2 * sign
-    planes: List[np.ndarray] = []
-    for i in reversed(range(key_bits - 1)):  # MSB magnitude plane first
-        planes.append(slices[i].astype(np.int64) * sign_factor)
-    return planes
-
-
 def _empty_result() -> BGPPResult:
-    """Degenerate result for an empty key set (shared by both select paths)."""
+    """Degenerate result for an empty key prefix."""
     return BGPPResult(
         selected=np.zeros(0, dtype=np.int64),
         estimated_scores=np.zeros(0, dtype=np.float64),
@@ -158,6 +165,77 @@ def _empty_result() -> BGPPResult:
         rounds_executed=0,
         early_terminated=False,
     )
+
+
+def _progressive_filter(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    config: BGPPConfig,
+    alive: np.ndarray,
+    scales: np.ndarray,
+):
+    """Eq. 1 filter for a ``(B, d)`` query batch over ``(L, d)`` keys.
+
+    Row ``b`` filters the keys where the ``(B, L)`` mask ``alive`` is set,
+    with score scale ``scales[b]``; ``queries`` and ``keys`` hold integer
+    values of any dtype and ``L > 0``.  The partial sums of every round come
+    from one BLAS product against the stacked truncated keys (see the module
+    docstring); the threshold, the clock-gated clip and the ``min_keys``
+    guard are masked ops over ``(B, L)``.
+
+    Returns ``(alive, scores, history, active)``: the final keep mask, the
+    ``(B, rounds, L)`` scaled partial sums, the ``(alive, limit)`` state
+    at the start of every executed round (a row with ``limit == 0`` sat the
+    round out), and which rows were still filtering after the last one (the
+    others terminated early or had no keys).
+    """
+    keys = np.asarray(keys, dtype=np.float64)
+    largest = 2 ** (config.key_bits - 1) - 1
+    if keys.size and np.abs(keys).max() > largest:
+        raise ValueError(
+            f"keys outside representable range [{-largest}, {largest}] for "
+            f"{config.key_bits}-bit sign_magnitude"
+        )
+    n_keys, d = keys.shape
+    rounds = min(config.rounds, config.key_bits - 1)
+    steps = 2.0 ** np.arange(config.key_bits - 2, config.key_bits - 2 - rounds, -1)
+    # sign(k) * (|k| >> s) per round; powers of two scale exactly
+    shifted = np.trunc(keys * (1.0 / steps)[:, None, None])
+    q = np.asarray(queries, dtype=np.float64)
+    if config.query_bits < config.key_bits:
+        step = 2.0 ** (config.key_bits - config.query_bits)
+        q = np.floor(q / step) * step  # arithmetic shift of the MSBs
+    # + 0.0 turns a -0.0 sum into the int filter's 0.0; << s and the score
+    # scale then apply as one exact power-of-two-times-scale factor
+    scores = (q @ shifted.reshape(rounds * n_keys, d).T + 0.0).reshape(
+        -1, rounds, n_keys
+    ) * (steps[:, None] * scales[:, None, None])
+    margins = [config.alpha_for_round(r) * config.radius for r in range(rounds)]
+    # keys a row can still prune from; 0 once it stops filtering
+    limit = alive.sum(axis=1)
+    history = []
+    for r, margin in enumerate(margins):
+        if not limit.any():
+            break
+        history.append((alive, limit))
+        top = np.where(alive, scores[:, r], -np.inf).max(axis=1, keepdims=True)
+        keep = alive & (scores[:, r] >= top - margin)
+        kept = keep.sum(axis=1)
+        # clock-gated clipping: a row prunes only when Eq. 1 drops a key
+        prune = kept < limit
+        if kept.min() < config.min_keys:
+            # rare guard: keep the min_keys best, ties broken as argsort does
+            # on the compacted survivor scores
+            for b in np.flatnonzero(prune & (kept < config.min_keys)):
+                idx = np.flatnonzero(alive[b])
+                order = np.argsort(scores[b, r, idx])[::-1][: config.min_keys]
+                keep[b] = False
+                keep[b, idx[order]] = True
+                kept[b] = order.size
+        alive = np.where(prune[:, None], keep, alive)
+        # pruning down to min_keys terminates the row early
+        limit = np.where(prune, kept * (kept > config.min_keys), limit)
+    return alive, scores, history, limit > 0
 
 
 def bgpp_select(
@@ -185,77 +263,13 @@ def bgpp_select(
         Selected key indices, per-round survivor counts and exact KV-traffic /
         compute accounting (one result per query row for batched input).
     """
-    config = config or BGPPConfig()
     query = np.asarray(query)
     keys = np.asarray(keys)
     if query.ndim == 2:
         return bgpp_select_batch(query, keys, config=config)
     if query.ndim != 1:
         raise ValueError(f"query must be 1-D or 2-D, got shape {query.shape}")
-    if keys.ndim != 2 or keys.shape[1] != query.shape[0]:
-        raise ValueError(
-            f"keys must have shape (n, {query.shape[0]}), got {keys.shape}"
-        )
-    n_keys, d = keys.shape
-    if n_keys == 0:
-        return _empty_result()
-
-    q = _reduced_precision_query(query, config.query_bits, full_bits=config.key_bits)
-    planes = _signed_key_planes(keys, config.key_bits)
-    n_magnitude_planes = len(planes)
-    rounds = min(config.rounds, n_magnitude_planes)
-
-    alive = np.arange(n_keys)
-    psum = np.zeros(n_keys, dtype=np.int64)
-    kv_bits = 0
-    mac_ops = 0
-    survivors: List[int] = []
-    early_terminated = False
-
-    # sign plane is fetched together with the first magnitude plane
-    kv_bits += n_keys * d
-
-    for r in range(rounds):
-        plane = planes[r]
-        shift = config.key_bits - 2 - r  # weight of this magnitude plane
-        # fetch the r-th bit of every surviving key
-        kv_bits += alive.size * d
-        partial = plane[alive] @ q
-        mac_ops += alive.size * d
-        psum[alive] = psum[alive] + (partial << shift)
-
-        scores = psum[alive].astype(np.float64) * config.score_scale
-        current_max = scores.max()
-        threshold = current_max - config.alpha_for_round(r) * config.radius
-
-        if threshold <= scores.min():
-            # clock-gated clipping: nothing can be pruned this round
-            survivors.append(int(alive.size))
-            if r == rounds - 1:
-                break
-            continue
-
-        keep_mask = scores >= threshold
-        if keep_mask.sum() < config.min_keys:
-            order = np.argsort(scores)[::-1]
-            keep_mask = np.zeros_like(keep_mask)
-            keep_mask[order[: config.min_keys]] = True
-        alive = alive[keep_mask]
-        survivors.append(int(alive.size))
-        if alive.size <= config.min_keys:
-            early_terminated = True
-            break
-
-    final_scores = psum.astype(np.float64) * config.score_scale
-    return BGPPResult(
-        selected=np.sort(alive),
-        estimated_scores=final_scores,
-        survivors_per_round=survivors,
-        kv_bits_loaded=int(kv_bits),
-        mac_ops=int(mac_ops),
-        rounds_executed=len(survivors),
-        early_terminated=early_terminated,
-    )
+    return bgpp_select_batch(query[None, :], keys, config=config)[0]
 
 
 def bgpp_select_batch(
@@ -267,14 +281,11 @@ def bgpp_select_batch(
 ) -> List[BGPPResult]:
     """Progressive filtering of a whole ``(B, d)`` query batch in one pass.
 
-    The expensive per-round work -- slicing the key bit planes and the
-    plane/query products -- is shared across the batch: the planes are built
-    once and each round issues a single ``(n_keys, d) @ (d, B)`` product
-    instead of ``B`` separate GEMVs.  The per-query threshold logic then runs
-    on the precomputed columns, so every returned :class:`BGPPResult` is
-    field-for-field identical to :func:`bgpp_select` on that row (including
-    the per-query KV-traffic and MAC accounting, which only count the keys
-    that were still alive for that query).
+    Every round's partial sums for every query come from one shared BLAS
+    product, and the threshold logic runs as masked array ops, so each
+    returned :class:`BGPPResult` is field-for-field identical to
+    :func:`bgpp_select` on that row (including the per-query KV-traffic and
+    MAC accounting, which only count the keys still alive for that query).
 
     Parameters
     ----------
@@ -326,68 +337,36 @@ def bgpp_select_batch(
     if n_keys == 0:
         return [_empty_result() for _ in range(n_queries)]
 
-    q_batch = _reduced_precision_query(queries, config.query_bits, full_bits=config.key_bits)
-    planes = _signed_key_planes(keys, config.key_bits)
-    rounds = min(config.rounds, len(planes))
-
-    psum = np.zeros((n_queries, n_keys), dtype=np.int64)
-    # ragged batches: row b only ever sees its first key_lengths[b] keys
-    alive_mask = np.arange(n_keys)[None, :] < lengths[:, None]
-    done = lengths == 0  # nothing to filter for empty prefixes
-    early = np.zeros(n_queries, dtype=bool)
-    # sign plane is fetched together with the first magnitude plane
-    kv_bits = lengths * d
-    mac_ops = np.zeros(n_queries, dtype=np.int64)
-    survivors: List[List[int]] = [[] for _ in range(n_queries)]
-
-    for r in range(rounds):
-        active = np.flatnonzero(~done)
-        if active.size == 0:
-            break
-        shift = config.key_bits - 2 - r  # weight of this magnitude plane
-        alpha = config.alpha_for_round(r)
-        # one shared pass over the key plane for every still-active query,
-        # restricted to the union of keys any of them still keeps alive so
-        # pruned keys cost no compute in later rounds (round 0: all keys)
-        union = np.flatnonzero(alive_mask[active].any(axis=0))
-        partial = planes[r][union] @ q_batch[active].T  # (n_union, n_active)
-        for j, b in enumerate(active):
-            alive = np.flatnonzero(alive_mask[b])
-            kv_bits[b] += alive.size * d
-            mac_ops[b] += alive.size * d
-            rows = np.searchsorted(union, alive)  # alive is a subset of union
-            psum[b, alive] += partial[rows, j] << shift
-
-            scores = psum[b, alive].astype(np.float64) * scales[b]
-            current_max = scores.max()
-            threshold = current_max - alpha * config.radius
-
-            if threshold <= scores.min():
-                # clock-gated clipping: nothing can be pruned this round
-                survivors[b].append(int(alive.size))
-                continue
-
-            keep_mask = scores >= threshold
-            if keep_mask.sum() < config.min_keys:
-                order = np.argsort(scores)[::-1]
-                keep_mask = np.zeros_like(keep_mask)
-                keep_mask[order[: config.min_keys]] = True
-            alive = alive[keep_mask]
-            alive_mask[b] = False
-            alive_mask[b, alive] = True
-            survivors[b].append(int(alive.size))
-            if alive.size <= config.min_keys:
-                early[b] = True
-                done[b] = True
-
+    alive, scores, history, active = _progressive_filter(
+        queries, keys, config, np.arange(n_keys) < lengths[:, None], scales
+    )
+    early = (lengths > 0) & ~active
+    # keys each row fetched a bit plane of, per executed round: (rounds, B, L)
+    fetched = np.array(
+        [mask & (limit > 0)[:, None] for mask, limit in history], dtype=bool
+    ).reshape(-1, n_queries, n_keys)
+    counts = fetched.sum(axis=2)
+    executed = (counts > 0).sum(axis=0)
+    # a pruned key keeps the partial sum of the last round it was fetched in
+    rounds_alive = fetched.sum(axis=0)
+    last = np.maximum(rounds_alive - 1, 0)[:, None, :]
+    estimates = np.take_along_axis(scores, last, axis=1)[:, 0, :]
+    # the sign plane comes with the first magnitude plane of every key; each
+    # round then fetches one bit plane and does d MACs per surviving key
+    macs = d * rounds_alive.sum(axis=1)
+    final = alive.sum(axis=1)
     return [
         BGPPResult(
-            selected=np.flatnonzero(alive_mask[b]).astype(np.int64),
-            estimated_scores=psum[b, : lengths[b]].astype(np.float64) * scales[b],
-            survivors_per_round=survivors[b],
-            kv_bits_loaded=int(kv_bits[b]),
-            mac_ops=int(mac_ops[b]),
-            rounds_executed=len(survivors[b]),
+            selected=np.flatnonzero(alive[b]),
+            estimated_scores=estimates[b, : lengths[b]],
+            survivors_per_round=(
+                counts[1 : executed[b], b].tolist() + [int(final[b])]
+                if executed[b]
+                else []
+            ),
+            kv_bits_loaded=int(lengths[b] * d + macs[b]),
+            mac_ops=int(macs[b]),
+            rounds_executed=int(executed[b]),
             early_terminated=bool(early[b]),
         )
         for b in range(n_queries)
@@ -478,84 +457,87 @@ def make_bgpp_predictor(
     predictor row by row.
     """
 
+    config = BGPPConfig(
+        rounds=rounds,
+        radius=radius,
+        alpha=alpha,
+        key_bits=key_bits,
+        query_bits=query_bits,
+    )
+
     def predictor(query: np.ndarray, keys: np.ndarray) -> np.ndarray:
         query = np.asarray(query, dtype=np.float64)
         keys = np.asarray(keys, dtype=np.float64)
-        if keys.shape[0] == 0:
+        n_keys = keys.shape[0]
+        if n_keys == 0:
             return np.zeros(0, dtype=np.int64)
-        d = query.shape[0]
-        q_scale = max(np.abs(query).max(), 1e-12) / 127.0
-        k_scale = max(np.abs(keys).max(), 1e-12) / 127.0
-        q_int = np.clip(np.round(query / q_scale), -127, 127).astype(np.int64)
-        k_int = np.clip(np.round(keys / k_scale), -127, 127).astype(np.int64)
+        # symmetric INT8: |x| / (max|x| / 127) never rounds past 127
+        q_int = np.round(query / (max(np.abs(query).max(), 1e-12) / 127.0))
+        k_int = np.round(keys / (max(np.abs(keys).max(), 1e-12) / 127.0))
         # Estimated std of the integer dot products: ||q|| * mean ||k|| / sqrt(d).
-        q_norm = float(np.linalg.norm(q_int))
-        k_norm = float(np.mean(np.linalg.norm(k_int, axis=1)))
-        score_std = max(q_norm * k_norm / np.sqrt(d), 1e-9)
-        score_scale = score_std_target / score_std
-        config = BGPPConfig(
-            rounds=rounds,
-            radius=radius,
-            alpha=alpha,
-            key_bits=key_bits,
-            query_bits=query_bits,
-            score_scale=score_scale,
-        )
-        return bgpp_select(q_int, k_int, config).selected
+        # Squares of integers sum exactly in any order, so these norms are
+        # np.linalg.norm's bit for bit, and the mean is np.mean's.
+        q_norm = np.sqrt(q_int @ q_int)
+        k_norm = np.add.reduce(np.sqrt(np.add.reduce(k_int * k_int, axis=1))) / n_keys
+        score_std = max(q_norm * k_norm / np.sqrt(query.shape[0]), 1e-9)
+        alive = _progressive_filter(
+            q_int[None, :],
+            k_int,
+            config,
+            np.ones((1, n_keys), dtype=bool),
+            np.array([score_std_target / score_std]),
+        )[0]
+        return np.flatnonzero(alive[0])
 
     def select_ragged(
         queries: np.ndarray, keys: np.ndarray, lengths: Sequence[int]
     ) -> List[np.ndarray]:
         """Ragged-batch selection: row ``i`` filters ``keys[:lengths[i]]``.
 
-        Reproduces the per-row quantisation exactly -- the key scale of row
-        ``i`` is the running maximum of ``|keys|`` over its prefix -- and
-        groups rows that share a key scale so each group pays one plane build
-        and one :func:`bgpp_select_batch` call.  The returned indices are
-        bit-identical to ``predictor(queries[i], keys[:lengths[i]])``.
+        Reproduces the per-row quantisation exactly: the key scale of row
+        ``i`` is the running maximum of ``|keys|`` over its prefix.  Rows
+        sharing a key scale share one block of quantised keys, and every
+        row filters its own window of the stacked blocks in a single
+        filter pass.  The returned indices are bit-identical to
+        ``predictor(queries[i], keys[:lengths[i]])``.
         """
         queries = np.asarray(queries, dtype=np.float64)
         keys = np.asarray(keys, dtype=np.float64)
         lengths = np.asarray(lengths, dtype=np.int64)
-        n_rows = queries.shape[0]
-        out: List[np.ndarray] = [np.zeros(0, dtype=np.int64) for _ in range(n_rows)]
-        nonempty = np.flatnonzero(lengths > 0)
-        if nonempty.size == 0:
+        out: List[np.ndarray] = [np.zeros(0, dtype=np.int64) for _ in lengths]
+        rows = np.flatnonzero(lengths > 0)
+        if rows.size == 0:
             return out
-        d = queries.shape[1]
+        lengths = lengths[rows]
+        queries = queries[rows]
         q_scales = np.maximum(np.abs(queries).max(axis=1), 1e-12) / 127.0
-        q_int = np.clip(np.round(queries / q_scales[:, None]), -127, 127).astype(np.int64)
-        # the single-row path norms a 1-D vector; keep that exact op per row
-        q_norms = np.array([float(np.linalg.norm(q_int[i])) for i in range(n_rows)])
+        q_int = np.round(queries / q_scales[:, None])
         key_cummax = np.maximum.accumulate(np.abs(keys).max(axis=1))
-        k_scales = np.zeros(n_rows)
-        k_scales[nonempty] = np.maximum(key_cummax[lengths[nonempty] - 1], 1e-12) / 127.0
-        for scale in np.unique(k_scales[nonempty]):
-            rows = np.flatnonzero((lengths > 0) & (k_scales == scale))
-            max_len = int(lengths[rows].max())
-            k_int = np.clip(np.round(keys[:max_len] / scale), -127, 127).astype(np.int64)
-            key_norms = np.linalg.norm(k_int, axis=1)
-            score_scales = []
-            for i in rows:
-                k_norm = float(np.mean(key_norms[: lengths[i]]))
-                score_std = max(q_norms[i] * k_norm / np.sqrt(d), 1e-9)
-                score_scales.append(score_std_target / score_std)
-            config = BGPPConfig(
-                rounds=rounds,
-                radius=radius,
-                alpha=alpha,
-                key_bits=key_bits,
-                query_bits=query_bits,
-            )
-            results = bgpp_select_batch(
-                q_int[rows],
-                k_int,
-                config,
-                key_lengths=lengths[rows],
-                score_scales=score_scales,
-            )
-            for i, result in zip(rows, results):
-                out[int(i)] = result.selected
+        k_scales, group = np.unique(
+            np.maximum(key_cummax[lengths - 1], 1e-12) / 127.0, return_inverse=True
+        )
+        block_lengths = [int(lengths[group == g].max()) for g in range(k_scales.size)]
+        k_int = np.round(
+            np.concatenate([keys[:n] / s for s, n in zip(k_scales, block_lengths)])
+        )
+        starts = (np.cumsum(block_lengths) - block_lengths)[group]
+        # the predictor's norms; each mean must reduce its own prefix
+        q_norms = np.sqrt(np.add.reduce(q_int * q_int, axis=1))
+        key_norms = np.sqrt(np.add.reduce(k_int * k_int, axis=1))
+        k_norms = np.array(
+            [np.add.reduce(key_norms[s : s + n]) / n for s, n in zip(starts, lengths)]
+        )
+        score_std = np.maximum(q_norms * k_norms / np.sqrt(queries.shape[1]), 1e-9)
+        window = np.arange(k_int.shape[0]) - starts[:, None]
+        alive = _progressive_filter(
+            q_int,
+            k_int,
+            config,
+            (window >= 0) & (window < lengths[:, None]),
+            score_std_target / score_std,
+        )[0]
+        for i, row_alive, start in zip(rows, alive, starts):
+            out[i] = np.flatnonzero(row_alive) - start
         return out
 
     predictor.select_ragged = select_ragged
