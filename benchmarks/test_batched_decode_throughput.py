@@ -97,6 +97,12 @@ ARENA_BATCHES = (8, 16)
 ARENA_CONTEXT = 512
 ARENA_STEPS = 16
 ARENA_BYTES_GATE = 5.0  # arena must copy >= 5x fewer KV bytes per step
+# wall gates (arena >= stacking, FCFS >= 0.8x legacy) ride the median of
+# per-round CPU-time ratios (see _paired_cpu_rounds); odd so the median is
+# one round.  Best-of-3 perf_counter samples flipped the arena gate between
+# 0.84x and 1.29x on same-box reruns.
+ARENA_ROUNDS = 5
+FCFS_ROUNDS = 9
 
 # policy grid: one bursty prioritized heavy-tail trace, replayed under the
 # shipped policy pairs at B = GATED_BATCH slots
@@ -182,6 +188,39 @@ SPEC_SEED = 43
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 
 
+def _paired_cpu_rounds(runs, rounds):
+    """Time two runs in alternating rounds; returns ``(ratio, best, results)``.
+
+    ``runs`` maps two names ``(a, b)`` to callables returning
+    ``(result, cpu_seconds)``, each timing only its own hot loop with
+    ``time.process_time`` (immune to the container scheduler preempting one
+    run but not its partner).  Both run once untimed to warm caches, then
+    ``rounds`` rounds time them back to back in alternating order with the
+    cyclic GC off, so drift cancels within a round and ordering bias across
+    rounds.  ``ratio`` is the median over rounds of ``elapsed[a] /
+    elapsed[b]`` -- b's speed relative to a, where outlier rounds cancel;
+    ``best`` holds each run's fastest time (for display) and ``results``
+    each run's last result.
+    """
+    a, b = runs
+    for name in runs:
+        runs[name]()
+    best = {a: float("inf"), b: float("inf")}
+    results, ratios = {}, []
+    gc.collect()
+    gc.disable()
+    try:
+        for index in range(rounds):
+            elapsed = {}
+            for name in (a, b) if index % 2 == 0 else (b, a):
+                results[name], elapsed[name] = runs[name]()
+                best[name] = min(best[name], elapsed[name])
+            ratios.append(elapsed[a] / elapsed[b])
+    finally:
+        gc.enable()
+    return sorted(ratios)[len(ratios) // 2], best, results
+
+
 def _build_model() -> QuantizedTransformer:
     config = get_model_config("tiny")
     return QuantizedTransformer(TransformerModel(config, seed=0), seed=1)
@@ -235,37 +274,40 @@ def _arena_vs_stacking_row(model, batch):
         "context_tokens": ARENA_CONTEXT,
         "decode_steps": ARENA_STEPS,
     }
-    final_tokens = {}
+    copied = {}
+
+    def _decode_run(mode):
+        arena = None
+        if mode == "arena":
+            arena = PagedKVArena(config.n_layers, config.hidden_size, page_size=32)
+        decoders, tokens = _prefilled_decoders(
+            model, batch, prompt_len=prompt_len, arena=arena
+        )
+        # count only decode-step copy traffic, not the prefill
+        _reset_stack_copy_bytes(model)
+        gather_base = arena.stats.gather_bytes_copied if arena else 0
+        start = time.process_time()
+        for _ in range(ARENA_STEPS):
+            tokens = IncrementalDecoder.step_batch(decoders, tokens)
+        elapsed = time.process_time() - start
+        copied[mode] = (
+            arena.stats.gather_bytes_copied - gather_base
+            if arena
+            else _stack_copy_bytes(model)
+        )
+        return list(tokens), elapsed
+
+    speedup, best, final_tokens = _paired_cpu_rounds(
+        {mode: lambda mode=mode: _decode_run(mode) for mode in ("stacking", "arena")},
+        ARENA_ROUNDS,
+    )
     for mode in ("stacking", "arena"):
-        best = float("inf")
-        for _ in range(REPEATS):
-            arena = None
-            if mode == "arena":
-                arena = PagedKVArena(
-                    config.n_layers, config.hidden_size, page_size=32
-                )
-            decoders, tokens = _prefilled_decoders(
-                model, batch, prompt_len=prompt_len, arena=arena
-            )
-            # count only decode-step copy traffic, not the prefill
-            _reset_stack_copy_bytes(model)
-            gather_base = arena.stats.gather_bytes_copied if arena else 0
-            start = time.perf_counter()
-            for _ in range(ARENA_STEPS):
-                tokens = IncrementalDecoder.step_batch(decoders, tokens)
-            best = min(best, time.perf_counter() - start)
-            final_tokens[mode] = list(tokens)
-            copied = (
-                arena.stats.gather_bytes_copied - gather_base
-                if arena
-                else _stack_copy_bytes(model)
-            )
-        row[f"{mode}_tokens_per_sec"] = batch * ARENA_STEPS / best
-        row[f"{mode}_kv_bytes_per_step"] = copied / ARENA_STEPS
+        row[f"{mode}_tokens_per_sec"] = batch * ARENA_STEPS / best[mode]
+        row[f"{mode}_kv_bytes_per_step"] = copied[mode] / ARENA_STEPS
     assert final_tokens["arena"] == final_tokens["stacking"], (
         f"arena decode diverged from stacking at B={batch}"
     )
-    row["speedup"] = row["arena_tokens_per_sec"] / row["stacking_tokens_per_sec"]
+    row["speedup"] = speedup
     row["kv_bytes_ratio"] = (
         row["stacking_kv_bytes_per_step"] / row["arena_kv_bytes_per_step"]
     )
@@ -641,39 +683,23 @@ def _faults_block(model, stream):
         return report, time.process_time() - start
 
     # a single ~100ms run carries +-3% timer noise, too much for a 2% gate
-    # on one best-of pair -- so each round times the two engines adjacent
-    # in time (alternating order to cancel ordering bias) and the gate
-    # rides the MEDIAN of the per-round elapsed ratios: drift cancels
-    # within a pair, outlier rounds cancel in the median.  Best-of
-    # tokens/sec is still reported for display.
-    makers = {
-        "base": lambda: ServingEngine(model, max_active=GATED_BATCH),
-        "armed": lambda: ServingEngine(
-            model, max_active=GATED_BATCH, faults=idle_plan
-        ),
-    }
-    best = {"base": float("inf"), "armed": float("inf")}
-    reports, round_ratios = {}, []
-    for which in ("base", "armed"):  # warmup: fault caches, allocator state
-        _one_run(makers[which])
-    # cyclic GC pauses land on whichever engine happens to cross the
-    # allocation threshold -- under a full-suite heap that skew exceeds
-    # the 2% gate, so the timed pair runs with the collector off
-    gc.collect()
-    gc.disable()
-    try:
-        for round_index in range(FAULT_REPEATS):
-            order = (
-                ("base", "armed") if round_index % 2 == 0 else ("armed", "base")
-            )
-            elapsed = {}
-            for which in order:
-                reports[which], elapsed[which] = _one_run(makers[which])
-                best[which] = min(best[which], elapsed[which])
-            round_ratios.append(elapsed["base"] / elapsed["armed"])
-    finally:
-        gc.enable()
-    hook_ratio = sorted(round_ratios)[len(round_ratios) // 2]
+    # on one best-of pair -- so the gate rides the median of interleaved
+    # CPU-time rounds (cyclic GC off: under a full-suite heap, collector
+    # pauses landing on one engine exceed the gate).  Best-of tokens/sec
+    # is still reported for display.
+    hook_ratio, best, reports = _paired_cpu_rounds(
+        {
+            "base": lambda: _one_run(
+                lambda: ServingEngine(model, max_active=GATED_BATCH)
+            ),
+            "armed": lambda: _one_run(
+                lambda: ServingEngine(
+                    model, max_active=GATED_BATCH, faults=idle_plan
+                )
+            ),
+        },
+        FAULT_REPEATS,
+    )
     base_report, armed_report = reports["base"], reports["armed"]
     base_tps = base_report.total_tokens / best["base"]
     armed_tps = armed_report.total_tokens / best["armed"]
@@ -1227,23 +1253,29 @@ def test_batched_decode_throughput(benchmark):
     )
 
     def _timed_run(make_engine):
-        best, report = float("inf"), None
-        for _ in range(REPEATS):
-            serving = make_engine()
-            serving.submit_many(stream)
-            start = time.perf_counter()
-            report = serving.run()
-            best = min(best, time.perf_counter() - start)
-        return report, report.total_tokens / best
+        serving = make_engine()
+        serving.submit_many(stream)
+        start = time.process_time()
+        report = serving.run()
+        return report, time.process_time() - start
 
-    report, fcfs_tps = _timed_run(
-        lambda: ServingEngine(model, max_active=GATED_BATCH)
+    def _legacy_engine():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            return ContinuousBatchingScheduler(model, max_active=GATED_BATCH)
+
+    fcfs_vs_legacy, best, reports = _paired_cpu_rounds(
+        {
+            "legacy": lambda: _timed_run(_legacy_engine),
+            "fcfs": lambda: _timed_run(
+                lambda: ServingEngine(model, max_active=GATED_BATCH)
+            ),
+        },
+        FCFS_ROUNDS,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_report, legacy_tps = _timed_run(
-            lambda: ContinuousBatchingScheduler(model, max_active=GATED_BATCH)
-        )
+    report, legacy_report = reports["fcfs"], reports["legacy"]
+    fcfs_tps = report.total_tokens / best["fcfs"]
+    legacy_tps = legacy_report.total_tokens / best["legacy"]
     # the policy-driven engine at FCFS must *be* the old scheduler: the whole
     # report (tokens, steps, metrics, arena counters) is bit-identical, so
     # step-domain throughput cannot regress by construction
@@ -1283,6 +1315,7 @@ def test_batched_decode_throughput(benchmark):
         "serving_report": report.to_json(),
         "fcfs_engine_tokens_per_sec": fcfs_tps,
         "old_scheduler_tokens_per_sec": legacy_tps,
+        "fcfs_vs_old_scheduler": fcfs_vs_legacy,
         "policies": {
             "batch": GATED_BATCH,
             "requests": POLICY_REQUESTS,
@@ -1331,7 +1364,7 @@ def test_batched_decode_throughput(benchmark):
             ]
         )
         + f"\nFCFS engine {fcfs_tps:.1f} tok/s vs old scheduler "
-        f"{legacy_tps:.1f} tok/s"
+        f"{legacy_tps:.1f} tok/s (median round {fcfs_vs_legacy:.2f}x)"
         + "\nprefill TTFT (wall): serial p95 "
         f"{prefill_block['serial']['ttft_wall_p95_ms']:.2f} ms   batched p95 "
         f"{prefill_block['batched']['ttft_wall_p95_ms']:.2f} ms   "
@@ -1422,9 +1455,10 @@ def test_batched_decode_throughput(benchmark):
         )
     # CI gate: the policy layer must not tax the old FCFS wall-clock path at
     # B=8 (same machinery after the redesign; 0.8 keeps timer noise out)
-    assert fcfs_tps >= 0.8 * legacy_tps, (
+    assert fcfs_vs_legacy >= 0.8, (
         f"policy-driven engine slower than the old scheduler at "
-        f"B={GATED_BATCH}: {fcfs_tps:.1f} vs {legacy_tps:.1f} tok/s"
+        f"B={GATED_BATCH}: median round {fcfs_vs_legacy:.2f}x "
+        f"({fcfs_tps:.1f} vs {legacy_tps:.1f} tok/s best-of)"
     )
     # CI gate: priority service must demonstrably reorder the bursty trace --
     # high-priority p95 latency strictly below FCFS, with real preemptions

@@ -15,11 +15,14 @@ simulator:
 * :meth:`free` returns a finished session's pages to the free list, so arena
   occupancy tracks *live* tokens rather than peak concurrency, and reused
   pages never grow the pool;
-* :meth:`gather_batch` materialises the padded batch for attention via **one
-  fancy-index gather per layer** (no per-session stacking loop) and keeps the
-  result as a per-layer cache: while the batch composition is stable, each
-  subsequent step copies only the newly appended rows -- ``O(B * hidden)``
-  bytes per step, independent of context length;
+* :meth:`gather_batch` materialises the padded batch for attention into a
+  per-layer **batch view** that it keeps between calls.  For every stream the
+  view records a cached length that never exceeds the session's true length,
+  and the rows below it are exact copies of the pool; each call copies only
+  the rows above it -- ``O(B * hidden)`` bytes per decode step, independent
+  of context length.  Events that shrink a session (speculative rollback,
+  ``clear_layer``, snapshots) just clamp the cached length, so a rewind costs
+  no re-copy of the kept prefix;
 * a **prefix cache** shares prompt pages across requests: completed prefills
   :meth:`register_prefix` their full prompt pages under content keys (the
   token prefix at each page boundary), new sessions :meth:`acquire_prefix`
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -162,7 +166,11 @@ class ArenaStats:
     paging analogue of a fault); ``gather_bytes_copied`` is the number of KV
     bytes materialised by :meth:`PagedKVArena.gather_batch` -- the arena-side
     counterpart of the stacking path's
-    :attr:`repro.model.attention.MultiHeadAttention.stack_copy_bytes`.
+    :attr:`repro.model.attention.MultiHeadAttention.stack_copy_bytes`.  An
+    incremental refresh (``gather_incremental``) counts the rows it copied;
+    a rebuild (``gather_rebuilds``) counts the batch's whole padded page
+    span, ``B x ceil(max_len / page_size)`` pages, which bounds the live rows
+    it actually copies.
     ``view_bytes_copied`` tracks the single-stream materialisations used by
     the non-fused path (:meth:`PagedKVArena.session_keys` / ``session_values``).
 
@@ -244,6 +252,26 @@ class _Session:
     def __init__(self, n_layers: int) -> None:
         self.pages: List[int] = []
         self.lengths = np.zeros(n_layers, dtype=np.int64)
+
+
+class _BatchView:
+    """One layer's padded batch buffers and the rows they hold per stream.
+
+    ``k`` / ``v`` are ``(rows, cap, hidden)`` buffers, possibly larger than
+    the current batch (a rebuild reuses buffers that fit); stream ``b`` of
+    ``sids`` owns row ``b`` and its first ``cached[b]`` positions are exact
+    copies of the pool.
+    """
+
+    __slots__ = ("sids", "cached", "k", "v")
+
+    def __init__(
+        self, sids: Tuple[int, ...], k: np.ndarray, v: np.ndarray
+    ) -> None:
+        self.sids = sids
+        self.cached = np.zeros(len(sids), dtype=np.int64)
+        self.k = k
+        self.v = v
 
 
 class _PrefixNode:
@@ -352,8 +380,15 @@ class PagedKVArena:
         # fault-injection hook (see check_alloc); None keeps every allocation
         # path untouched -- the serving engine installs its injector here
         self.fault_injector = None
-        # per-layer gather caches: {"sids", "lengths", "k", "v", "cap"}
-        self._gather: List[Optional[dict]] = [None] * n_layers
+        # per-layer batch views (see gather_batch).  Invariant: for every
+        # stream of a view, view.cached[b] <= the session's length in that
+        # layer, and rows below it equal the pool's rows.  Shrinking events
+        # clamp view.cached (_clamp_views); appends only write above the
+        # true length, copy-on-write copies bit-identical rows, and session
+        # ids are never reused, so nothing else can break it.  Views are
+        # dropped once the arena holds no session, so their buffers never
+        # outlive the load that sized them.
+        self._gather: List[Optional[_BatchView]] = [None] * n_layers
         # prefix cache: content key (token prefix at a page boundary) -> node,
         # plus the reverse page -> key map (1:1) and per-page refcounts.
         # Pages with a _ref entry are live; indexed pages without one are
@@ -408,7 +443,8 @@ class PagedKVArena:
         entry = self._sessions.pop(session_id)
         self._release_pages(entry)
         self.stats.sessions_freed += 1
-        self._invalidate(session_id)
+        if not self._sessions:
+            self._gather = [None] * self.n_layers
 
     def _release_pages(self, entry: _Session) -> None:
         # reversed keeps the pre-sharing LIFO discipline: the session's first
@@ -433,16 +469,18 @@ class PagedKVArena:
             self._free.append(page)
             self.stats.pages_freed += 1
 
-    def _invalidate(self, session_id: int) -> None:
-        """Drop gather caches whose buffers hold rows of ``session_id``.
+    def _clamp_views(self, session_id: int) -> None:
+        """Clamp every batch view's cached length to the session's lengths.
 
-        Needed because a truncated-then-refilled session could otherwise pass
-        the monotone-length freshness check while its cached prefix is stale.
+        Called after a session shrinks (rollback, layer clear, snapshot): the
+        kept rows below the new length are still exact copies, so the next
+        :meth:`gather_batch` only re-copies what is appended above it.
         """
-        self._gather = [
-            None if (c is not None and session_id in c["sids"]) else c
-            for c in self._gather
-        ]
+        lengths = self._sessions[session_id].lengths
+        for layer, view in enumerate(self._gather):
+            if view is not None and session_id in view.sids:
+                b = view.sids.index(session_id)
+                view.cached[b] = min(int(view.cached[b]), int(lengths[layer]))
 
     # -- occupancy / admission-control helpers ---------------------------------
 
@@ -842,7 +880,7 @@ class PagedKVArena:
         lengths = entry.lengths.copy()
         entry.pages = []
         entry.lengths[:] = 0
-        self._invalidate(session_id)
+        self._clamp_views(session_id)
         self.stats.snapshots_taken += 1
         self.stats.snapshot_bytes += copied_bytes
         return KVSnapshot(lengths=lengths, entries=entries)
@@ -879,7 +917,6 @@ class PagedKVArena:
             entry.pages.append(page)
         entry.lengths[:] = snapshot.lengths
         snapshot.entries = []
-        self._invalidate(session_id)
         self.stats.snapshots_restored += 1
 
     def discard_snapshot(self, snapshot: KVSnapshot) -> None:
@@ -929,14 +966,14 @@ class PagedKVArena:
             self._release_page(page)
         del entry.pages[keep:]
         entry.lengths -= n_rows
-        self._invalidate(session_id)
+        self._clamp_views(session_id)
         self.stats.rows_rolled_back += n_rows
 
     def clear_layer(self, session_id: int, layer: int) -> None:
         """Reset one layer's write cursor; pages free once every layer is empty."""
         entry = self._sessions[session_id]
         entry.lengths[layer] = 0
-        self._invalidate(session_id)
+        self._clamp_views(session_id)
         if not entry.lengths.any():
             self._release_pages(entry)
 
@@ -981,14 +1018,22 @@ class PagedKVArena:
         """Padded ``(B, max_len, hidden)`` K/V views for one layer's batch.
 
         The returned arrays are views into a per-layer batch buffer that the
-        arena maintains incrementally: while ``session_ids`` is unchanged
-        since the previous call, only the rows appended in between are copied
-        (one vectorised gather of ``B`` rows per decode step).  Composition
-        changes, truncations or buffer exhaustion trigger a full rebuild --
-        still a single fancy-index gather over the page pool rather than a
-        per-session stacking loop.  Rows past each session's length are
-        arbitrary (finite) padding; callers mask them exactly as the stacking
-        path masks its zero padding.
+        arena keeps between calls.  For each stream it caches a length that
+        is at most the session's true length, with the rows below it exact
+        copies of the pool (dequantised in int8 mode), so a call copies only
+        the rows above the cached length: one row per stream on a decode
+        step, a chunk on a verify step, and after a speculative rollback
+        (:meth:`truncate_session` clamps the cached length) just the rows
+        re-appended past the kept prefix.
+
+        A change of batch composition, or a batch that outgrows the buffer,
+        rebuilds the view.  The existing buffers are reused when they are
+        large enough, and a stream that keeps its row in them keeps its
+        cached rows; otherwise fresh zeroed buffers are allocated with a few
+        pages of headroom.  Every other stream is copied from row zero.
+        Buffers are dropped once the arena holds no session.  Rows past each
+        stream's length are stale but finite padding (zeros or rows copied
+        earlier); callers mask them, and ``0 * pad`` stays exactly zero.
 
         Returns ``(keys, values, lengths)``; the views stay valid until the
         next ``gather_batch`` / ``free`` / ``clear_layer`` call.
@@ -998,105 +1043,78 @@ class PagedKVArena:
             raise ValueError("session_ids must not be empty")
         entries = [self._sessions[s] for s in sids]
         lengths = np.array([int(e.lengths[layer]) for e in entries], dtype=np.int64)
+        n_batch = len(sids)
         max_len = int(lengths.max())
         ps = self.page_size
-        itemsize = self._k.itemsize
-        cache = self._gather[layer]
-
-        fresh = (
-            cache is not None
-            and cache["sids"] == sids
-            and cache["cap"] >= max_len
-            and bool((lengths >= cache["lengths"]).all())
-        )
-        if fresh:
-            delta = lengths - cache["lengths"]
-            total_new = int(delta.sum())
-            if total_new:
-                int8 = self._k_scale is not None
-                grew = np.flatnonzero(delta)
-                if int(delta.max()) == 1:
-                    # the decode-step fast path: one new row per grown stream
-                    pos = lengths[grew] - 1
-                    pages = np.array(
-                        [entries[b].pages[p] for b, p in zip(grew, pos // ps)],
-                        dtype=np.int64,
-                    )
-                    slots = pos % ps
-                    if int8:
-                        cache["k"][grew, pos] = self._dequant(
-                            self._k[layer, pages, slots],
-                            self._k_scale[layer, pages, slots],
-                        )
-                        cache["v"][grew, pos] = self._dequant(
-                            self._v[layer, pages, slots],
-                            self._v_scale[layer, pages, slots],
-                        )
-                    else:
-                        cache["k"][grew, pos] = self._k[layer, pages, slots]
-                        cache["v"][grew, pos] = self._v[layer, pages, slots]
-                else:
-                    for b in grew:
-                        start, stop = int(cache["lengths"][b]), int(lengths[b])
-                        entry = entries[b]
-                        pos = start
-                        while pos < stop:
-                            page = entry.pages[pos // ps]
-                            slot = pos % ps
-                            n = min(ps - slot, stop - pos)
-                            k_rows = self._k[layer, page, slot : slot + n]
-                            v_rows = self._v[layer, page, slot : slot + n]
-                            if int8:
-                                k_rows = self._dequant(
-                                    k_rows,
-                                    self._k_scale[layer, page, slot : slot + n],
-                                )
-                                v_rows = self._dequant(
-                                    v_rows,
-                                    self._v_scale[layer, page, slot : slot + n],
-                                )
-                            cache["k"][b, pos : pos + n] = k_rows
-                            cache["v"][b, pos : pos + n] = v_rows
-                            pos += n
-                self.stats.gather_bytes_copied += (
-                    2 * total_new * self.hidden_size * itemsize
+        span = max(1, -(-max_len // ps)) * ps
+        view = self._gather[layer]
+        fresh = view is not None and view.sids == sids and view.k.shape[1] >= max_len
+        if not fresh:
+            if view is None or view.k.shape[0] < n_batch or view.k.shape[1] < span:
+                # np.zeros, not zeros_like: untouched headroom stays unresident
+                shape = (n_batch, span + 8 * ps, self.hidden_size)
+                view = _BatchView(
+                    sids,
+                    np.zeros(shape, dtype=self._fp_dtype),
+                    np.zeros(shape, dtype=self._fp_dtype),
                 )
-            self.stats.gather_incremental += 1
-            cache["lengths"] = lengths
-        else:
-            # full rebuild: one fancy-index gather per pool, padded to page
-            # boundaries, with headroom so steady-state steps stay incremental
-            n_batch_pages = max(1, -(-max_len // ps))
-            cap = (n_batch_pages + 8) * ps
-            table = np.zeros((len(sids), n_batch_pages), dtype=np.int64)
-            for b, entry in enumerate(entries):
-                used = entry.pages[: -(-int(lengths[b]) // ps)] if lengths[b] else []
-                table[b, : len(used)] = used
-            # batch buffers always hold logical float rows; int8 pools
-            # dequantise during the gather so attention reads plain floats
-            buf_k = np.zeros((len(sids), cap, self.hidden_size), dtype=self._fp_dtype)
-            buf_v = np.zeros_like(buf_k)
-            span = n_batch_pages * ps
-            if self._k_scale is not None:
-                buf_k[:, :span] = self._dequant(
-                    self._k[layer, table], self._k_scale[layer, table]
-                ).reshape(len(sids), span, -1)
-                buf_v[:, :span] = self._dequant(
-                    self._v[layer, table], self._v_scale[layer, table]
-                ).reshape(len(sids), span, -1)
             else:
-                buf_k[:, :span] = self._k[layer, table].reshape(len(sids), span, -1)
-                buf_v[:, :span] = self._v[layer, table].reshape(len(sids), span, -1)
-            cache = {
-                "sids": sids,
-                "lengths": lengths,
-                "k": buf_k,
-                "v": buf_v,
-                "cap": cap,
-            }
-            self._gather[layer] = cache
+                # streams that keep their row keep their cached rows
+                old, view = view, _BatchView(sids, view.k, view.v)
+                for b, sid in enumerate(old.sids[:n_batch]):
+                    if sids[b] == sid:
+                        view.cached[b] = old.cached[b]
+            self._gather[layer] = view
+        n_rows = self._copy_new_rows(layer, view, entries, lengths)
+        if fresh:
+            self.stats.gather_incremental += 1
+        else:
+            # a rebuild is charged the batch's whole padded page span, the
+            # view region it re-establishes, not just the rows it copied
             self.stats.gather_rebuilds += 1
-            self.stats.gather_bytes_copied += (
-                2 * len(sids) * span * self.hidden_size * itemsize
-            )
-        return cache["k"][:, :max_len], cache["v"][:, :max_len], lengths
+            n_rows = n_batch * span
+        self.stats.gather_bytes_copied += (
+            2 * n_rows * self.hidden_size * self._k.itemsize
+        )
+        return view.k[:n_batch, :max_len], view.v[:n_batch, :max_len], lengths
+
+    def _copy_new_rows(
+        self,
+        layer: int,
+        view: _BatchView,
+        entries: Sequence[_Session],
+        lengths: np.ndarray,
+    ) -> int:
+        """Copy every stream's rows ``[view.cached[b], lengths[b])`` into the view.
+
+        One vectorised gather/scatter per pool for the whole batch, whatever
+        the per-stream row counts (decode rows, verify chunks, a rebuild's
+        full contexts); int8 pools dequantise on the way.  Returns the number
+        of rows copied.
+        """
+        cached = view.cached
+        delta = lengths - cached
+        ends = np.cumsum(delta)
+        n_rows = int(ends[-1])
+        if n_rows == 0:
+            return 0
+        # one entry per copied row: its stream and its position in the stream
+        row_b = np.repeat(np.arange(len(delta)), delta)
+        pos = np.arange(n_rows) + (cached + delta - ends)[row_b]
+        page_idx, slot = np.divmod(pos, self.page_size)
+        # the batch's page tables as one (max_pages, B) array
+        table = np.array(
+            list(zip_longest(*(e.pages for e in entries), fillvalue=0)),
+            dtype=np.int64,
+        )
+        pages = table[page_idx, row_b]
+        for pool, scale, buf in (
+            (self._k, self._k_scale, view.k),
+            (self._v, self._v_scale, view.v),
+        ):
+            rows = pool[layer, pages, slot]
+            if scale is not None:
+                rows = self._dequant(rows, scale[layer, pages, slot])
+            buf[row_b, pos] = rows
+        view.cached = lengths.copy()
+        return n_rows
