@@ -4,8 +4,9 @@ For each batch size ``B`` in {1, 4, 8, 16} the same ``B`` prefilled decode
 streams advance ``N_STEPS`` tokens two ways:
 
 * **per-session loop** -- one ``model.forward`` call per stream per step
-  (what the PR-1 scheduler did);
-* **fused batched step** -- ``IncrementalDecoder.step_batch`` stacks the
+  (the serial path the engine keeps for models without ``prefill_batch``);
+* **fused batched step** -- ``IncrementalDecoder.prefill_step_batch`` with
+  every stream a one-row chunk (the engine's only decode path) stacks the
   streams into one ``(B, hidden)`` batch and runs a single quantised forward
   per step, with the model bound to an :class:`MCBPEngine` so each weight
   matrix's BSTC planes are decoded at most once per step (in steady state:
@@ -27,8 +28,10 @@ policy-driven :class:`ServingEngine` under the shipped policy pairs
 p95 latency, preemption and deadline-miss counts, and wall-clock tokens/sec.
 
 A fourth grid measures the **chunked batched prefill pipeline**: one
-prefill-heavy bursty (Pareto) trace at ``B = 8`` runs with one-shot serial
-prefill vs batched prefill, recording per-request *wall-clock* TTFT p50/p95
+prefill-heavy bursty (Pareto) trace at ``B = 8`` runs on the serial path
+(the model behind :class:`SerialOnly`: one-shot prefill at admission,
+per-session decode) vs the batched pass, recording per-request *wall-clock*
+TTFT p50/p95
 (queue delay in steps is identical by construction, so wall time isolates
 the prefill execution strategy) plus a ``prefill_token_budget`` sweep
 showing the TTFT-vs-decode-throughput trade.
@@ -44,9 +47,7 @@ policy runs, whose evicted sessions must resume bit-identically to their
 solo decode, and every chunked/mixed prefill step), fused >= per-session at
 ``B = 8``, arena >= stacking at ``B = 8``, exactly one BSTC decode per
 weight matrix, the arena must copy >= ``ARENA_BYTES_GATE``x fewer KV bytes
-per step at the long context, ``ServingEngine`` at FCFS must match the
-pre-policy scheduler's report bit-exactly and keep >= 0.8x of its
-wall-clock throughput, the priority policy must cut high-priority p95
+per step at the long context, the priority policy must cut high-priority p95
 latency strictly below FCFS on the bursty trace (with real preemptions),
 the deadline policy must not miss more deadlines than FCFS, batched
 prefill must not lose to serial prefill on wall-clock TTFT p95 (its
@@ -63,7 +64,6 @@ trajectory is tracked from this PR on.
 import gc
 import json
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,6 @@ from repro.model import QuantizedTransformer, TransformerModel, generate, get_mo
 from repro.model.generation import IncrementalDecoder
 from repro.serve import (
     ClusterEngine,
-    ContinuousBatchingScheduler,
     FaultPlan,
     FaultSpec,
     PagedKVArena,
@@ -97,12 +96,12 @@ ARENA_BATCHES = (8, 16)
 ARENA_CONTEXT = 512
 ARENA_STEPS = 16
 ARENA_BYTES_GATE = 5.0  # arena must copy >= 5x fewer KV bytes per step
-# wall gates (arena >= stacking, FCFS >= 0.8x legacy) ride the median of
-# per-round CPU-time ratios (see _paired_cpu_rounds); odd so the median is
-# one round.  Best-of-3 perf_counter samples flipped the arena gate between
-# 0.84x and 1.29x on same-box reruns.
-ARENA_ROUNDS = 5
-FCFS_ROUNDS = 9
+# timed gates ride the median of per-round ratios (see _paired_cpu_rounds);
+# odd so the median is one round.  Best-of-3 perf_counter samples flipped
+# the arena gate between 0.84x and 1.29x on same-box reruns, and a 5-round
+# median still fell to 0.84x once in four runs on a shared 2-core box
+# (in-process runs of this row sit at 1.07-1.28x)
+ARENA_ROUNDS = 9
 
 # policy grid: one bursty prioritized heavy-tail trace, replayed under the
 # shipped policy pairs at B = GATED_BATCH slots
@@ -117,9 +116,10 @@ HIGH_PRIORITY = 2
 PREFILL_REQUESTS = 32
 PREFILL_BUDGETS = (16, 32, 64, None)
 # batched prefill sits ~1.2-1.4x under serial TTFT p95; the gate allows a
-# 10% excursion so one noisy best-of-3 sample on a loaded CI runner cannot
-# flip an unrelated PR red (the recorded numbers still track the trajectory)
+# 10% excursion on the median per-round p95 ratio so one noisy round on a
+# loaded CI runner cannot flip an unrelated PR red
 PREFILL_TTFT_GATE = 1.1
+TTFT_ROUNDS = 5
 
 # prefix-cache grid: one shared-prefix trace (a long common prompt head,
 # ragged novel tails) and one divergent trace (distinct leading token, so no
@@ -129,7 +129,7 @@ PREFIX_BASE_LEN = 48
 PREFIX_PAGE_SIZE = 8
 PREFIX_SEED = 31
 # cache-on must not lose cache-off on TTFT p95; it skips most prefill rows
-# on the shared trace, so 1.1 only absorbs best-of-3 timer noise
+# on the shared trace, so 1.1 only absorbs timer noise in the median round
 PREFIX_TTFT_GATE = 1.1
 
 # fault-injection hooks (PR 7): the acceptance gate says the hook points
@@ -188,18 +188,33 @@ SPEC_SEED = 43
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 
 
+class SerialOnly:
+    """``model`` without ``prefill_batch``: the engine serves it serially."""
+
+    def __init__(self, model):
+        self.forward = model.forward
+        self.new_cache = model.new_cache
+        self.config = model.config
+
+
+def _decode_step(decoders, tokens):
+    """One batched decode step: every stream a one-row chunk."""
+    return IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)[1]
+
+
 def _paired_cpu_rounds(runs, rounds):
     """Time two runs in alternating rounds; returns ``(ratio, best, results)``.
 
     ``runs`` maps two names ``(a, b)`` to callables returning
-    ``(result, cpu_seconds)``, each timing only its own hot loop with
-    ``time.process_time`` (immune to the container scheduler preempting one
-    run but not its partner).  Both run once untimed to warm caches, then
+    ``(result, cost)``.  The cost is usually CPU seconds of the run's own
+    hot loop, timed with ``time.process_time`` (immune to the container
+    scheduler preempting one run but not its partner); the TTFT grids pass
+    a wall-clock p95 TTFT instead.  Both run once untimed to warm caches, then
     ``rounds`` rounds time them back to back in alternating order with the
     cyclic GC off, so drift cancels within a round and ordering bias across
     rounds.  ``ratio`` is the median over rounds of ``elapsed[a] /
     elapsed[b]`` -- b's speed relative to a, where outlier rounds cancel;
-    ``best`` holds each run's fastest time (for display) and ``results``
+    ``best`` holds each run's lowest cost (for display) and ``results``
     each run's last result.
     """
     a, b = runs
@@ -248,7 +263,7 @@ def _decode_tokens_per_sec(model, batch, fused):
         start = time.perf_counter()
         for _ in range(N_STEPS):
             if fused:
-                tokens = IncrementalDecoder.step_batch(decoders, tokens)
+                tokens = _decode_step(decoders, tokens)
             else:
                 tokens = [d.step(t) for d, t in zip(decoders, tokens)]
         best = min(best, time.perf_counter() - start)
@@ -288,7 +303,7 @@ def _arena_vs_stacking_row(model, batch):
         gather_base = arena.stats.gather_bytes_copied if arena else 0
         start = time.process_time()
         for _ in range(ARENA_STEPS):
-            tokens = IncrementalDecoder.step_batch(decoders, tokens)
+            tokens = _decode_step(decoders, tokens)
         elapsed = time.process_time() - start
         copied[mode] = (
             arena.stats.gather_bytes_copied - gather_base
@@ -407,9 +422,8 @@ def _ttft_wall_run(
     differ only by how fast each step executes its prefill work.
     """
     engine = ServingEngine(
-        model,
+        model if batched else SerialOnly(model),
         max_active=GATED_BATCH,
-        batched_prefill=batched,
         prefill_token_budget=budget,
         page_size=page_size,
         prefix_cache=prefix_cache,
@@ -450,23 +464,29 @@ def _prefill_rows(model):
         ).generated_tokens
         for r in requests
     }
+    def ttft_p95(mode):
+        report, handles, ttfts = _ttft_wall_run(
+            model, requests, batched=mode == "batched"
+        )
+        for handle in handles:
+            assert handle.generated_tokens == reference[handle.request_id], (
+                f"{mode} prefill diverged from the solo reference for "
+                f"{handle.request_id}"
+            )
+        return (report, ttfts), float(np.percentile(ttfts, 95))
+
+    # gate value: the median over interleaved rounds of serial / batched p95
+    speedup, best, results = _paired_cpu_rounds(
+        {mode: lambda mode=mode: ttft_p95(mode) for mode in ("serial", "batched")},
+        TTFT_ROUNDS,
+    )
     rows = {}
     reports = {}
-    for mode, batched in (("serial", False), ("batched", True)):
-        best_p95 = best_p50 = float("inf")
-        for _ in range(REPEATS):
-            report, handles, ttfts = _ttft_wall_run(model, requests, batched)
-            for handle in handles:
-                assert handle.generated_tokens == reference[handle.request_id], (
-                    f"{mode} prefill diverged from the solo reference for "
-                    f"{handle.request_id}"
-                )
-            best_p95 = min(best_p95, float(np.percentile(ttfts, 95)))
-            best_p50 = min(best_p50, float(np.percentile(ttfts, 50)))
+    for mode, (report, ttfts) in results.items():
         reports[mode] = report
         rows[mode] = {
-            "ttft_wall_p50_ms": best_p50 * 1e3,
-            "ttft_wall_p95_ms": best_p95 * 1e3,
+            "ttft_wall_p50_ms": float(np.percentile(ttfts, 50)) * 1e3,
+            "ttft_wall_p95_ms": best[mode] * 1e3,
             "steps": report.steps,
             "ttft_steps_p95": float(
                 np.percentile(
@@ -516,9 +536,7 @@ def _prefill_rows(model):
         "requests": PREFILL_REQUESTS,
         "serial": rows["serial"],
         "batched": rows["batched"],
-        "ttft_p95_speedup": (
-            rows["serial"]["ttft_wall_p95_ms"] / rows["batched"]["ttft_wall_p95_ms"]
-        ),
+        "ttft_p95_speedup": speedup,
         "budget_sweep": sweep,
     }
 
@@ -567,23 +585,29 @@ def _prefix_cache_block(model):
     page_bytes = (
         PREFIX_PAGE_SIZE * config.hidden_size * config.n_layers * 2 * 8
     )
+
+    def ttft_p95(mode):
+        report, handles, ttfts = _ttft_wall_run(
+            model,
+            shared,
+            batched=True,
+            page_size=PREFIX_PAGE_SIZE,
+            prefix_cache=mode == "on",
+        )
+        return (report, handles), float(np.percentile(ttfts, 95))
+
+    # gate value: the median over interleaved rounds of off / on p95
+    speedup, best, results = _paired_cpu_rounds(
+        {mode: lambda mode=mode: ttft_p95(mode) for mode in ("off", "on")},
+        TTFT_ROUNDS,
+    )
     runs, reports, tokens = {}, {}, {}
-    for mode, cache in (("off", False), ("on", True)):
-        best_p95 = float("inf")
-        for _ in range(REPEATS):
-            report, handles, ttfts = _ttft_wall_run(
-                model,
-                shared,
-                batched=True,
-                page_size=PREFIX_PAGE_SIZE,
-                prefix_cache=cache,
-            )
-            best_p95 = min(best_p95, float(np.percentile(ttfts, 95)))
+    for mode, (report, handles) in results.items():
         reports[mode] = report
         tokens[mode] = {h.request_id: h.generated_tokens for h in handles}
         arena = report.arena
         runs[mode] = {
-            "ttft_wall_p95_ms": best_p95 * 1e3,
+            "ttft_wall_p95_ms": best[mode] * 1e3,
             "steps": report.steps,
             "page_faults": arena["page_faults"],
             "peak_pages_in_use": arena["peak_pages_in_use"],
@@ -632,6 +656,7 @@ def _prefix_cache_block(model):
         "base_prompt_len": PREFIX_BASE_LEN,
         "page_size": PREFIX_PAGE_SIZE,
         "shared_trace": runs,
+        "ttft_p95_speedup": speedup,
         "page_fault_reduction": (
             runs["off"]["page_faults"] / runs["on"]["page_faults"]
         ),
@@ -1236,7 +1261,7 @@ def test_batched_decode_throughput(benchmark):
     def fused_gated_batch():
         decoders, tokens = _prefilled_decoders(model, GATED_BATCH)
         for _ in range(N_STEPS):
-            tokens = IncrementalDecoder.step_batch(decoders, tokens)
+            tokens = _decode_step(decoders, tokens)
         return tokens
 
     benchmark.pedantic(fused_gated_batch, rounds=3, iterations=1)
@@ -1245,43 +1270,14 @@ def test_batched_decode_throughput(benchmark):
     arena_rows = [_arena_vs_stacking_row(model, batch) for batch in ARENA_BATCHES]
 
     # shared-format serving report: one fused engine run over a sampled
-    # request stream (the same schema serving_simulation.py --json emits),
-    # timed against the deprecated pre-policy front end on the same stream
+    # request stream (the same schema serving_simulation.py --json emits)
     config = model.config
     stream = sample_requests(
         16, vocab_size=config.vocab_size, mean_interarrival=0.5, seed=11
     )
-
-    def _timed_run(make_engine):
-        serving = make_engine()
-        serving.submit_many(stream)
-        start = time.process_time()
-        report = serving.run()
-        return report, time.process_time() - start
-
-    def _legacy_engine():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return ContinuousBatchingScheduler(model, max_active=GATED_BATCH)
-
-    fcfs_vs_legacy, best, reports = _paired_cpu_rounds(
-        {
-            "legacy": lambda: _timed_run(_legacy_engine),
-            "fcfs": lambda: _timed_run(
-                lambda: ServingEngine(model, max_active=GATED_BATCH)
-            ),
-        },
-        FCFS_ROUNDS,
-    )
-    report, legacy_report = reports["fcfs"], reports["legacy"]
-    fcfs_tps = report.total_tokens / best["fcfs"]
-    legacy_tps = legacy_report.total_tokens / best["legacy"]
-    # the policy-driven engine at FCFS must *be* the old scheduler: the whole
-    # report (tokens, steps, metrics, arena counters) is bit-identical, so
-    # step-domain throughput cannot regress by construction
-    assert report.to_json() == legacy_report.to_json(), (
-        "ServingEngine(FCFS) diverged from ContinuousBatchingScheduler"
-    )
+    serving = ServingEngine(model, max_active=GATED_BATCH)
+    serving.submit_many(stream)
+    report = serving.run()
 
     # fault hooks: disabled-vs-armed-idle overhead pair + 1% recovery trace
     faults_block = _faults_block(model, stream)
@@ -1313,9 +1309,6 @@ def test_batched_decode_throughput(benchmark):
         "bstc_decode_calls": int(engine.codec.decode_calls),
         "weight_matrices": n_matrices,
         "serving_report": report.to_json(),
-        "fcfs_engine_tokens_per_sec": fcfs_tps,
-        "old_scheduler_tokens_per_sec": legacy_tps,
-        "fcfs_vs_old_scheduler": fcfs_vs_legacy,
         "policies": {
             "batch": GATED_BATCH,
             "requests": POLICY_REQUESTS,
@@ -1363,12 +1356,10 @@ def test_batched_decode_throughput(benchmark):
                 for name, r in policy_rows.items()
             ]
         )
-        + f"\nFCFS engine {fcfs_tps:.1f} tok/s vs old scheduler "
-        f"{legacy_tps:.1f} tok/s (median round {fcfs_vs_legacy:.2f}x)"
         + "\nprefill TTFT (wall): serial p95 "
         f"{prefill_block['serial']['ttft_wall_p95_ms']:.2f} ms   batched p95 "
         f"{prefill_block['batched']['ttft_wall_p95_ms']:.2f} ms   "
-        f"({prefill_block['ttft_p95_speedup']:.2f}x)"
+        f"(median round {prefill_block['ttft_p95_speedup']:.2f}x)"
         + "\n"
         + "\n".join(
             f"  budget={str(r['prefill_token_budget']):>4}: "
@@ -1384,7 +1375,8 @@ def test_batched_decode_throughput(benchmark):
         "   on "
         f"{prefix_block['shared_trace']['on']['page_faults']} faults / "
         f"p95 {prefix_block['shared_trace']['on']['ttft_wall_p95_ms']:.2f} ms"
-        f"   ({prefix_block['page_fault_reduction']:.2f}x fewer faults, "
+        f"   (median round {prefix_block['ttft_p95_speedup']:.2f}x, "
+        f"{prefix_block['page_fault_reduction']:.2f}x fewer faults, "
         f"{prefix_block['shared_trace']['on']['prefix_tokens_reused']} rows "
         "reused)"
         + "\nfault hooks: disabled "
@@ -1453,13 +1445,6 @@ def test_batched_decode_throughput(benchmark):
             f"{row['kv_bytes_ratio']:.1f}x below stacking "
             f"(gate {ARENA_BYTES_GATE}x)"
         )
-    # CI gate: the policy layer must not tax the old FCFS wall-clock path at
-    # B=8 (same machinery after the redesign; 0.8 keeps timer noise out)
-    assert fcfs_vs_legacy >= 0.8, (
-        f"policy-driven engine slower than the old scheduler at "
-        f"B={GATED_BATCH}: median round {fcfs_vs_legacy:.2f}x "
-        f"({fcfs_tps:.1f} vs {legacy_tps:.1f} tok/s best-of)"
-    )
     # CI gate: priority service must demonstrably reorder the bursty trace --
     # high-priority p95 latency strictly below FCFS, with real preemptions
     # (all metrics are step-domain, so this is deterministic)
@@ -1479,33 +1464,30 @@ def test_batched_decode_throughput(benchmark):
         policy_rows["deadline"]["deadline_misses"]
         <= policy_rows["fcfs"]["deadline_misses"]
     ), "deadline policy misses more deadlines than FCFS"
-    # CI gate: chunked batched prefill must not lose to one-shot serial
-    # prefill on wall-clock TTFT p95 over the prefill-heavy bursty trace
-    # (PREFILL_TTFT_GATE absorbs scheduler noise in the best-of-3 samples).
+    # CI gate: chunked batched prefill must not lose to the serial path on
+    # wall-clock TTFT p95 over the prefill-heavy bursty trace: the median
+    # per-round serial/batched p95 ratio stays >= 1 / PREFILL_TTFT_GATE.
     # Token divergence and step-schedule divergence assert inside
     # _prefill_rows, so correctness never rides on a timer.
-    assert (
-        prefill_block["batched"]["ttft_wall_p95_ms"]
-        <= PREFILL_TTFT_GATE * prefill_block["serial"]["ttft_wall_p95_ms"]
-    ), (
-        "batched prefill lost to serial prefill on TTFT p95: "
+    assert prefill_block["ttft_p95_speedup"] >= 1.0 / PREFILL_TTFT_GATE, (
+        "batched prefill lost to serial prefill on TTFT p95: median round "
+        f"{prefill_block['ttft_p95_speedup']:.2f}x (best "
         f"{prefill_block['batched']['ttft_wall_p95_ms']:.2f} vs "
-        f"{prefill_block['serial']['ttft_wall_p95_ms']:.2f} ms "
-        f"(gate {PREFILL_TTFT_GATE}x)"
+        f"{prefill_block['serial']['ttft_wall_p95_ms']:.2f} ms, "
+        f"gate 1/{PREFILL_TTFT_GATE})"
     )
     # CI gate: the prefix cache must not lose the cache-off TTFT p95 on the
     # shared-prefix trace (it skips most prompt rows, so it should win; the
-    # gate only absorbs best-of-3 timer noise).  Bit-exactness of tokens,
-    # schedules and the divergent no-op assert inside _prefix_cache_block.
+    # gate only absorbs timer noise in the median off/on round ratio).
+    # Bit-exactness of tokens, schedules and the divergent no-op assert
+    # inside _prefix_cache_block.
     shared_on = prefix_block["shared_trace"]["on"]
     shared_off = prefix_block["shared_trace"]["off"]
-    assert (
-        shared_on["ttft_wall_p95_ms"]
-        <= PREFIX_TTFT_GATE * shared_off["ttft_wall_p95_ms"]
-    ), (
-        "prefix cache lost to no-cache on shared-prefix TTFT p95: "
+    assert prefix_block["ttft_p95_speedup"] >= 1.0 / PREFIX_TTFT_GATE, (
+        "prefix cache lost to no-cache on shared-prefix TTFT p95: median "
+        f"round {prefix_block['ttft_p95_speedup']:.2f}x (best "
         f"{shared_on['ttft_wall_p95_ms']:.2f} vs "
-        f"{shared_off['ttft_wall_p95_ms']:.2f} ms (gate {PREFIX_TTFT_GATE}x)"
+        f"{shared_off['ttft_wall_p95_ms']:.2f} ms, gate 1/{PREFIX_TTFT_GATE})"
     )
     # CI gate: sharing must show up in the allocator -- strictly fewer page
     # faults (= fewer KV bytes materialised) and real reuse on the shared

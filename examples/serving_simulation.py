@@ -20,7 +20,7 @@ Demonstrates the batched serving layer end to end:
    same fused pass as the decode tokens -- each layer's BSTC planes are
    decoded exactly once, session KV lives as fixed-size pages in one pool
    (freed pages recycle as requests finish), and the emitted tokens are
-   bit-identical to per-session stepping over standalone caches;
+   bit-identical to solo ``generate()`` runs;
 4. run a steady-state decode loop through an :class:`MCBPEngine` with the
    decoded-plane LRU cache and show that every layer is BSTC-decoded exactly
    once, no matter how many decode steps (or co-resident sessions) reuse it;
@@ -69,6 +69,7 @@ from repro.eval.reporting import format_table
 from repro.model import (
     QuantizedTransformer,
     TransformerModel,
+    generate,
     get_model_config,
 )
 from repro.serve import (
@@ -178,20 +179,17 @@ def fused_decode_demo(n_requests: int = 16, max_active: int = 8) -> None:
         n_requests, vocab_size=config.vocab_size, mean_interarrival=0.5, seed=11
     )
 
-    def run(fused: bool, arena: bool):
-        serving = ServingEngine(
-            model, max_active=max_active, fused=fused, arena=arena
-        )
-        handles = serving.submit_many(requests)
-        report = serving.run()
-        return report, handles
-
-    fused_report, fused_handles = run(fused=True, arena=True)
-    seq_report, seq_handles = run(fused=False, arena=False)
-    for a, b in zip(fused_handles, seq_handles):
-        assert a.generated_tokens == b.generated_tokens, "fused decode must be bit-exact"
+    serving = ServingEngine(model, max_active=max_active)
+    fused_handles = serving.submit_many(requests)
+    fused_report = serving.run()
+    hit_rate = engine.stats.cache_hit_rate
     n_matrices = len(model.quantized_weight_matrices())
     assert engine.codec.decode_calls == n_matrices, "planes must decode once per layer"
+    for request, handle in zip(requests, fused_handles):
+        solo = generate(model, request.prompt_tokens, request.max_new_tokens)
+        assert handle.generated_tokens == solo.generated_tokens, (
+            "fused decode must be bit-exact"
+        )
 
     # the example stays byte-deterministic, so it reports step-based metrics;
     # wall-clock tokens/sec live in benchmarks/test_batched_decode_throughput.py
@@ -202,12 +200,12 @@ def fused_decode_demo(n_requests: int = 16, max_active: int = 8) -> None:
     print(f"tokens              : {fused_report.total_tokens} in "
           f"{fused_report.steps} steps "
           f"({fused_report.throughput_tokens_per_step:.2f} tok/step, "
-          f"bit-exact vs per-session stepping over standalone caches)")
+          f"bit-exact vs solo generate() per request)")
     print(f"forward passes/step : 1 fused (vs up to {forwards_per_step} "
           f"per-session calls on the sequential path)")
     print(f"BSTC decodes        : {engine.codec.decode_calls} "
           f"(= {n_matrices} weight matrices, decoded once each; "
-          f"plane-cache hit rate {engine.stats.cache_hit_rate:.1%})")
+          f"plane-cache hit rate {hit_rate:.1%})")
     print(f"KV arena            : {arena_stats['page_size']}-token pages, "
           f"peak {arena_stats['peak_pages_in_use']}/{arena_stats['n_pages']} "
           f"pages, {arena_stats['page_faults']} faults, all "

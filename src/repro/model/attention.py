@@ -98,10 +98,11 @@ class KVCache:
     * **arena-backed**: constructed with ``arena``/``session_id``/``layer``
       (see :class:`repro.serve.kv_arena.PagedKVArena`), the cache is a thin
       handle -- appends write into the shared page pool and :attr:`keys` /
-      :attr:`values` materialise contiguous copies on demand.  The fused
-      batched attention path recognises arena-backed caches and reads the
-      pool through :meth:`~repro.serve.kv_arena.PagedKVArena.gather_batch`
-      instead, skipping the per-session materialisation entirely.  An
+      :attr:`values` materialise contiguous copies on demand.  The batched
+      attention path (:meth:`MultiHeadAttention.prefill_batch`) recognises
+      arena-backed caches and reads the pool through
+      :meth:`~repro.serve.kv_arena.PagedKVArena.gather_batch` instead,
+      skipping the per-session materialisation entirely.  An
       arena in ``KVDtype.INT8`` mode is transparent here: appends are
       quantised and every read path (``keys``/``values``,
       ``gather_batch``) dequantises back to float through the arena's
@@ -233,11 +234,11 @@ class AttentionOutput:
 
 @dataclass
 class BatchedAttentionOutput:
-    """Result of one fused decode step over ``B`` independent streams.
+    """Per-stream result of one batched attention pass over ``B`` streams.
 
-    ``output`` is the merged-head context ``(B, hidden)`` *before* the output
-    projection; ``keys_attended`` / ``keys_total`` carry one entry per stream
-    so callers can split the batched step back into per-request statistics.
+    ``output`` is the merged-head context *before* the output projection;
+    ``keys_attended`` / ``keys_total`` carry one entry per stream so callers
+    can split the batched step back into per-request statistics.
     """
 
     output: np.ndarray
@@ -253,13 +254,13 @@ class ChunkedAttentionOutput(BatchedAttentionOutput):
     ``output`` is the merged-head context for *every chunk row*, flattened
     back to ``(total_rows, hidden)`` in the same stream order the queries
     came in (stream 0's rows first), rather than one row per stream.
-    ``row_keys_attended`` / ``row_keys_total`` carry one per-row int64 array
-    per stream (this chunk's rows only), for the prefix cache's bit-exact
-    metric crediting.
+    ``row_keys_attended`` / ``row_keys_total`` carry the same counts per
+    chunk row, flat ``(total_rows,)`` int64 in ``output``'s row order, for
+    the prefix cache's bit-exact metric crediting.
     """
 
-    row_keys_attended: Optional[List[np.ndarray]] = None
-    row_keys_total: Optional[List[np.ndarray]] = None
+    row_keys_attended: Optional[np.ndarray] = None
+    row_keys_total: Optional[np.ndarray] = None
 
 
 class MultiHeadAttention:
@@ -294,7 +295,7 @@ class MultiHeadAttention:
         self.wk = wk or Linear.random(hidden_size, hidden_size, seed=base_seed + 2)
         self.wv = wv or Linear.random(hidden_size, hidden_size, seed=base_seed + 3)
         self.wo = wo or Linear.random(hidden_size, hidden_size, seed=base_seed + 4)
-        # KV bytes copied by decode_batch's per-session stacking fallback;
+        # KV bytes copied by prefill_batch's per-session stacking fallback;
         # the arena path's counterpart is ArenaStats.gather_bytes_copied
         self.stack_copy_bytes = 0
 
@@ -392,7 +393,7 @@ class MultiHeadAttention:
             row_keys_total=row_total,
         )
 
-    # -- fused batched decode -------------------------------------------------
+    # -- batched attention ---------------------------------------------------
 
     def decode_batch(
         self,
@@ -402,89 +403,52 @@ class MultiHeadAttention:
         caches: List[KVCache],
         predictor: Optional[KeyPredictor] = None,
     ) -> BatchedAttentionOutput:
-        """One decode step for ``B`` independent streams on pre-projected Q/K/V.
+        """One decode row per stream: :meth:`prefill_batch` with 1-row chunks."""
+        return self.prefill_batch(
+            q, k_new, v_new, np.ones(len(caches), dtype=np.int64), caches,
+            predictor=predictor,
+        )
 
-        ``q``/``k_new``/``v_new`` hold one new token per stream, stacked to
-        ``(B, hidden)``; ``caches[b]`` is stream ``b``'s own KV cache (ragged
-        context lengths).  The new K/V rows are appended per stream and the
-        cached keys/values materialise as padded ``(B, max_len, hidden)``
-        tensors under a validity mask: when every cache is a handle onto one
-        shared :class:`~repro.serve.kv_arena.PagedKVArena`, that tensor is an
-        incrementally maintained view whose per-step refresh copies only the
-        ``B`` new rows; otherwise each stream's cache is stacked into a fresh
-        tensor (copy bytes tallied in :attr:`stack_copy_bytes`).  The score
-        and context contractions each run as one einsum over the whole
-        batch.  The softmax runs on each
-        stream's valid slice so every row is bit-identical to stepping that
-        stream alone through :meth:`__call__`'s decode path (padding
-        positions carry exactly-zero probability and cannot perturb the
-        contraction).
+    def _attend_decode_rows(
+        self,
+        q: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        lengths: np.ndarray,
+        predictor: Optional[KeyPredictor],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One batched contraction for ``B1`` plain decode rows.
 
-        Returns the merged-head context *before* the ``wo`` projection --
-        quantised execution applies its own calibrated output projection --
-        together with per-stream attended/total key counts.
+        ``q`` is ``(B1, hidden)``; ``keys``/``values`` are ``(B1, L, hidden)``
+        padded past each stream's ``lengths[b]``.  The predictor runs once
+        per stream on its valid keys, scores and context are one einsum each,
+        and each softmax reduces over exactly ``lengths[b]`` keys (padding
+        gets exactly-zero probability), so every row is bit-identical to
+        stepping its stream alone.  Returns the merged-head context
+        ``(B1, hidden)`` and per-row attended key counts.
         """
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        k_new = np.atleast_2d(np.asarray(k_new, dtype=np.float64))
-        v_new = np.atleast_2d(np.asarray(v_new, dtype=np.float64))
-        n_streams = q.shape[0]
-        if len(caches) != n_streams:
-            raise ValueError(
-                f"expected {n_streams} caches, got {len(caches)}"
-            )
-        for b in range(n_streams):
-            caches[b].append(k_new[b], v_new[b])
-        lengths = np.array([cache.seq_len for cache in caches], dtype=np.int64)
-        max_len = int(lengths.max())
-
-        arena = caches[0].arena
-        layer = caches[0].arena_layer
-        if arena is not None and all(
-            c.arena is arena and c.arena_layer == layer for c in caches
-        ):
-            # zero-copy batched read: the arena's per-layer gather cache is
-            # refreshed with only the newly appended rows (O(B) per step)
-            keys, values, _ = arena.gather_batch(
-                layer, [c.arena_session for c in caches]
-            )
-        else:
-            keys = np.zeros((n_streams, max_len, self.hidden_size))
-            values = np.zeros((n_streams, max_len, self.hidden_size))
-            for b, cache in enumerate(caches):
-                keys[b, : lengths[b]] = cache.keys
-                values[b, : lengths[b]] = cache.values
-            self.stack_copy_bytes += (
-                2 * int(lengths.sum()) * self.hidden_size * keys.itemsize
-            )
-        valid = np.arange(max_len)[None, :] < lengths[:, None]
-
-        full_mask = valid
+        n_streams, max_len = keys.shape[:2]
+        full_mask = np.arange(max_len)[None, :] < lengths[:, None]
         if predictor is not None:
-            # each stream has its own key set, so selection is inherently
-            # per-stream; the predictor sees the same key values the
-            # sequential path feeds it (padded rows are sliced away)
-            selection = np.zeros_like(valid)
+            selection = np.zeros_like(full_mask)
             for b in range(n_streams):
-                stream_keys = keys[b, : lengths[b]]
-                selected = np.asarray(predictor(q[b], stream_keys), dtype=np.int64)
+                selected = np.asarray(
+                    predictor(q[b], keys[b, : lengths[b]]), dtype=np.int64
+                )
                 selected = selected[selected < lengths[b]]
                 if selected.size == 0:
                     selected = np.array([lengths[b] - 1], dtype=np.int64)
                 selection[b, selected] = True
-            full_mask = valid & selection
+            full_mask &= selection
 
         qh = q.reshape(n_streams, self.n_heads, self.head_dim)
         kh = keys.reshape(n_streams, max_len, self.n_heads, self.head_dim)
         kh = kh.transpose(0, 2, 1, 3)
         vh = values.reshape(n_streams, max_len, self.n_heads, self.head_dim)
         vh = vh.transpose(0, 2, 1, 3)
-
         scale = 1.0 / np.sqrt(self.head_dim)
         logits = np.einsum("bhd,bhkd->bhk", qh, kh) * scale
         logits = np.where(full_mask[:, None, :], logits, -np.inf)
-        # softmax reductions must run over each stream's true context length
-        # to stay bit-identical to the sequential path; with uniform lengths
-        # there is no padding, so one batched call suffices
         if int(lengths.min()) == max_len:
             probs = softmax(logits, axis=-1)
         else:
@@ -494,11 +458,9 @@ class MultiHeadAttention:
                     logits[b, :, : lengths[b]], axis=-1
                 )
         context = np.einsum("bhk,bhkd->bhd", probs, vh)
-        merged = context.reshape(n_streams, self.hidden_size)
-        return BatchedAttentionOutput(
-            output=merged,
-            keys_attended=full_mask.sum(axis=1).astype(np.int64),
-            keys_total=lengths,
+        return (
+            context.reshape(n_streams, self.hidden_size),
+            full_mask.sum(axis=1).astype(np.int64),
         )
 
     # -- chunked ragged batched prefill ---------------------------------------
@@ -535,9 +497,12 @@ class MultiHeadAttention:
         ``__call__`` over the whole prompt, no matter how the prompt was
         chunked or which streams shared the batch.
 
-        The score/softmax/context contractions run per stream at each
-        stream's *exact* shapes: mixed batches are extremely ragged (one-row
-        decode streams next to whole-prompt admission chunks), so a padded
+        Plain decode rows (one row whose width is its whole context) run as
+        one ``(B1, heads, L)`` score/softmax/context pass over the gathered
+        view (:meth:`_attend_decode_rows`).  Every other stream -- prompt
+        chunks and speculative verify chunks -- contracts at its *exact*
+        shapes: mixed batches are extremely ragged (one-row decode streams
+        next to whole-prompt admission chunks), so a padded
         ``(B, Lmax, W)`` einsum would spend most of its FLOPs on padding --
         per-stream contraction keeps the attention cost identical to the
         serial pass while the projections/FFN GEMMs (where the fused win
@@ -607,12 +572,33 @@ class MultiHeadAttention:
             )
 
         scale = 1.0 / np.sqrt(self.head_dim)
-        flat = np.empty((int(offsets[-1]), self.hidden_size))
-        keys_attended = np.zeros(n_streams, dtype=np.int64)
-        keys_total = np.zeros(n_streams, dtype=np.int64)
-        row_attended: List[np.ndarray] = []
-        row_total: List[np.ndarray] = []
-        for b in range(n_streams):
+        n_rows_total = int(offsets[-1])
+        flat = np.empty((n_rows_total, self.hidden_size))
+        row_attended = np.empty(n_rows_total, dtype=np.int64)
+        row_total = np.empty(n_rows_total, dtype=np.int64)
+        # plain decode rows -- one query whose softmax width is its whole
+        # context -- share one batched contraction.  They are the contiguous
+        # tail of an engine step's batch, so their key/value block is a basic
+        # slice of the gathered view (no copy); a scattered set (speculative
+        # steps) is gathered rather than left to the per-stream loop, whose
+        # contiguous logits round the softmax sum differently: grouped rows
+        # match the serial forward's float output exactly
+        plain = (row_counts == 1) & (total_lens == lengths)
+        decode = np.flatnonzero(plain)
+        if decode.size:
+            lo, hi = int(decode[0]), int(decode[-1]) + 1
+            pick = slice(lo, hi) if hi - lo == decode.size else decode
+            width = int(lengths[decode].max())
+            rows = offsets[decode]
+            flat[rows], row_attended[rows] = self._attend_decode_rows(
+                q[rows],
+                keys[pick, :width],
+                values[pick, :width],
+                lengths[decode],
+                predictor,
+            )
+            row_total[rows] = lengths[decode]
+        for b in np.flatnonzero(~plain):
             n_rows, n_keys, w = int(row_counts[b]), int(lengths[b]), int(total_lens[b])
             q_rows = q[offsets[b] : offsets[b + 1]]
             # causal chunk mask: row i (absolute position start + i) may
@@ -637,14 +623,12 @@ class MultiHeadAttention:
             probs = softmax(logits, axis=-1)
             context = np.einsum("hqk,hkd->hqd", probs[..., :n_keys], vh)
             flat[offsets[b] : offsets[b + 1]] = self._merge_heads(context)
-            row_attended.append(full_mask.sum(axis=1).astype(np.int64))
-            row_total.append(mask.sum(axis=1).astype(np.int64))
-            keys_attended[b] = int(row_attended[b].sum())
-            keys_total[b] = int(row_total[b].sum())
+            row_attended[offsets[b] : offsets[b + 1]] = full_mask.sum(axis=1)
+            row_total[offsets[b] : offsets[b + 1]] = mask.sum(axis=1)
         return ChunkedAttentionOutput(
             output=flat,
-            keys_attended=keys_attended,
-            keys_total=keys_total,
+            keys_attended=np.add.reduceat(row_attended, offsets[:-1]),
+            keys_total=np.add.reduceat(row_total, offsets[:-1]),
             row_keys_attended=row_attended,
             row_keys_total=row_total,
         )

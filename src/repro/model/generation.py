@@ -10,7 +10,7 @@ cost models need (tokens, attention density, per-stage GEMM volume).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -324,8 +324,10 @@ class IncrementalDecoder:
         the first sampled token when decoder ``i`` finished its prompt this
         step, ``None`` while chunks remain; ``decode_tokens[j]`` is stream
         ``j``'s next token.  All decoders must share one model exposing
-        ``prefill_batch`` (and one predictor); the serving engine falls back
-        to one-shot serial prefill for anything else.
+        ``prefill_batch`` (and one predictor); the serving engine runs models
+        without it through one-shot :meth:`prefill` and per-stream
+        :meth:`step` instead.  A step of decode rows alone is simply a batch
+        of one-row chunks.
 
         **Speculative decode** (``draft_tokens`` given, one token list per
         decode stream, empty lists allowed): stream ``j``'s chunk becomes
@@ -400,22 +402,13 @@ class IncrementalDecoder:
             if drafts is not None
             else []
         )
-        if spec_idx:
-            logits, stats_list, row_logits = fused(
-                chunks,
-                [d.caches for d in everyone],
-                predictor=predictor,
-                total_lens=totals,
-                row_logits_for=spec_idx,
-            )
-        else:
-            logits, stats_list = fused(
-                chunks,
-                [d.caches for d in everyone],
-                predictor=predictor,
-                total_lens=totals,
-            )
-            row_logits = {}
+        logits, stats_list, row_logits = fused(
+            chunks,
+            [d.caches for d in everyone],
+            predictor=predictor,
+            total_lens=totals,
+            row_logits_for=spec_idx,
+        )
 
         prefill_out: List[Optional[int]] = []
         for i, (decoder, n) in enumerate(zip(prefills, chunk_sizes)):
@@ -443,7 +436,11 @@ class IncrementalDecoder:
         decode_out: List = []
         for j, decoder in enumerate(decodes):
             b = len(prefills) + j
-            decoder.decode_stats.append(stats_list[b])
+            # a decode step keeps its scalar totals only: the per-row views
+            # would pin the whole step's row-count buffers for the stream's life
+            stats = stats_list[b]
+            stats.row_keys_attended = stats.row_keys_total = None
+            decoder.decode_stats.append(stats)
             if drafts is None:
                 decoder.last_logits = logits[b : b + 1]
                 decode_out.append(greedy_sample(logits[b]))
@@ -484,50 +481,6 @@ class IncrementalDecoder:
         self.decode_stats.append(stats)
         self.last_logits = logits
         return greedy_sample(logits)
-
-    @staticmethod
-    def step_batch(
-        decoders: Sequence["IncrementalDecoder"], tokens: Sequence[int]
-    ) -> List[int]:
-        """Advance many decoders one token each through a single fused forward.
-
-        When every decoder shares one model exposing ``forward_batch`` (and
-        one predictor), the whole batch runs as **one** quantised forward
-        pass; each decoder's statistics, logits and sampled token are
-        bit-identical to calling :meth:`step` on it alone.  Models without a
-        fused path (or heterogeneous decoder sets) fall back to per-decoder
-        stepping, so callers can use this unconditionally.
-        """
-        decoders = list(decoders)
-        tokens = [int(t) for t in tokens]
-        if len(tokens) != len(decoders):
-            raise ValueError(
-                f"got {len(tokens)} tokens for {len(decoders)} decoders"
-            )
-        if not decoders:
-            return []
-        for decoder in decoders:
-            if decoder.prefill_stats is None:
-                raise RuntimeError("prefill() must run before step_batch()")
-        model = decoders[0].model
-        predictor = decoders[0].predictor
-        fused = getattr(model, "forward_batch", None)
-        homogeneous = all(
-            d.model is model and d.predictor is predictor for d in decoders
-        )
-        # a batch of one gains nothing from padding/stacking: plain stepping
-        # is the same computation without the batch bookkeeping
-        if fused is None or not homogeneous or len(decoders) == 1:
-            return [d.step(t) for d, t in zip(decoders, tokens)]
-        logits, stats_list = fused(
-            tokens, [d.caches for d in decoders], predictor=predictor
-        )
-        next_tokens: List[int] = []
-        for b, decoder in enumerate(decoders):
-            decoder.decode_stats.append(stats_list[b])
-            decoder.last_logits = logits[b : b + 1]
-            next_tokens.append(greedy_sample(logits[b]))
-        return next_tokens
 
     @property
     def keys_attended(self) -> int:

@@ -17,17 +17,18 @@ multi-tenant serving simulator with a pluggable control plane:
 * :mod:`repro.serve.scheduler` -- the :class:`ServingEngine` facade (request
   lifecycle: ``submit() -> RequestHandle``, ``cancel``, streaming and
   completion callbacks, ``step``/``run``) wrapped around the batched
-  execution core, and the deprecated :class:`ContinuousBatchingScheduler`
-  shim.
+  execution core.
 
 Execution is *fused*: each engine step builds one mixed batch -- every
-decoding session's token plus up to ``prefill_token_budget`` ragged prompt
-chunk rows from the ``PREFILLING`` sessions (the chunked batched prefill
-pipeline: admissions and preemption resumes alike) -- and models exposing
-``forward_batch`` / ``prefill_batch`` (the quantised transformer) run a
-single forward pass for the whole batch, one GEMM per weight matrix and
-one ragged attention per layer, with bit-identical tokens and statistics
-to per-session serial prefill and stepping.
+decoding session's token as a one-row chunk plus up to
+``prefill_token_budget`` ragged prompt chunk rows from the ``PREFILLING``
+sessions (the chunked batched prefill pipeline: admissions and preemption
+resumes alike) -- and models exposing ``prefill_batch`` (the quantised
+transformer) run a single forward pass for the whole batch, one GEMM per
+weight matrix and one ragged attention per layer, with bit-identical tokens
+and statistics to per-session serial prefill and stepping.  Pure-decode
+steps take the same pass; models without ``prefill_batch`` run a serial
+per-session path instead.
 
 KV storage is *paged*: every session's per-layer keys/values live as
 fixed-size pages inside one :class:`PagedKVArena` (vLLM-style), read by
@@ -115,7 +116,6 @@ from .policies import (
     make_routing,
 )
 from .scheduler import (
-    ContinuousBatchingScheduler,
     RequestHandle,
     RequestMetrics,
     ServingEngine,
@@ -138,7 +138,6 @@ __all__ = [
     "ClusterEngine",
     "ClusterHandle",
     "ClusterReport",
-    "ContinuousBatchingScheduler",
     "DeadlineAdmission",
     "DeadlinePolicy",
     "Drafter",

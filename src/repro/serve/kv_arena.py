@@ -172,7 +172,7 @@ class ArenaStats:
     span, ``B x ceil(max_len / page_size)`` pages, which bounds the live rows
     it actually copies.
     ``view_bytes_copied`` tracks the single-stream materialisations used by
-    the non-fused path (:meth:`PagedKVArena.session_keys` / ``session_values``).
+    the serial path (:meth:`PagedKVArena.session_keys` / ``session_values``).
 
     Prefix-cache accounting: ``prefix_hits`` / ``prefix_misses`` count
     :meth:`PagedKVArena.acquire_prefix` outcomes, ``prefix_tokens_reused`` the

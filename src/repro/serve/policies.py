@@ -597,9 +597,9 @@ class SchedulingPolicy(ABC):
 class FCFSPolicy(SchedulingPolicy):
     """First come, first served; never preempts.
 
-    With :class:`FIFOAdmission` this reproduces the pre-policy
-    ``ContinuousBatchingScheduler`` bit-exactly (tokens, metrics and arena
-    counters), which the golden and fuzz suites pin.
+    With :class:`FIFOAdmission` (the :class:`ServingEngine` defaults) this
+    reproduces the pre-policy scheduler bit-exactly (tokens, metrics and
+    arena counters), which the golden and fuzz suites pin.
     """
 
     name = "fcfs"

@@ -32,9 +32,11 @@ Each engine step:
    :meth:`~repro.model.transformer.QuantizedTransformer.prefill_batch` --
    one GEMM per weight matrix for the whole step, one ragged chunked
    attention per layer.  Sessions whose last chunk landed emit their first
-   token; pure-decode steps keep the dedicated ``forward_batch`` path, and
-   models without batched prefill fall back to one-shot serial prefill at
-   admission with identical tokens;
+   token.  A pure-decode step is the same pass over one-row chunks (even a
+   batch of one): there is no separate decode driver.  Models without
+   ``prefill_batch`` (the float model, test stubs) are served by a serial
+   per-session path -- one-shot prefill at admission, one forward per decode
+   token -- with identical tokens;
 5. retires finished sessions, freeing their slots -- and their KV arena
    pages -- for the next step.
 
@@ -52,11 +54,6 @@ delay, time-to-first-token, end-to-end latency, preemption and deadline-miss
 counts, plus aggregate throughput and a per-policy metrics block;
 :meth:`ServingReport.to_json` / :meth:`ServingReport.from_json` round-trip
 the report through the JSON format shared with the serving benchmarks.
-
-:class:`ContinuousBatchingScheduler` remains as a deprecated shim: it is a
-``ServingEngine`` pinned to FIFO admission + FCFS scheduling (bit-identical
-to the pre-policy scheduler) whose ``submit`` returns the raw
-:class:`~repro.serve.session.GenerationSession` for source compatibility.
 """
 
 from __future__ import annotations
@@ -92,7 +89,6 @@ __all__ = [
     "RequestHandle",
     "ServingReport",
     "ServingEngine",
-    "ContinuousBatchingScheduler",
 ]
 
 #: What the engine-side containment catches around serial-path session calls:
@@ -381,28 +377,28 @@ class ServingEngine:
     model:
         Shared inference substrate (``forward``/``new_cache``), typically a
         :class:`~repro.model.transformer.TransformerModel` or
-        :class:`~repro.model.transformer.QuantizedTransformer`.
+        :class:`~repro.model.transformer.QuantizedTransformer`.  The engine
+        picks its execution path from the model's capabilities: a model
+        exposing ``prefill_batch`` (the quantised transformer) runs every
+        step -- prompt chunks, decode rows, speculative verify chunks -- as
+        one batched pass; any other model runs the serial per-session path
+        (one-shot prefill at admission, one ``forward`` per decode token).
+        Tokens are identical either way.
     max_active:
         Maximum number of concurrently decoding sessions (batch slots).
     predictor:
         Optional BGPP/top-k key predictor shared by all sessions.
-    fused:
-        Step all decoding sessions through one batched forward pass per
-        engine step (the default).  Models without ``forward_batch`` fall
-        back to per-session stepping automatically; ``fused=False`` forces
-        the per-session loop, which the benchmarks use as the baseline.
     arena:
         KV storage policy.  ``None`` (the default) auto-enables a shared
         :class:`~repro.serve.kv_arena.PagedKVArena` sized from
-        ``model.config`` whenever the fused batched path can consume it
-        (``fused=True`` and the model exposes ``forward_batch``) -- every
-        session's KV then lives in one paged pool, finished sessions return
-        their pages, and batched attention reads the pool zero-copy instead
-        of re-stacking per-session caches each step.  Per-session stepping
-        cannot read the pool in place (it would pay a full-context
-        materialisation per step), so auto mode keeps standalone caches
-        there.  ``True`` forces the arena (models without a ``config`` still
-        fall back), ``False`` disables it, and passing a
+        ``model.config`` whenever the model exposes ``prefill_batch`` and a
+        ``config`` -- every session's KV then lives in one paged pool,
+        finished sessions return their pages, and batched attention reads
+        the pool zero-copy instead of re-stacking per-session caches each
+        step.  The serial path cannot read the pool in place (it would pay a
+        full-context materialisation per step), so auto mode keeps
+        standalone caches there.  ``True`` forces the arena (models without
+        a ``config`` still fall back), ``False`` disables it, and passing a
         :class:`PagedKVArena` instance uses it directly (sharing one pool
         across several engines is allowed).
     page_size:
@@ -461,7 +457,7 @@ class ServingEngine:
         :meth:`~repro.serve.kv_arena.PagedKVArena.truncate_session` rolls
         the rejected KV rows back, so the committed token stream is
         **bit-identical** to one-token decode for any drafter and any
-        ``k``.  Requires the chunked batched prefill pipeline and a KV
+        ``k``.  Requires a model exposing ``prefill_batch`` and a KV
         arena (``ValueError`` otherwise); ``None`` (the default) keeps
         plain one-token decode, byte-identical to an engine without the
         knob.
@@ -480,12 +476,6 @@ class ServingEngine:
         ``None`` (the default) completes every admitted prompt in its
         admission step, preserving the serial path's step-domain schedule
         exactly while still batching the work into one pass.
-    batched_prefill:
-        ``None`` (auto, the default) enables the chunked batched prefill
-        pipeline whenever the fused path is on and the model exposes
-        ``prefill_batch``; ``False`` forces one-shot serial prefill at
-        admission (the benchmark baseline).  Tokens and step-domain metrics
-        are bit-identical either way.
     faults:
         Optional :class:`~repro.serve.faults.FaultPlan` (or a pre-built
         :class:`~repro.serve.faults.FaultInjector`) arming the engine's
@@ -516,14 +506,12 @@ class ServingEngine:
         model,
         max_active: int = 8,
         predictor: Optional[KeyPredictor] = None,
-        fused: bool = True,
         arena=None,
         page_size: int = 32,
         max_pages: Optional[int] = None,
         admission: Optional[AdmissionPolicy] = None,
         scheduling: Optional[SchedulingPolicy] = None,
         prefill_token_budget: Optional[int] = None,
-        batched_prefill: Optional[bool] = None,
         prefix_cache: bool = False,
         kv_dtype=None,
         kv_snapshots: bool = False,
@@ -547,20 +535,14 @@ class ServingEngine:
         self.model = model
         self.max_active = max_active
         self.predictor = predictor
-        self.fused = fused
         self.prefill_token_budget = prefill_token_budget
-        # like arena=True on a config-less model, an explicit True quietly
-        # falls back when the chunked pipeline cannot run (per-session
-        # stepping or no model support) -- tokens are identical either way
-        supported = fused and hasattr(model, "prefill_batch")
-        self.batched_prefill = supported and (
-            batched_prefill is None or bool(batched_prefill)
-        )
+        # the batched pass when the model has one, else the serial path
+        self._batched = hasattr(model, "prefill_batch")
         self.admission = admission if admission is not None else FIFOAdmission()
         self.scheduling = scheduling if scheduling is not None else FCFSPolicy()
         config = getattr(model, "config", None)
         if arena is None:
-            arena = bool(fused and hasattr(model, "forward_batch"))
+            arena = self._batched
         if arena is True:
             if config is None:
                 arena = None  # model shape unknown: standalone caches
@@ -593,7 +575,7 @@ class ServingEngine:
         if arena is None and kv_dtype is not None:
             raise ValueError(
                 "kv_dtype was given but the engine resolved to no KV arena "
-                "(arena=False, or the model lacks forward_batch/config "
+                "(arena=False, or the model lacks prefill_batch/config "
                 "support); the pool dtype would be silently unapplied -- "
                 "drop kv_dtype or run an arena-capable model"
             )
@@ -601,12 +583,12 @@ class ServingEngine:
             raise ValueError(
                 "kv_snapshots=True requires a KV arena; the engine resolved "
                 "to standalone caches (arena=False, or the model lacks "
-                "forward_batch/config support)"
+                "prefill_batch/config support)"
             )
         if arena is None and max_pages is not None:
             raise ValueError(
                 "max_pages was given but the engine resolved to no KV arena "
-                "(arena=False, or the model lacks forward_batch/config "
+                "(arena=False, or the model lacks prefill_batch/config "
                 "support); the page budget would be silently unenforced -- "
                 "drop max_pages or run an arena-capable model"
             )
@@ -614,23 +596,22 @@ class ServingEngine:
             raise ValueError(
                 "prefix_cache=True requires a KV arena; the engine resolved "
                 "to standalone caches (arena=False, or the model lacks "
-                "forward_batch/config support)"
+                "prefill_batch/config support)"
             )
         self._speculative = resolve_speculation(speculative)
-        if self._speculative is not None and not self.batched_prefill:
+        if self._speculative is not None and not self._batched:
             raise ValueError(
-                "speculative decode verifies draft rows through the chunked "
-                "batched prefill pipeline; the engine resolved to one-shot "
-                "prefill (fused=False, batched_prefill=False, or the model "
-                "lacks prefill_batch) -- drop speculative or enable the "
-                "fused batched path"
+                "speculative decode verifies draft rows through the batched "
+                "prefill_batch pass, which this model lacks (it runs on the "
+                "serial per-session path) -- drop speculative or serve a "
+                "model exposing prefill_batch"
             )
         if self._speculative is not None and arena is None:
             raise ValueError(
                 "speculative decode requires a KV arena (rejected draft "
                 "rows are rolled back via truncate_session); the engine "
                 "resolved to standalone caches (arena=False, or the model "
-                "lacks forward_batch/config support)"
+                "lacks prefill_batch/config support)"
             )
         if self._speculative is not None:
             self._drafter = self._speculative.drafter or NGramDrafter()
@@ -1241,7 +1222,7 @@ class ServingEngine:
         self._max_concurrency = max(self._max_concurrency, len(self._active))
 
         prefill_rows = 0
-        if self.batched_prefill:
+        if self._batched:
             # admissions enter the chunked pipeline; older PREFILLING
             # sessions come first so the queue head always finishes first
             for handle in admitted:
@@ -1299,10 +1280,10 @@ class ServingEngine:
                 draft_lists = self._build_drafts(decoding)
                 if not any(draft_lists):
                     # nothing proposed anywhere: plain one-token decode --
-                    # identical rows, no verify overhead, and pure-decode
-                    # steps keep the dedicated gather fast path below
+                    # identical rows, no verify overhead
                     draft_lists = None
-            if chunked or draft_lists is not None:
+            if chunked or decoding:
+                # one pass for the whole step; decode rows are one-row chunks
                 emitted.update(
                     GenerationSession.prefill_step_batch(
                         [h.session for h in chunked],
@@ -1310,14 +1291,6 @@ class ServingEngine:
                         [h.session for h in decoding],
                         step,
                         draft_tokens=draft_lists,
-                    )
-                )
-            elif decoding:
-                # no prefill rows this step: keep the dedicated decode path
-                # (and its incrementally maintained arena gather view)
-                emitted.update(
-                    GenerationSession.decode_step_batch(
-                        [h.session for h in decoding], step
                     )
                 )
             # fold this step's accept outcomes into the per-session
@@ -1360,21 +1333,11 @@ class ServingEngine:
                     self._quarantine(handle, exc, step)
                     continue
                 emitted[handle.request_id] = token
-            if decoding:
-                if self.fused:
-                    emitted.update(
-                        GenerationSession.decode_step_batch(
-                            [h.session for h in decoding], step
-                        )
-                    )
-                else:
-                    for handle in decoding:
-                        try:
-                            emitted[handle.request_id] = handle.session.decode_step(
-                                step
-                            )
-                        except _FAULT_TYPES as exc:
-                            self._quarantine(handle, exc, step)
+            for handle in decoding:
+                try:
+                    emitted[handle.request_id] = handle.session.decode_step(step)
+                except _FAULT_TYPES as exc:
+                    self._quarantine(handle, exc, step)
             admitted_ids = set(map(id, admitted))
             recipients = admitted + [
                 h for h in decoding if id(h) not in admitted_ids
@@ -1521,55 +1484,3 @@ class ServingEngine:
             leftover_queued=self.n_queued,
             leftover_active=self.n_active,
         )
-
-
-# the shim's DeprecationWarning fires once per process, not once per
-# instantiation -- fuzz/golden suites build hundreds of shims and a warning
-# per construction drowns real diagnostics (tests reset this to re-observe)
-_shim_deprecation_warned = False
-
-
-class ContinuousBatchingScheduler(ServingEngine):
-    """Deprecated pre-policy front end; use :class:`ServingEngine`.
-
-    A :class:`ServingEngine` pinned to its defaults (FIFO admission, FCFS
-    scheduling, no preemption), which reproduces the original scheduler
-    bit-exactly -- tokens, :class:`RequestMetrics` and arena counters -- as
-    the golden and fuzz suites pin.  The only API difference is that
-    :meth:`submit` returns the raw :class:`GenerationSession` (the old
-    contract) instead of a :class:`RequestHandle`.  The deprecation warning
-    is emitted exactly once per process.
-    """
-
-    def __init__(
-        self,
-        model,
-        max_active: int = 8,
-        predictor: Optional[KeyPredictor] = None,
-        fused: bool = True,
-        arena=None,
-        page_size: int = 32,
-    ) -> None:
-        global _shim_deprecation_warned
-        if not _shim_deprecation_warned:
-            _shim_deprecation_warned = True
-            warnings.warn(
-                "ContinuousBatchingScheduler is deprecated; use ServingEngine "
-                "(policies: FIFOAdmission + FCFSPolicy reproduce it exactly)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        super().__init__(
-            model,
-            max_active=max_active,
-            predictor=predictor,
-            fused=fused,
-            arena=arena,
-            page_size=page_size,
-        )
-
-    def submit(self, request: Request) -> GenerationSession:  # type: ignore[override]
-        return super().submit(request).session
-
-    def submit_many(self, requests: Iterable[Request]) -> List[GenerationSession]:  # type: ignore[override]
-        return [self.submit(r) for r in requests]

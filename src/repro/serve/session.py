@@ -32,8 +32,9 @@ a policy eviction.
 Admission enters the **chunked prefill pipeline**: a ``PREFILLING`` session
 feeds its prompt to the model in ragged chunks (batched with every other
 prefilling and decoding session, one fused pass per engine step) and emits
-its first token the step the last chunk lands.  ``admit()``/``resume()``
-remain as the one-shot serial path for models without a batched prefill.
+its first token the step the last chunk lands; decoding sessions ride the
+same pass as one-row chunks.  ``admit()``/``resume()``/``decode_step()``
+remain as the one-shot serial path for models without ``prefill_batch``.
 
 Preemption is the mechanism behind priority/deadline scheduling policies: a
 preempted session -- mid-decode *or* mid-prefill -- *releases its KV
@@ -683,32 +684,8 @@ snapshot_session`) and keeps its decoder, so
     def decode_step_batch(
         sessions: Sequence["GenerationSession"], step: int
     ) -> Dict[str, int]:
-        """Emit one token from every active session via a single fused step.
-
-        All sessions advance through
-        :meth:`~repro.model.generation.IncrementalDecoder.step_batch` -- one
-        quantised forward pass for the whole batch when the shared model
-        supports it, a per-session fallback otherwise -- and each session
-        commits its token exactly as :meth:`decode_step` would, so tokens,
-        lifecycle timestamps and traffic counters are bit-identical to
-        stepping the sessions one at a time.
-        """
-        sessions = list(sessions)
-        for session in sessions:
-            if session.state is not SessionState.ACTIVE:
-                raise RuntimeError(
-                    f"session {session.request.request_id!r} is not active "
-                    f"({session.state.value})"
-                )
-        next_tokens = IncrementalDecoder.step_batch(
-            [session.decoder for session in sessions],
-            [session.generated_tokens[-1] for session in sessions],
-        )
-        emitted: Dict[str, int] = {}
-        for session, token in zip(sessions, next_tokens):
-            session._pending_token = token
-            emitted.update(session._commit_contained(step))
-        return emitted
+        """One token from every active session: :meth:`prefill_step_batch`."""
+        return GenerationSession.prefill_step_batch([], [], sessions, step)
 
     def _commit_contained(self, step: int) -> Dict[str, int]:
         """Commit with per-session fault isolation for the batch loops.

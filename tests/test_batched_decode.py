@@ -7,11 +7,12 @@ Pins every new batched fast path bit-exact against its sequential reference:
   and ``B = 1``;
 * the predictors' ``select_ragged`` batch entry points vs row-by-row calls,
   and the attention modules that consume them;
-* ``QuantizedTransformer.forward_batch`` / ``IncrementalDecoder.step_batch``
-  vs stepping each stream alone (tokens, logits and per-stream statistics);
-* the fused continuous-batching scheduler vs per-session stepping over random
-  traffic (ragged context lengths, sessions finishing mid-run, B = 1 and
-  all-finished steps);
+* decode-only ``IncrementalDecoder.prefill_step_batch`` steps (one-row
+  chunks through ``QuantizedTransformer.prefill_batch``) vs stepping each
+  stream alone (tokens, logits and per-stream statistics);
+* the batched serving engine vs the serial per-session path (the same model
+  behind :class:`SerialOnly`) over random traffic (ragged context lengths,
+  sessions finishing mid-run, B = 1 and all-finished steps);
 * ``MCBPEngine.matmul`` vs the bit-serial ``gemm`` path and its counters;
 * ``ServingReport`` JSON round-tripping (the schema shared between the
   example and the serving benchmark).
@@ -38,9 +39,18 @@ from repro.model import (
     get_model_config,
 )
 from repro.model.generation import IncrementalDecoder
-from repro.serve import ContinuousBatchingScheduler, Request, ServingReport
+from repro.serve import Request, ServingEngine, ServingReport
 from repro.serve.session import GenerationSession
 from repro.workloads import sample_requests
+
+
+class SerialOnly:
+    """``model`` without ``prefill_batch``: the engine serves it serially."""
+
+    def __init__(self, model):
+        self.forward = model.forward
+        self.new_cache = model.new_cache
+        self.config = model.config
 
 
 @pytest.fixture(scope="module")
@@ -203,11 +213,16 @@ class TestKVCache:
         assert np.array_equal(cache.keys, np.ones((2, 4)))
 
 
+def _decode_step(decoders, tokens):
+    """One decode-only batched step: every stream a one-row chunk."""
+    return IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)[1]
+
+
 class TestStepBatch:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_bit_exact_vs_sequential_ragged_prompts(self, tiny_quantized, seed):
-        """Fused stepping == per-stream stepping for ragged context lengths."""
+        """Batched decode steps == per-stream stepping for ragged contexts."""
         rng = np.random.default_rng(seed)
         n_streams = int(rng.integers(1, 7))  # includes B=1
         vocab = tiny_quantized.config.vocab_size
@@ -228,7 +243,7 @@ class TestStepBatch:
         assert fused_tokens == seq_tokens
 
         for _ in range(int(rng.integers(1, 6))):
-            fused_tokens = IncrementalDecoder.step_batch(fused_decoders, fused_tokens)
+            fused_tokens = _decode_step(fused_decoders, fused_tokens)
             seq_tokens = [d.step(t) for d, t in zip(seq_decoders, seq_tokens)]
             assert fused_tokens == seq_tokens
         for fused_d, seq_d in zip(fused_decoders, seq_decoders):
@@ -240,19 +255,54 @@ class TestStepBatch:
                 assert fs.tokens_processed == ss.tokens_processed
 
     def test_empty_batch_is_noop(self):
-        assert IncrementalDecoder.step_batch([], []) == []
+        assert IncrementalDecoder.prefill_step_batch([], [], [], []) == ([], [])
 
     def test_requires_prefill_and_matching_lengths(self, tiny_quantized):
         decoder = IncrementalDecoder(tiny_quantized)
         with pytest.raises(RuntimeError, match="prefill"):
-            IncrementalDecoder.step_batch([decoder], [0])
+            _decode_step([decoder], [0])
         decoder.prefill([1, 2])
         with pytest.raises(ValueError, match="tokens"):
-            IncrementalDecoder.step_batch([decoder], [0, 1])
+            _decode_step([decoder], [0, 1])
+
+    def test_delegates_equal_one_row_prefill_batch(self, tiny_quantized):
+        """forward_batch / decode_batch are prefill_batch over one-row chunks."""
+        model = tiny_quantized
+        hidden = model.config.hidden_size
+
+        def prefilled():
+            caches = [model.new_cache() for _ in range(3)]
+            for prompt, cache in zip([[1, 2, 3], [4], [5, 6, 7, 8, 9]], caches):
+                model.forward(prompt, caches=cache)
+            return caches
+
+        logits_a, stats_a = model.forward_batch([3, 1, 4], prefilled())
+        logits_b, stats_b = model.prefill_batch([[3], [1], [4]], prefilled())
+        assert np.array_equal(logits_a, logits_b)
+        assert stats_a == stats_b
+
+        def attend(via_delegate):
+            rng = np.random.default_rng(0)
+            caches = [
+                KVCache(rng.normal(size=(n, hidden)), rng.normal(size=(n, hidden)))
+                for n in (4, 7)
+            ]
+            q, k, v = (rng.normal(size=(2, hidden)) for _ in range(3))
+            attn = model.model.layers[0].attention
+            if via_delegate:
+                return attn.decode_batch(q, k, v, caches)
+            return attn.prefill_batch(q, k, v, [1, 1], caches)
+
+        fast, slow = attend(True), attend(False)
+        assert np.array_equal(fast.output, slow.output)
+        assert np.array_equal(fast.keys_attended, slow.keys_attended)
+        assert np.array_equal(fast.keys_total, slow.keys_total)
 
     def test_falls_back_without_forward_batch(self):
+        """A model without a batched pass is served by the serial path."""
+
         class MinimalModel:
-            """forward/new_cache only -- no fused entry point."""
+            """forward/new_cache only -- no batched entry point."""
 
             vocab = 16
 
@@ -267,13 +317,18 @@ class TestStepBatch:
                 return logits, ForwardStats(tokens_processed=len(token_ids))
 
         model = MinimalModel()
-        decoders = []
-        tokens = []
-        for start in (3, 7):
-            d = IncrementalDecoder(model)
-            tokens.append(d.prefill([start]))
-            decoders.append(d)
-        assert IncrementalDecoder.step_batch(decoders, tokens) == [5, 9]
+        decoders = [IncrementalDecoder(model) for _ in range(2)]
+        tokens = [d.prefill([start]) for d, start in zip(decoders, (3, 7))]
+        with pytest.raises(RuntimeError, match="prefill_batch"):
+            _decode_step(decoders, tokens)
+        engine = ServingEngine(model, max_active=2)
+        handles = [
+            engine.submit(Request(f"r{start}", prompt_tokens=[start], max_new_tokens=3))
+            for start in (3, 7)
+        ]
+        engine.run()
+        assert engine.arena is None
+        assert [h.generated_tokens for h in handles] == [[4, 5, 6], [8, 9, 10]]
 
 
 class TestFusedScheduler:
@@ -288,18 +343,16 @@ class TestFusedScheduler:
             seed=int(rng.integers(0, 1000)),
         )
         max_active = int(rng.integers(1, 9))
-        fused = ContinuousBatchingScheduler(tiny_quantized, max_active=max_active)
-        sequential = ContinuousBatchingScheduler(
-            tiny_quantized, max_active=max_active, fused=False
-        )
-        fused_sessions = fused.submit_many(requests)
-        seq_sessions = sequential.submit_many(requests)
+        fused = ServingEngine(tiny_quantized, max_active=max_active)
+        sequential = ServingEngine(SerialOnly(tiny_quantized), max_active=max_active)
+        fused_handles = fused.submit_many(requests)
+        seq_handles = sequential.submit_many(requests)
         fused_report = fused.run()
         seq_report = sequential.run()
         assert fused_report.steps == seq_report.steps
-        for fs, ss in zip(fused_sessions, seq_sessions):
-            assert fs.generated_tokens == ss.generated_tokens
-            assert fs.to_metrics() == ss.to_metrics()
+        for fh, sh in zip(fused_handles, seq_handles):
+            assert fh.generated_tokens == sh.generated_tokens
+            assert fh.metrics() == sh.metrics()
 
     def test_fused_with_bgpp_predictor_bit_exact(self, tiny_quantized):
         predictor = make_bgpp_predictor(alpha=0.7, rounds=3)
@@ -307,13 +360,11 @@ class TestFusedScheduler:
             8, vocab_size=tiny_quantized.config.vocab_size, mean_interarrival=0.5, seed=4
         )
         runs = []
-        for fused in (True, False):
-            sched = ContinuousBatchingScheduler(
-                tiny_quantized, max_active=4, predictor=predictor, fused=fused
-            )
-            sessions = sched.submit_many(requests)
-            sched.run()
-            runs.append([s.generated_tokens for s in sessions])
+        for model in (tiny_quantized, SerialOnly(tiny_quantized)):
+            engine = ServingEngine(model, max_active=4, predictor=predictor)
+            handles = engine.submit_many(requests)
+            engine.run()
+            runs.append([h.generated_tokens for h in handles])
         assert runs[0] == runs[1]
 
     def test_decode_step_batch_requires_active_sessions(self, tiny_quantized):
@@ -324,7 +375,7 @@ class TestFusedScheduler:
 
     def test_all_finished_step_emits_nothing(self, tiny_quantized):
         """A drained scheduler step (no queued, no active) is a no-op."""
-        sched = ContinuousBatchingScheduler(tiny_quantized, max_active=4)
+        sched = ServingEngine(tiny_quantized, max_active=4)
         sched.submit(Request("r0", prompt_tokens=[1], max_new_tokens=1))
         sched.run()
         assert not sched.has_work
@@ -337,7 +388,7 @@ class TestFusedScheduler:
         engine = MCBPEngine(group_size=4, weight_bits=8)
         model.bind_engine(engine)
         engine.codec.reset_counters()
-        sched = ContinuousBatchingScheduler(model, max_active=4)
+        sched = ServingEngine(model, max_active=4)
         sched.submit_many(
             Request(f"r{i}", prompt_tokens=[i + 1, i + 2], max_new_tokens=6)
             for i in range(4)
@@ -419,7 +470,7 @@ class TestEngineMatmul:
 
 class TestServingReportJson:
     def test_round_trip(self, tiny_quantized):
-        sched = ContinuousBatchingScheduler(tiny_quantized, max_active=3)
+        sched = ServingEngine(tiny_quantized, max_active=3)
         sched.submit_many(
             sample_requests(
                 6,
@@ -446,7 +497,7 @@ class TestServingReportJson:
     def test_json_is_serialisable(self, tiny_quantized):
         import json
 
-        sched = ContinuousBatchingScheduler(tiny_quantized, max_active=2)
+        sched = ServingEngine(tiny_quantized, max_active=2)
         sched.submit(Request("r0", prompt_tokens=[1, 2, 3], max_new_tokens=3))
         report = sched.run()
         rebuilt = ServingReport.from_json(json.loads(json.dumps(report.to_json())))

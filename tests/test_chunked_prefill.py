@@ -9,8 +9,13 @@ tests pin its core contract three ways:
   chunkings (including mixed decode+prefill batches) reproduces the one-shot
   serial forward bit-exactly: logits, KV rows and per-stream statistics;
 * **engine layer** -- a ``ServingEngine`` under any ``prefill_token_budget``
-  emits the same tokens as the serial-prefill engine and as solo
-  ``generate()`` runs, with TTFT split into its queue/prefill components;
+  emits the same tokens as the serial engine (the same model behind
+  :class:`SerialOnly`) and as solo ``generate()`` runs, with TTFT split into
+  its queue/prefill components;
+* **grouped decode rows** -- the batched pass is the engine's only decode
+  path, so mixed batches of ragged one-row decode streams, prompt chunks and
+  speculative verify chunks are fuzzed row by row against the serial
+  forward (predictor on/off, arena vs standalone caches, int8 KV);
 * **edge cases** -- prompt shorter than one chunk, prompt exactly a page
   multiple, cancel mid-prefill, preempt-then-resume mid-prefill; all fuzzed
   under the deterministic hypothesis profile the scheduler suite uses.
@@ -23,6 +28,8 @@ from hypothesis import strategies as st
 
 from repro.core.bgpp import make_bgpp_predictor
 from repro.model import (
+    KVCache,
+    MultiHeadAttention,
     QuantizedTransformer,
     TransformerModel,
     generate,
@@ -38,6 +45,15 @@ from repro.serve import (
 )
 
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
+
+
+class SerialOnly:
+    """``model`` without ``prefill_batch``: the engine serves it serially."""
+
+    def __init__(self, model):
+        self.forward = model.forward
+        self.new_cache = model.new_cache
+        self.config = model.config
 
 
 @pytest.fixture(scope="module")
@@ -231,18 +247,234 @@ class TestModelLayerBitIdentity:
         assert arena.stats.pages_in_use == 0
 
 
-def _run_engine(model, requests, max_active=4, budget=None, batched=True,
+class TestGroupedDecodeRows:
+    """Plain decode rows share one contraction inside ``prefill_batch``.
+
+    Each example builds one mixed batch: at least two one-row decode streams
+    with ragged contexts, next to mid-prompt chunks and speculative verify
+    chunks (``[token] + drafts``), in either the engine's order (chunks
+    first, decode rows a contiguous tail) or a shuffled one (a scattered
+    decode set).  Every row's logits and per-row key counts must equal the
+    serial ``forward`` over the same stream.
+    """
+
+    @FUZZ
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_mixed_batch_rows_match_serial_forward(self, model, seed):
+        rng = np.random.default_rng(seed)
+        vocab = model.config.vocab_size
+        config = model.config
+        predictor = (
+            make_bgpp_predictor(alpha=0.7, rounds=3) if rng.random() < 0.5 else None
+        )
+        storage = ("standalone", "fp", "int8")[int(rng.integers(0, 3))]
+        arena = None
+        if storage != "standalone":
+            arena = PagedKVArena(
+                config.n_layers, config.hidden_size, page_size=4, kv_dtype=storage
+            )
+
+        def caches():
+            return model.new_cache(arena=arena)
+
+        def tokens(n):
+            return rng.integers(0, vocab, size=n).tolist()
+
+        kinds = (
+            ["prefill"] * int(rng.integers(0, 3))
+            + ["verify"] * int(rng.integers(0, 3))
+            + ["decode"] * int(rng.integers(2, 5))
+        )
+        if rng.random() < 0.5:
+            kinds = [kinds[i] for i in rng.permutation(len(kinds))]
+        chunks, totals, stream_caches, refs = [], [], [], []
+        for kind in kinds:
+            prompt = tokens(int(rng.integers(2, 14)))
+            mine, ref = caches(), caches()
+            if kind == "prefill":
+                # rows [start, start + n) of a one-shot prompt forward
+                start = int(rng.integers(0, len(prompt)))
+                n = int(rng.integers(1, len(prompt) - start + 1))
+                if start:
+                    model.prefill_batch(
+                        [prompt[:start]], [mine], predictor, total_lens=[len(prompt)]
+                    )
+                chunk, total = prompt[start : start + n], len(prompt)
+                logits, stats = model.forward(prompt, caches=ref, predictor=predictor)
+                rows = slice(start, start + n)
+            else:
+                # a decode row, or one plus up to four draft rows to verify
+                model.forward(prompt, caches=mine, predictor=predictor)
+                model.forward(prompt, caches=ref, predictor=predictor)
+                chunk = tokens(1 if kind == "decode" else int(rng.integers(2, 6)))
+                total = len(prompt) + len(chunk)
+                logits, stats = model.forward(chunk, caches=ref, predictor=predictor)
+                rows = slice(0, len(chunk))
+            chunks.append(chunk)
+            totals.append(total)
+            stream_caches.append(mine)
+            refs.append(
+                (logits[rows], stats.row_keys_attended[rows], stats.row_keys_total[rows])
+            )
+
+        last, stats, row_logits = model.prefill_batch(
+            chunks,
+            stream_caches,
+            predictor,
+            total_lens=totals,
+            row_logits_for=range(len(chunks)),
+        )
+        for b, (ref_logits, ref_attended, ref_total) in enumerate(refs):
+            assert np.array_equal(row_logits[b], ref_logits), (kinds[b], b)
+            assert np.array_equal(last[b], ref_logits[-1])
+            assert np.array_equal(stats[b].row_keys_attended, ref_attended)
+            assert np.array_equal(stats[b].row_keys_total, ref_total)
+            assert stats[b].keys_attended == int(ref_attended.sum())
+            assert stats[b].keys_total == int(ref_total.sum())
+        if arena is not None:
+            for cache in stream_caches:
+                cache[0].release()
+            assert arena.stats.sessions_opened == arena.stats.sessions_freed + len(refs)
+
+    @FUZZ
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_attention_rows_independent_of_batch(self, seed):
+        """Float context rows equal a pass over each stream alone.
+
+        The quantised model rounds attention output onto an int8 grid, which
+        can hide a last-bit difference; this compares the float context
+        before any projection.  Histories reach 40 keys so padded and exact
+        softmax widths fall into different reduction blocks.
+        """
+        rng = np.random.default_rng(seed)
+        hidden = 32
+        attn = MultiHeadAttention(hidden, 4, seed=3)
+        predictor = (
+            make_bgpp_predictor(alpha=0.7, rounds=3) if rng.random() < 0.5 else None
+        )
+        storage = ("standalone", "fp", "int8")[int(rng.integers(0, 3))]
+        arena = None
+        if storage != "standalone":
+            arena = PagedKVArena(1, hidden, page_size=4, kv_dtype=storage)
+
+        def cache(keys, values):
+            c = KVCache() if arena is None else arena.new_session_caches()[0]
+            c.append(keys, values)
+            return c
+
+        histories, counts, totals = [], [], []
+        for _ in range(int(rng.integers(2, 8))):
+            n_hist = int(rng.integers(1, 41))
+            histories.append(rng.normal(size=(2, n_hist, hidden)))
+            counts.append(1 if rng.random() < 0.6 else int(rng.integers(2, 6)))
+            # extra > 0: a prompt chunk whose prompt goes on past this step
+            extra = int(rng.choice([0, 0, 0, 1, 3]))
+            totals.append(n_hist + counts[-1] + extra)
+        q, k, v = (rng.normal(size=(sum(counts), hidden)) for _ in range(3))
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        mixed = attn.prefill_batch(
+            q, k, v, counts, [cache(*h) for h in histories],
+            total_lens=totals, predictor=predictor,
+        )
+        for b, history in enumerate(histories):
+            rows = slice(offsets[b], offsets[b + 1])
+            alone = attn.prefill_batch(
+                q[rows], k[rows], v[rows], [counts[b]], [cache(*history)],
+                total_lens=[totals[b]], predictor=predictor,
+            )
+            assert np.array_equal(mixed.output[rows], alone.output), b
+            assert np.array_equal(
+                mixed.row_keys_attended[rows], alone.row_keys_attended
+            )
+            assert np.array_equal(mixed.row_keys_total[rows], alone.row_keys_total)
+            assert mixed.keys_attended[b] == alone.keys_attended[0]
+            assert mixed.keys_total[b] == alone.keys_total[0]
+
+    @FUZZ
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_decode_rows_match_serial_attention_in_float(self, seed):
+        """Grouped decode rows equal ``MultiHeadAttention.__call__`` exactly.
+
+        Compared in float, before any quantiser could hide a last-bit
+        difference, against the serial one-token step over the same cache.
+        """
+        rng = np.random.default_rng(seed)
+        hidden = 32
+        attn = MultiHeadAttention(hidden, 4, seed=5)
+        predictor = (
+            make_bgpp_predictor(alpha=0.7, rounds=3) if rng.random() < 0.5 else None
+        )
+        arena = None
+        if rng.random() < 0.5:
+            arena = PagedKVArena(1, hidden, page_size=4)
+        n_streams = int(rng.integers(1, 7))
+        histories = [
+            rng.normal(size=(2, int(rng.integers(1, 41)), hidden))
+            for _ in range(n_streams)
+        ]
+        x = rng.normal(size=(n_streams, hidden))
+        # project row by row, as the serial step does
+        q, k, v = (
+            np.concatenate([proj(x[b : b + 1]) for b in range(n_streams)])
+            for proj in (attn.wq, attn.wk, attn.wv)
+        )
+        caches = []
+        for keys, values in histories:
+            cache = KVCache() if arena is None else arena.new_session_caches()[0]
+            cache.append(keys, values)
+            caches.append(cache)
+        batched = attn.prefill_batch(
+            q, k, v, [1] * n_streams, caches, predictor=predictor
+        )
+        for b, history in enumerate(histories):
+            serial = attn(x[b : b + 1], cache=KVCache(*history), predictor=predictor)
+            assert np.array_equal(attn.wo(batched.output[b : b + 1]), serial.output)
+            assert batched.keys_attended[b] == serial.keys_attended
+            assert batched.keys_total[b] == serial.keys_total
+
+    def test_model_without_prefill_batch_is_served_serially_bit_identical(
+        self, model
+    ):
+        rng = np.random.default_rng(13)
+        vocab = model.config.vocab_size
+        requests = [
+            Request(
+                f"s{i}",
+                prompt_tokens=rng.integers(0, vocab, size=int(n)).tolist(),
+                max_new_tokens=int(m),
+                arrival_step=i // 2,
+            )
+            for i, (n, m) in enumerate(zip([3, 9, 1, 6, 12], [4, 2, 5, 1, 3]))
+        ]
+        predictor = make_bgpp_predictor(alpha=0.7, rounds=3)
+        runs = [
+            _run_engine(model, requests, max_active=3, serial=serial,
+                        predictor=predictor)
+            for serial in (False, True)
+        ]
+        (fast, fast_report, fast_engine), (slow, slow_report, slow_engine) = runs
+        assert fast_engine.arena is not None and slow_engine.arena is None
+        assert fast_report.requests == slow_report.requests
+        assert fast_report.steps == slow_report.steps
+        for request, handle in zip(requests, slow):
+            solo = generate(
+                model, request.prompt_tokens, max_new_tokens=request.max_new_tokens,
+                predictor=predictor,
+            )
+            assert handle.generated_tokens == solo.generated_tokens
+
+
+def _run_engine(model, requests, max_active=4, budget=None, serial=False,
                 policy="fcfs", predictor=None):
     admission, scheduling = make_policies(policy)
     engine = ServingEngine(
-        model,
+        SerialOnly(model) if serial else model,
         max_active=max_active,
         predictor=predictor,
         admission=admission,
         scheduling=scheduling,
         page_size=4,
         prefill_token_budget=budget,
-        batched_prefill=batched,
     )
     handles = engine.submit_many(requests)
     report = engine.run()
@@ -270,7 +502,7 @@ class TestEngineBudgets:
         max_active = int(rng.integers(1, 5))
         budget = int(rng.integers(1, 9))
         serial_handles, _, _ = _run_engine(
-            model, requests, max_active, batched=False
+            model, requests, max_active, serial=True
         )
         budget_handles, report, engine = _run_engine(
             model, requests, max_active, budget=budget
@@ -301,7 +533,7 @@ class TestEngineBudgets:
             for i in range(5)
         ]
         serial_handles, serial_report, _ = _run_engine(
-            model, requests, 2, batched=False
+            model, requests, 2, serial=True
         )
         batched_handles, batched_report, _ = _run_engine(model, requests, 2)
         # with no budget cap the step-domain schedule is untouched: every
@@ -333,24 +565,28 @@ class TestEngineBudgets:
 
     def test_batched_prefill_auto_disables_without_model_support(self):
         class Stub:
+            def __init__(self):
+                self.calls = []
+
             def new_cache(self):
                 return []
 
             def forward(self, token_ids, caches=None, predictor=None):
                 from repro.model.transformer import ForwardStats
 
+                self.calls.append(list(token_ids))
                 logits = np.zeros((len(token_ids), 8))
                 logits[-1, (int(token_ids[-1]) + 1) % 8] = 1.0
                 return logits, ForwardStats(tokens_processed=len(token_ids))
 
-        engine = ServingEngine(Stub(), max_active=2)
-        assert not engine.batched_prefill
-        # forcing it on a model without prefill_batch still falls back
-        forced = ServingEngine(Stub(), max_active=2, batched_prefill=True)
-        assert not forced.batched_prefill
-        engine.submit(Request("r0", prompt_tokens=[1], max_new_tokens=2))
+        stub = Stub()
+        engine = ServingEngine(stub, max_active=2, prefill_token_budget=1)
+        engine.submit(Request("r0", prompt_tokens=[1, 2, 3], max_new_tokens=2))
         report = engine.run()
         assert report.requests[0].n_generated == 2
+        # serial path: the whole prompt in one forward despite the budget,
+        # then one forward per decode token
+        assert stub.calls == [[1, 2, 3], [4]]
 
     def test_rejects_bad_budget(self, model):
         with pytest.raises(ValueError):

@@ -4,8 +4,9 @@ Two fuzzed contracts:
 
 * ``TestFuzzedTraces`` -- each example replays one serving trace (Poisson or
   bursty arrivals, random prompt/output lengths, capacities 1..16) through
-  the FCFS scheduler in all four execution configurations (``fused`` on/off
-  x ``arena`` on/off).  Every configuration must emit bit-identical tokens
+  the FCFS engine in all four execution configurations (batched pass vs
+  the serial per-session path, via :class:`SerialOnly`, x ``arena``
+  on/off).  Every configuration must emit bit-identical tokens
   and identical :class:`RequestMetrics`, and the arena must drain completely
   (every page freed) once the trace finishes.
 * ``TestPreemptionFuzz`` -- each example replays one prioritized bursty
@@ -28,7 +29,6 @@ from hypothesis import strategies as st
 from repro.core.bgpp import make_bgpp_predictor
 from repro.model import QuantizedTransformer, TransformerModel, generate, get_model_config
 from repro.serve import (
-    ContinuousBatchingScheduler,
     PagedKVArena,
     Request,
     ServingEngine,
@@ -38,7 +38,16 @@ from repro.serve import (
 # deterministic on CI: no wall-clock deadline, fixed example sequence
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
 
-CONFIGS = [(fused, arena) for fused in (True, False) for arena in (True, False)]
+CONFIGS = [(serial, arena) for serial in (False, True) for arena in (True, False)]
+
+
+class SerialOnly:
+    """``model`` without ``prefill_batch``: the engine serves it serially."""
+
+    def __init__(self, model):
+        self.forward = model.forward
+        self.new_cache = model.new_cache
+        self.config = model.config
 
 
 @pytest.fixture(scope="module")
@@ -68,20 +77,19 @@ def _sample_trace(rng, vocab):
     ]
 
 
-def _run(model, requests, max_active, fused, arena, predictor=None):
-    scheduler = ContinuousBatchingScheduler(
-        model,
+def _run(model, requests, max_active, serial, arena, predictor=None):
+    engine = ServingEngine(
+        SerialOnly(model) if serial else model,
         max_active=max_active,
         predictor=predictor,
-        fused=fused,
         arena=arena,
         page_size=4,  # small pages so traces exercise multi-page sessions
     )
-    sessions = scheduler.submit_many(requests)
-    scheduler.run()
-    tokens = [s.generated_tokens for s in sessions]
-    metrics = [s.to_metrics() for s in sessions]
-    return tokens, metrics, scheduler
+    handles = engine.submit_many(requests)
+    engine.run()
+    tokens = [h.generated_tokens for h in handles]
+    metrics = [h.metrics() for h in handles]
+    return tokens, metrics, engine
 
 
 class TestFuzzedTraces:
@@ -93,13 +101,13 @@ class TestFuzzedTraces:
         max_active = int(rng.integers(1, 17))
 
         results = {
-            cfg: _run(model, requests, max_active, fused=cfg[0], arena=cfg[1])
+            cfg: _run(model, requests, max_active, serial=cfg[0], arena=cfg[1])
             for cfg in CONFIGS
         }
-        ref_tokens, ref_metrics, _ = results[(True, True)]
+        ref_tokens, ref_metrics, _ = results[(False, True)]
         for cfg, (tokens, metrics, scheduler) in results.items():
-            assert tokens == ref_tokens, f"tokens diverge for fused,arena={cfg}"
-            assert metrics == ref_metrics, f"metrics diverge for fused,arena={cfg}"
+            assert tokens == ref_tokens, f"tokens diverge for serial,arena={cfg}"
+            assert metrics == ref_metrics, f"metrics diverge for serial,arena={cfg}"
             if scheduler.arena is not None:
                 stats = scheduler.arena.stats
                 # the drained arena holds zero live pages and balanced books
@@ -116,8 +124,8 @@ class TestFuzzedTraces:
         requests = _sample_trace(rng, model.config.vocab_size)[:4]
         max_active = int(rng.integers(1, 9))
         predictor = make_bgpp_predictor(alpha=0.7, rounds=3)
-        arena_run = _run(model, requests, max_active, True, True, predictor)
-        plain_run = _run(model, requests, max_active, False, False, predictor)
+        arena_run = _run(model, requests, max_active, False, True, predictor)
+        plain_run = _run(model, requests, max_active, True, False, predictor)
         assert arena_run[0] == plain_run[0]
         assert arena_run[1] == plain_run[1]
 
@@ -231,12 +239,12 @@ class TestPreemptionFuzz:
 class TestArenaPolicy:
     def test_auto_mode_skips_arena_for_per_session_stepping(self, model):
         """Auto arena only engages where gather_batch can consume it."""
-        assert ContinuousBatchingScheduler(model).arena is not None
-        assert ContinuousBatchingScheduler(model, fused=False).arena is None
+        assert ServingEngine(model).arena is not None
+        assert ServingEngine(SerialOnly(model)).arena is None
         # explicit True still forces it (the fuzz matrix relies on this)
-        forced = ContinuousBatchingScheduler(model, fused=False, arena=True)
+        forced = ServingEngine(SerialOnly(model), arena=True)
         assert forced.arena is not None
-        assert ContinuousBatchingScheduler(model, arena=False).arena is None
+        assert ServingEngine(model, arena=False).arena is None
 
 
 class TestSharedArena:
@@ -249,14 +257,12 @@ class TestSharedArena:
             Request(f"q{i}", prompt_tokens=[i + 1, i + 2], max_new_tokens=3)
             for i in range(4)
         ]
-        baseline, _, _ = _run(model, requests, 2, fused=True, arena=False)
+        baseline, _, _ = _run(model, requests, 2, serial=False, arena=False)
         for _ in range(2):  # the same pool drains and is reused run after run
-            sched = ContinuousBatchingScheduler(
-                model, max_active=2, arena=arena
-            )
-            sessions = sched.submit_many(requests)
+            sched = ServingEngine(model, max_active=2, arena=arena)
+            handles = sched.submit_many(requests)
             sched.run()
-            assert [s.generated_tokens for s in sessions] == baseline
+            assert [h.generated_tokens for h in handles] == baseline
             assert arena.stats.pages_in_use == 0
         assert arena.stats.sessions_opened == 8
 
@@ -274,11 +280,11 @@ class TestSharedArena:
                 logits[-1, (int(token_ids[-1]) + 1) % self.vocab] = 1.0
                 return logits, ForwardStats(tokens_processed=len(token_ids))
 
-        # default arena policy is auto: Stub has neither forward_batch nor a
-        # config, so the scheduler must stay on standalone caches -- even
-        # when the arena is forced
-        assert ContinuousBatchingScheduler(Stub(), max_active=2).arena is None
-        sched = ContinuousBatchingScheduler(Stub(), max_active=2, arena=True)
+        # default arena policy is auto: Stub has neither prefill_batch nor a
+        # config, so the engine must stay on standalone caches -- even when
+        # the arena is forced
+        assert ServingEngine(Stub(), max_active=2).arena is None
+        sched = ServingEngine(Stub(), max_active=2, arena=True)
         assert sched.arena is None
         sched.submit(Request("r0", prompt_tokens=[1], max_new_tokens=2))
         report = sched.run()

@@ -6,8 +6,8 @@ import pytest
 from repro.model import TransformerModel, generate, get_model_config
 from repro.model.generation import IncrementalDecoder
 from repro.serve import (
-    ContinuousBatchingScheduler,
     Request,
+    ServingEngine,
     SessionState,
 )
 from repro.serve.session import GenerationSession
@@ -121,9 +121,9 @@ class TestSession:
 class TestScheduler:
     def test_respects_max_active_and_fifo(self):
         model = StubModel()
-        sched = ContinuousBatchingScheduler(model, max_active=2)
+        sched = ServingEngine(model, max_active=2)
         reqs = [Request(f"r{i}", prompt_tokens=[i], max_new_tokens=4) for i in range(5)]
-        sessions = sched.submit_many(reqs)
+        sessions = [h.session for h in sched.submit_many(reqs)]
         report = sched.run()
         assert report.max_concurrency == 2
         admits = {s.request.request_id: s.admitted_step for s in sessions}
@@ -134,16 +134,18 @@ class TestScheduler:
 
     def test_admission_is_earliest_arrival_first(self):
         # submitted out of arrival order: the earlier arrival must win the slot
-        sched = ContinuousBatchingScheduler(StubModel(), max_active=1)
+        sched = ServingEngine(StubModel(), max_active=1)
         blocker = Request("blocker", prompt_tokens=[0], max_new_tokens=10)
         late = Request("late", prompt_tokens=[0], max_new_tokens=2, arrival_step=5)
         early = Request("early", prompt_tokens=[0], max_new_tokens=2, arrival_step=1)
-        sessions = {r.request_id: sched.submit(r) for r in (blocker, late, early)}
+        sessions = {
+            r.request_id: sched.submit(r).session for r in (blocker, late, early)
+        }
         sched.run()
         assert sessions["early"].admitted_step < sessions["late"].admitted_step
 
     def test_arrival_steps_are_honoured(self):
-        sched = ContinuousBatchingScheduler(StubModel(), max_active=4)
+        sched = ServingEngine(StubModel(), max_active=4)
         late = Request("late", prompt_tokens=[1], max_new_tokens=2, arrival_step=5)
         sched.submit(late)
         report = sched.run()
@@ -156,7 +158,7 @@ class TestScheduler:
         requests = sample_requests(
             10, vocab_size=model.config.vocab_size, mean_interarrival=1.0, seed=3
         )
-        sched = ContinuousBatchingScheduler(model, max_active=8)
+        sched = ServingEngine(model, max_active=8)
         sessions = sched.submit_many(requests)
         report = sched.run()
         assert report.max_concurrency >= 2
@@ -167,7 +169,7 @@ class TestScheduler:
             assert session.generated_tokens == solo.generated_tokens, request.request_id
 
     def test_eight_concurrent_sessions_multiplex(self):
-        sched = ContinuousBatchingScheduler(StubModel(), max_active=8)
+        sched = ServingEngine(StubModel(), max_active=8)
         reqs = [
             Request(f"r{i}", prompt_tokens=[i % 8], max_new_tokens=6) for i in range(8)
         ]
@@ -179,7 +181,7 @@ class TestScheduler:
         assert report.throughput_tokens_per_step == pytest.approx(8.0)
 
     def test_report_summary_and_percentiles(self):
-        sched = ContinuousBatchingScheduler(StubModel(), max_active=2)
+        sched = ServingEngine(StubModel(), max_active=2)
         sched.submit_many(
             Request(f"r{i}", prompt_tokens=[0], max_new_tokens=3) for i in range(4)
         )
@@ -190,7 +192,7 @@ class TestScheduler:
         assert report.mean_queue_delay_steps >= 0.0
 
     def test_run_reports_truncated_when_not_drained(self):
-        sched = ContinuousBatchingScheduler(StubModel(), max_active=1)
+        sched = ServingEngine(StubModel(), max_active=1)
         sched.submit(Request("r0", prompt_tokens=[0], max_new_tokens=50))
         report = sched.run(max_steps=3)
         assert report.truncated
@@ -199,30 +201,13 @@ class TestScheduler:
 
     def test_rejects_bad_max_active(self):
         with pytest.raises(ValueError):
-            ContinuousBatchingScheduler(StubModel(), max_active=0)
+            ServingEngine(StubModel(), max_active=0)
 
     def test_rejects_duplicate_request_ids(self):
-        sched = ContinuousBatchingScheduler(StubModel())
+        sched = ServingEngine(StubModel())
         sched.submit(Request("dup", prompt_tokens=[0], max_new_tokens=1))
         with pytest.raises(ValueError, match="duplicate request_id"):
             sched.submit(Request("dup", prompt_tokens=[1], max_new_tokens=1))
-
-    def test_deprecation_warning_fires_exactly_once_per_process(self, monkeypatch):
-        import warnings
-
-        from repro.serve import scheduler as scheduler_module
-
-        # re-arm the once-per-process latch so this test is order-independent
-        monkeypatch.setattr(scheduler_module, "_shim_deprecation_warned", False)
-        with pytest.warns(DeprecationWarning):
-            ContinuousBatchingScheduler(StubModel())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ContinuousBatchingScheduler(StubModel())
-            ContinuousBatchingScheduler(StubModel())
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ], "the shim warning must fire once per process, not per instantiation"
 
 
 class TestTraffic:

@@ -19,7 +19,6 @@ from repro.model import (
 )
 from repro.serve import (
     ArenaBudgetAdmission,
-    ContinuousBatchingScheduler,
     DeadlineAdmission,
     FIFOAdmission,
     PagedKVArena,
@@ -220,36 +219,6 @@ class TestServingEngineFacade:
         for key in ("truncated", "leftover_queued", "leftover_active"):
             legacy.pop(key)
         assert ServingReport.from_json(legacy).truncated is False
-
-
-# -- deprecation shim ----------------------------------------------------------
-
-
-class TestDeprecationShim:
-    def test_shim_warns_and_matches_engine_bit_exactly(self, model, monkeypatch):
-        from repro.serve import scheduler as scheduler_module
-
-        requests = sample_requests(
-            10, vocab_size=model.config.vocab_size, mean_interarrival=0.5, seed=11
-        )
-        engine = ServingEngine(model, max_active=4)
-        handles = engine.submit_many(requests)
-        engine_report = engine.run()
-        # the warning fires once per process; re-arm it so this test observes
-        # it regardless of which suite instantiated a shim first
-        monkeypatch.setattr(scheduler_module, "_shim_deprecation_warned", False)
-        with pytest.warns(DeprecationWarning):
-            shim = ContinuousBatchingScheduler(model, max_active=4)
-        sessions = shim.submit_many(requests)
-        shim_report = shim.run()
-        assert all(isinstance(s, GenerationSession) for s in sessions)
-        assert [h.generated_tokens for h in handles] == [
-            s.generated_tokens for s in sessions
-        ]
-        assert engine_report.requests == shim_report.requests
-        assert engine_report.arena == shim_report.arena
-        assert engine_report.steps == shim_report.steps
-        assert engine_report.policy == shim_report.policy
 
 
 # -- admission policies --------------------------------------------------------

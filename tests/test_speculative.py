@@ -38,6 +38,16 @@ from repro.serve import (
 )
 from repro.serve.speculative import _SessionThrottle, resolve_speculation
 
+
+class SerialOnly:
+    """``model`` without ``prefill_batch``: the engine serves it serially."""
+
+    def __init__(self, model):
+        self.forward = model.forward
+        self.new_cache = model.new_cache
+        self.config = model.config
+
+
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
 
 
@@ -181,8 +191,9 @@ class TestSpeculationConfig:
     def test_engine_knob_validation(self, model):
         with pytest.raises(ValueError):
             ServingEngine(model, speculative=2, arena=False)
-        with pytest.raises(ValueError):
-            ServingEngine(model, speculative=2, batched_prefill=False)
+        with pytest.raises(ValueError, match="prefill_batch"):
+            # the arena is forced, so only the missing batched pass can refuse
+            ServingEngine(SerialOnly(model), speculative=2, arena=True)
         with pytest.raises(TypeError):
             ServingEngine(model, speculative="yes")
 
