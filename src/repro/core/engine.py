@@ -34,7 +34,24 @@ from .bgpp import BGPPConfig, BGPPResult, bgpp_select, bgpp_select_batch
 from .brcr import BRCRConfig, BRCRCost, brcr_gemm
 from .bstc import BSTCCodec, BSTCConfig, EncodedWeight
 
-__all__ = ["EngineStats", "MCBPLayer", "MCBPEngine"]
+__all__ = ["EngineStats", "MCBPLayer", "MCBPEngine", "exact_product_dtype"]
+
+
+def exact_product_dtype(bound: float) -> type:
+    """Cheapest dtype whose matrix product of integer operands is exact.
+
+    ``bound`` caps the magnitude of every partial sum of the product (``K *
+    max|W| * max|X|``).  Integers below ``2**24`` are exact in float32 and
+    below ``2**53`` in float64, so while the bound stays under one of those
+    every partial sum is an exactly representable integer and a BLAS GEMM
+    returns the integer product bit-exactly, whatever its summation order or
+    use of fused multiply-adds.  Past ``2**53`` only int64 arithmetic is safe.
+    """
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**53:
+        return np.float64
+    return np.int64
 
 
 @dataclass
@@ -98,6 +115,8 @@ class MCBPLayer:
     encoded: EncodedWeight
     weight_shape: Tuple[int, int]
     name: str = "layer"
+    #: largest weight magnitude, for :func:`exact_product_dtype`'s bound
+    max_abs: int = 0
 
     @property
     def raw_bits(self) -> int:
@@ -143,8 +162,9 @@ class MCBPEngine:
         self.stats = EngineStats(weight_bits=weight_bits)
         self._layers: Dict[str, MCBPLayer] = {}
         self._plane_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        # float64 views of cached decoded planes for matmul()'s BLAS product
-        self._plane_cache_f64: Dict[str, np.ndarray] = {}
+        # one float copy of each cached decoded matrix for matmul()'s BLAS
+        # product: transposed to (K, M), in the dtype of its last call's tier
+        self._plane_cache_blas: Dict[str, np.ndarray] = {}
 
     @property
     def weight_bits(self) -> int:
@@ -161,10 +181,11 @@ class MCBPEngine:
             encoded=encoded,
             weight_shape=(int(weight_q.shape[0]), int(weight_q.shape[1])),
             name=name,
+            max_abs=int(np.abs(weight_q).max()) if weight_q.size else 0,
         )
         self._layers[name] = layer
         self._plane_cache.pop(name, None)  # re-registering invalidates the cache
-        self._plane_cache_f64.pop(name, None)
+        self._plane_cache_blas.pop(name, None)
         return layer
 
     def layer_names(self) -> List[str]:
@@ -195,7 +216,7 @@ class MCBPEngine:
             self._plane_cache[name] = weight_q
             while len(self._plane_cache) > self.plane_cache_entries:
                 evicted, _ = self._plane_cache.popitem(last=False)
-                self._plane_cache_f64.pop(evicted, None)
+                self._plane_cache_blas.pop(evicted, None)
         return weight_q
 
     def cache_contents(self) -> List[str]:
@@ -204,7 +225,7 @@ class MCBPEngine:
 
     def clear_plane_cache(self) -> None:
         self._plane_cache.clear()
-        self._plane_cache_f64.clear()
+        self._plane_cache_blas.clear()
 
     # -- execution -------------------------------------------------------------
 
@@ -230,7 +251,7 @@ class MCBPEngine:
         return outputs
 
     def matmul(self, name: str, activations_q: np.ndarray) -> np.ndarray:
-        """Serving fast path: cached decoded planes + one NumPy integer matmul.
+        """Serving fast path: cached decoded planes + one BLAS product.
 
         Bit-identical to :meth:`gemm` (the BRCR bit-serial path is pinned
         exact against the dense product by the property suite) but skips the
@@ -240,29 +261,34 @@ class MCBPEngine:
         ``gemm_calls``/``dense_macs`` and the cache/weight-traffic counters
         accumulate as usual; ``brcr_additions`` does not move because no
         bit-serial execution ran.
+
+        ``activations_q`` may be any integer-valued array (int or float).
+        Each call bounds its partial sums from this call's activations and
+        runs in the :func:`exact_product_dtype` tier, so the result is the
+        exact integer product, returned integer-valued in the tier's dtype:
+        float32, float64, or int64 for magnitudes past ``2**53``.
         """
         if name not in self._layers:
             raise KeyError(f"layer {name!r} was never registered")
         layer = self._layers[name]
         weight_q = self._decoded_weight(name)
-        acts = np.asarray(activations_q, dtype=np.int64)
-        # BLAS float64 product: every partial sum is an integer bounded by
-        # K * max|W| * max|X|, exact in float64 as long as it stays below
-        # 2**53; fall back to the integer loops for pathological magnitudes.
-        bound = (
-            weight_q.shape[1]
-            * float(1 << max(self.weight_bits - 1, 1))
-            * float(np.abs(acts).max() if acts.size else 0)
-        )
-        if bound < 2**53:
-            weight_f = self._plane_cache_f64.get(name)
-            if weight_f is None:
-                weight_f = weight_q.astype(np.float64)
-                if name in self._plane_cache:
-                    self._plane_cache_f64[name] = weight_f
-            outputs = (weight_f @ acts.astype(np.float64)).astype(np.int64)
+        acts = np.asarray(activations_q)
+        x_max = float(np.abs(acts).max()) if acts.size else 0.0
+        bound = layer.weight_shape[1] * float(layer.max_abs) * x_max
+        dtype = exact_product_dtype(bound)
+        if dtype is np.int64:
+            outputs = weight_q.astype(np.int64) @ acts.astype(np.int64)
         else:
-            outputs = weight_q.astype(np.int64) @ acts
+            weight_t = self._plane_cache_blas.get(name)
+            if weight_t is None or weight_t.dtype != dtype:
+                weight_t = np.ascontiguousarray(weight_q.T, dtype=dtype)
+                if name in self._plane_cache:
+                    self._plane_cache_blas[name] = weight_t
+            # (N, K) @ (K, M) on row-major operands: quantised activations
+            # arrive as the (K, N) view of row-major (N, K) rows, and for a
+            # few rows BLAS runs this orientation ~1.5x faster than
+            # (M, K) @ (K, N) on that view
+            outputs = (acts.T.astype(dtype, copy=False) @ weight_t).T
         n_cols = 1 if acts.ndim == 1 else acts.shape[1]
         self.stats.gemm_calls += 1
         self.stats.dense_macs += layer.weight_shape[0] * layer.weight_shape[1] * n_cols

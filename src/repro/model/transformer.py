@@ -228,14 +228,17 @@ class QuantizedTransformer:
         hidden = calib_hidden
         for layer in model.layers:
             normed = layer.norm_fn(hidden)
-            entry: Dict[str, object] = {}
-            for name in ("wq", "wk", "wv"):
-                lin = layer.linear_layers()[name]
-                entry[name] = calibrate_linear(
-                    lin.weight, normed, weight_bits=weight_bits,
+            attn = layer.attention
+            # Q, K and V share their input, so one stacked (3H, H) layer is
+            # exactly the three separate ones: weight scales are per output
+            # row and the activation parameters come from ``normed`` alone.
+            entry: Dict[str, object] = {
+                "wqkv": calibrate_linear(
+                    np.concatenate([attn.wq.weight, attn.wk.weight, attn.wv.weight]),
+                    normed, weight_bits=weight_bits,
                     activation_bits=activation_bits, clip_percentile=clip_percentile,
                 )
-            attn = layer.attention
+            }
             context = attn.merged_context(attn.wq(normed), attn.wk(normed), attn.wv(normed))
             entry["wo"] = calibrate_linear(
                 attn.wo.weight, context, weight_bits=weight_bits,
@@ -260,7 +263,12 @@ class QuantizedTransformer:
         )
 
     def quantized_weight_matrices(self) -> Dict[str, np.ndarray]:
-        """Integer weight matrices keyed like ``TransformerModel.named_weight_matrices``."""
+        """Integer weight matrices keyed ``layer{i}.{name}`` (plus ``lm_head``).
+
+        The names follow ``TransformerModel.named_weight_matrices`` except
+        that each layer's ``wq``/``wk``/``wv`` are one stacked ``(3H, H)``
+        matrix, ``layer{i}.wqkv``, applied as a single GEMM.
+        """
         out: Dict[str, np.ndarray] = {}
         for i, entry in enumerate(self.quant_layers):
             for name, qlin in entry.items():
@@ -296,6 +304,14 @@ class QuantizedTransformer:
             )
         return out
 
+    def _qkv(
+        self, qentry: Dict[str, object], i: int, normed: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layer ``i``'s Q, K and V from one fused GEMM, as column views."""
+        qkv = self._qlin_forward(qentry["wqkv"], f"layer{i}.wqkv", normed)
+        h = self.config.hidden_size
+        return qkv[..., :h], qkv[..., h : 2 * h], qkv[..., 2 * h :]
+
     def forward(
         self,
         token_ids: Sequence[int],
@@ -309,9 +325,7 @@ class QuantizedTransformer:
         for i, (layer, qentry) in enumerate(zip(self.model.layers, self.quant_layers)):
             normed = layer.norm_fn(hidden)
             attn_mod = layer.attention
-            q = self._qlin_forward(qentry["wq"], f"layer{i}.wq", normed)
-            k = self._qlin_forward(qentry["wk"], f"layer{i}.wk", normed)
-            v = self._qlin_forward(qentry["wv"], f"layer{i}.wv", normed)
+            q, k, v = self._qkv(qentry, i, normed)
 
             attn_out = self._attention(attn_mod, q, k, v, caches, layer, predictor)
             proj = self._qlin_forward(qentry["wo"], f"layer{i}.wo", attn_out.output)
@@ -399,9 +413,7 @@ class QuantizedTransformer:
         row_total = np.zeros(int(offsets[-1]), dtype=np.int64)
         for i, (layer, qentry) in enumerate(zip(self.model.layers, self.quant_layers)):
             normed = layer.norm_fn(hidden)
-            q = self._qlin_forward(qentry["wq"], f"layer{i}.wq", normed)
-            k = self._qlin_forward(qentry["wk"], f"layer{i}.wk", normed)
-            v = self._qlin_forward(qentry["wv"], f"layer{i}.wv", normed)
+            q, k, v = self._qkv(qentry, i, normed)
 
             attn = layer.attention.prefill_batch(
                 q,

@@ -5,6 +5,20 @@ MCBP computes ``Y_q = Scale * (W_q @ X_q) + Bias`` where the integer product
 weight, activation and output quantisation parameters.  This module provides
 both a reference float path and the integer path, optionally routed through
 BRCR so that callers can verify exact equivalence.
+
+Precision tiers.  The integer product ``W_q @ X_q`` runs as a BLAS GEMM on
+integer-valued floats whenever that is exact by construction: every partial
+sum is an integer no larger than ``K * max|W_q| * max|X_q|``, and integers
+below ``2**24`` (float32) or ``2**53`` (float64) are represented exactly, so
+any summation order returns the integer product bit for bit.
+:func:`repro.core.engine.exact_product_dtype` maps that bound to the cheapest
+exact dtype -- float32, float64, or int64 past ``2**53``.  An INT8 layer has
+``max|W_q| * max|X_q| <= 127 * 128``, so float32 BLAS (about twice as fast
+as float64) is exact up to ``K = 1032``; wider layers use float64.  A
+:class:`QuantizedLinear` fixes its tier once from its static operand ranges
+and quantises activations straight into that dtype, so the operands reach
+the GEMM without a cast; :meth:`repro.core.engine.MCBPEngine.matmul`
+re-derives the tier per call from the activations it is given.
 """
 
 from __future__ import annotations
@@ -15,7 +29,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..core.brcr import BRCRConfig, BRCRCost, brcr_gemm
-from .schemes import QuantParams, dequantize
+from ..core.engine import exact_product_dtype
+from .schemes import QuantParams, dequantize, quantize_with_params
 
 __all__ = ["QuantizedLinear", "quantized_matmul", "fold_scale_bias"]
 
@@ -85,19 +100,20 @@ def quantized_matmul(
         ``output`` is the float result approximating ``W_f @ X_f``; ``cost``
         is the BRCR cost object when ``use_brcr`` is set, else ``None``.
     """
-    weight_q = np.asarray(weight_q, dtype=np.int64)
-    activation_q = np.asarray(activation_q, dtype=np.int64)
     cost: Optional[BRCRCost] = None
     if use_brcr and product_fn is not None:
         raise ValueError("use_brcr and product_fn are mutually exclusive")
-    if use_brcr:
-        product, cost = brcr_gemm(weight_q, activation_q, config=brcr_config)
-    elif product_fn is not None:
+    if product_fn is not None:
         # must equal the dense integer product exactly; an integer-valued
-        # float64 array qualifies (scale/bias application is dtype-agnostic)
+        # float array qualifies (scale/bias application is dtype-agnostic)
         product = np.asarray(product_fn(activation_q))
     else:
-        product = weight_q @ activation_q
+        weight_q = np.asarray(weight_q, dtype=np.int64)
+        activation_q = np.asarray(activation_q, dtype=np.int64)
+        if use_brcr:
+            product, cost = brcr_gemm(weight_q, activation_q, config=brcr_config)
+        else:
+            product = weight_q @ activation_q
 
     if folded is None:
         scale, bias = fold_scale_bias(weight_params, activation_params, weight_q)
@@ -128,8 +144,12 @@ class QuantizedLinear:
     _folded: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    # lazily cached float64 view of weight_q for the exact BLAS product
-    _weight_f64: Optional[np.ndarray] = field(
+    # lazily cached exact_product_dtype() tier of the integer product
+    _product_dtype: Optional[type] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # lazily cached blas_weight() copy for the BLAS product
+    _weight_blas: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -141,29 +161,42 @@ class QuantizedLinear:
             )
         return self._folded
 
-    def weight_f64(self) -> np.ndarray:
-        """``weight_q`` as float64, cached for the exact BLAS integer product."""
-        if self._weight_f64 is None:
-            self._weight_f64 = np.asarray(self.weight_q, dtype=np.float64)
-        return self._weight_f64
-
-    def blas_product_is_exact(self) -> bool:
-        """Whether the float64 BLAS product of this layer is provably exact.
+    def product_dtype(self) -> type:
+        """Exact dtype of this layer's integer product: float32, float64 or int64.
 
         Every partial sum of ``W_q @ X_q`` is an integer bounded by
-        ``K * 2**(w_bits-1) * 2**(x_bits-1)``; while that stays below
-        ``2**53`` (true for every realistic layer), float64 accumulation is
-        exact in any order and the BLAS GEMM returns the dense integer
-        product bit-exactly while running an order of magnitude faster than
-        NumPy's int64 loops.  Exotic precisions that could overflow the
-        mantissa keep the integer path.
+        ``in_features * max|W_q| * max(|qmin|, |qmax|)`` of the activation
+        parameters; :func:`repro.core.engine.exact_product_dtype` picks the
+        cheapest dtype that holds that bound exactly (see the module
+        docstring).  The operands are static, so the tier is fixed once.
         """
-        bound = (
-            float(self.in_features)
-            * float(1 << max(self.weight_params.bits - 1, 1))
-            * float(1 << max(self.activation_params.bits - 1, 1))
-        )
-        return bound < 2**53
+        if self._product_dtype is None:
+            w_max = float(np.abs(self.weight_q).max()) if self.weight_q.size else 0.0
+            params = self.activation_params
+            x_max = float(max(-params.qmin, params.qmax))
+            self._product_dtype = exact_product_dtype(self.in_features * w_max * x_max)
+        return self._product_dtype
+
+    def blas_product_is_exact(self) -> bool:
+        """Whether this layer's integer product runs as a provably exact BLAS GEMM.
+
+        False only for exotic precisions whose partial sums could exceed the
+        float64 mantissa; those keep NumPy's int64 loops.
+        """
+        return self.product_dtype() is not np.int64
+
+    def blas_weight(self) -> np.ndarray:
+        """Row-major ``weight_q.T`` in :meth:`product_dtype`, cached.
+
+        The BLAS product runs as ``X_q (N, K) @ W_q.T (K, M)``, the
+        orientation that matches the row-major quantised activations (see
+        :meth:`repro.core.engine.MCBPEngine.matmul`).
+        """
+        if self._weight_blas is None:
+            self._weight_blas = np.ascontiguousarray(
+                self.weight_q.T, dtype=self.product_dtype()
+            )
+        return self._weight_blas
 
     @property
     def out_features(self) -> int:
@@ -178,9 +211,14 @@ class QuantizedLinear:
         return dequantize(self.weight_q, self.weight_params)
 
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
-        from .schemes import quantize_with_params
+        """Quantised activations, integer-valued in :meth:`product_dtype`.
 
-        return quantize_with_params(x, self.activation_params)
+        Float32 or float64 on the BLAS tiers, int64 past ``2**53``: the
+        result feeds the integer product without another cast.
+        """
+        return quantize_with_params(
+            x, self.activation_params, dtype=self.product_dtype()
+        )
 
     def forward(
         self,
@@ -199,8 +237,8 @@ class QuantizedLinear:
         flat = x.reshape(-1, self.in_features)
         xq = self.quantize_input(flat).T  # (K, N)
         if product_fn is None and not use_brcr and self.blas_product_is_exact():
-            weight_f = self.weight_f64()
-            product_fn = lambda xq_int: weight_f @ xq_int.astype(np.float64)
+            weight_b = self.blas_weight()
+            product_fn = lambda xq_int: (xq_int.T @ weight_b).T
         out, cost = quantized_matmul(
             self.weight_q,
             xq,

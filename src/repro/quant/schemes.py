@@ -145,15 +145,22 @@ def quantize_activation_per_tensor(
     return q, params
 
 
-def quantize_with_params(values: np.ndarray, params: QuantParams) -> np.ndarray:
-    """Quantise ``values`` using existing :class:`QuantParams`."""
+def quantize_with_params(
+    values: np.ndarray, params: QuantParams, dtype: type = np.int64
+) -> np.ndarray:
+    """Quantise ``values`` using existing :class:`QuantParams`.
+
+    The integers in ``[qmin, qmax]`` are returned as ``dtype``; a float
+    ``dtype`` holds them integer-valued, exactly so while ``2**(bits-1)``
+    fits its mantissa.
+    """
     values = np.asarray(values, dtype=np.float64)
     shape = params.broadcast_shape(values.ndim)
     scale = np.asarray(params.scale, dtype=np.float64).reshape(shape)
     zero = np.asarray(params.zero_point, dtype=np.float64).reshape(shape)
     q = np.round(values / scale) + zero
     q = np.clip(q, params.qmin, params.qmax)
-    return q.astype(np.int64)
+    return q.astype(dtype, copy=False)
 
 
 def dequantize(q: np.ndarray, params: QuantParams) -> np.ndarray:

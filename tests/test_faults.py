@@ -719,6 +719,49 @@ def test_chaos_fuzz_engine_survives_mixed_fault_plans(model, seed):
     )
 
 
+def test_disabled_fault_hooks_never_call_the_injector(model, monkeypatch):
+    """``faults=None`` costs nothing, counted rather than timed: a served run
+    makes no call into :class:`FaultInjector` at all.  The armed-but-idle
+    leg shows the counters see the hooks, and that they change no token."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, attr in list(vars(FaultInjector).items()):
+        if isinstance(attr, property):
+            monkeypatch.setattr(
+                FaultInjector, name, property(counting(name, attr.fget))
+            )
+        elif callable(attr):
+            monkeypatch.setattr(FaultInjector, name, counting(name, attr))
+
+    def serve(faults):
+        engine = ServingEngine(model, max_active=3, faults=faults)
+        handles = engine.submit_many(
+            sample_requests(
+                8,
+                vocab_size=model.config.vocab_size,
+                mean_interarrival=0.5,
+                seed=11,
+            )
+        )
+        engine.run()
+        return [h.generated_tokens for h in handles]
+
+    off_tokens = serve(None)
+    assert calls == {}
+    idle_plan = FaultPlan(
+        specs=(FaultSpec(site="session.compute", probability=0.0, at_step=10**9),)
+    )
+    assert serve(idle_plan) == off_tokens
+    assert calls.get("fires", 0) > 0
+
+
 def dataclass_replace(request, **changes):
     import dataclasses
 

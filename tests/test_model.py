@@ -74,6 +74,24 @@ class TestLayers:
     def test_gelu_at_zero(self):
         assert gelu(np.array([0.0]))[0] == pytest.approx(0.0)
 
+    def test_gelu_matches_pow_formula(self):
+        """``x * x * x`` rounds differently from ``x**3`` by about an ulp, so
+        the pow-free form must agree within a float64 bound: 4 ulps relative,
+        plus, for the far-negative tail where ``1 + tanh(...)`` cancels, the
+        ``0.5 * |x| * eps`` that one flipped ulp of ``tanh`` near -1 moves
+        the result by."""
+        x = np.concatenate(
+            [
+                np.random.default_rng(3).normal(0.0, 3.0, size=4096),
+                np.linspace(-12.0, 12.0, 2401),
+            ]
+        )
+        ref = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(
+            gelu(x), ref, rtol=4 * eps, atol=0.5 * eps * np.abs(x).max()
+        )
+
     def test_layer_norm_statistics(self):
         x = np.random.default_rng(1).normal(3.0, 2.0, size=(5, 64))
         normed = layer_norm(x)
