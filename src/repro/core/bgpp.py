@@ -154,6 +154,53 @@ def _reduced_precision_query(query: np.ndarray, query_bits: int, full_bits: int 
     return (query.astype(np.int64) >> shift) << shift
 
 
+def _int8_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row over its own symmetric INT8 scale ``max|row| / 127``, rounded."""
+    scales = np.maximum(np.abs(rows).max(axis=1), 1e-12) / 127.0
+    return np.round(rows / scales[:, None])
+
+
+def _scaled_key_blocks(
+    keys: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The keys each row of a ragged batch quantises, over their INT8 scale.
+
+    Returns ``(scaled, starts)``, unrounded: row ``i`` of the rows with
+    ``lengths[i] > 0`` (in order) finds its keys, scaled exactly as a
+    per-row predictor call scales them, at
+    ``scaled[starts[i] : starts[i] + lengths[i]]``.
+
+    * ``(L, d)`` keys: row ``i`` sees the prefix ``keys[:lengths[i]]``, whose
+      scale is the running maximum of ``|keys|`` along it; rows sharing a
+      scale share one block.
+    * ``(B, L, d)`` keys: row ``i`` sees its own stream ``keys[i, :lengths[i]]``
+      with that stream's own scale.  Only those rows are read: whatever a
+      gathered view holds past ``lengths[i]`` enters no scale and no block.
+    """
+    if keys.ndim not in (2, 3) or keys.shape[-2] < lengths.max():
+        raise ValueError(
+            f"keys of shape {keys.shape} cannot hold key lengths up to {lengths.max()}"
+        )
+    nonempty = lengths[lengths > 0]
+    if keys.ndim == 3:
+        if keys.shape[0] != lengths.size:
+            raise ValueError(f"expected {lengths.size} key streams, got {keys.shape[0]}")
+        blocks = keys[np.arange(keys.shape[1]) < lengths[:, None]]
+        starts = np.cumsum(nonempty) - nonempty
+        # max |x| per row without an |blocks| copy
+        row_max = np.maximum(blocks.max(axis=1), -blocks.min(axis=1))
+        scales = np.maximum(np.maximum.reduceat(row_max, starts), 1e-12) / 127.0
+        blocks /= np.repeat(scales, nonempty)[:, None]
+        return blocks, starts
+    key_cummax = np.maximum.accumulate(np.abs(keys).max(axis=1))
+    scales, group = np.unique(
+        np.maximum(key_cummax[nonempty - 1], 1e-12) / 127.0, return_inverse=True
+    )
+    block_lengths = [int(nonempty[group == g].max()) for g in range(scales.size)]
+    scaled = np.concatenate([keys[:n] / s for s, n in zip(scales, block_lengths)])
+    return scaled, (np.cumsum(block_lengths) - block_lengths)[group]
+
+
 def _empty_result() -> BGPPResult:
     """Degenerate result for an empty key prefix."""
     return BGPPResult(
@@ -191,7 +238,7 @@ def _progressive_filter(
     """
     keys = np.asarray(keys, dtype=np.float64)
     largest = 2 ** (config.key_bits - 1) - 1
-    if keys.size and np.abs(keys).max() > largest:
+    if keys.size and max(keys.max(), -keys.min()) > largest:
         raise ValueError(
             f"keys outside representable range [{-largest}, {largest}] for "
             f"{config.key_bits}-bit sign_magnitude"
@@ -199,8 +246,10 @@ def _progressive_filter(
     n_keys, d = keys.shape
     rounds = min(config.rounds, config.key_bits - 1)
     steps = 2.0 ** np.arange(config.key_bits - 2, config.key_bits - 2 - rounds, -1)
-    # sign(k) * (|k| >> s) per round; powers of two scale exactly
-    shifted = np.trunc(keys * (1.0 / steps)[:, None, None])
+    # sign(k) * (|k| >> s) per round; powers of two scale exactly.  In place:
+    # a second temporary this large re-faults its pages on every call
+    shifted = keys * (1.0 / steps)[:, None, None]
+    np.trunc(shifted, out=shifted)
     q = np.asarray(queries, dtype=np.float64)
     if config.query_bits < config.key_bits:
         step = 2.0 ** (config.key_bits - config.query_bits)
@@ -451,10 +500,18 @@ def make_bgpp_predictor(
     have narrow ones).
 
     The returned callable also carries a ``select_ragged(queries, keys,
-    lengths)`` attribute: the batched form the attention modules use to run
-    every query row of a causal prefill through one shared filter pass (row
-    ``i`` selects among ``keys[:lengths[i]]``), bit-exact against calling the
-    predictor row by row.
+    lengths)`` attribute, the batched form the attention modules use.  It
+    runs every query row through one shared filter pass, bit-exact against
+    calling the predictor row by row, in two forms:
+
+    * ``(L, d)`` keys: row ``i`` selects among the prefix
+      ``keys[:lengths[i]]`` (the query rows of one causal prefill chunk);
+    * ``(B, L, d)`` keys: row ``b`` selects among its own stream's
+      ``keys[b, :lengths[b]]``, quantised with that stream's own maximum,
+      as ``predictor(queries[b], keys[b, :lengths[b]])`` does (the decode
+      rows of one serving step, over a padded gathered view).  Rows past
+      ``lengths[b]`` are never read, so stale padding cannot move a
+      selection.
     """
 
     config = BGPPConfig(
@@ -492,14 +549,12 @@ def make_bgpp_predictor(
     def select_ragged(
         queries: np.ndarray, keys: np.ndarray, lengths: Sequence[int]
     ) -> List[np.ndarray]:
-        """Ragged-batch selection: row ``i`` filters ``keys[:lengths[i]]``.
+        """Ragged-batch selection, bit-identical to row-by-row predictor calls.
 
-        Reproduces the per-row quantisation exactly: the key scale of row
-        ``i`` is the running maximum of ``|keys|`` over its prefix.  Rows
-        sharing a key scale share one block of quantised keys, and every
-        row filters its own window of the stacked blocks in a single
-        filter pass.  The returned indices are bit-identical to
-        ``predictor(queries[i], keys[:lengths[i]])``.
+        Row ``i`` filters ``keys[:lengths[i]]`` for ``(L, d)`` keys, or its
+        own stream's ``keys[i, :lengths[i]]`` for ``(B, L, d)`` keys (see
+        :func:`_scaled_key_blocks`).  Every row filters its own window of
+        the stacked quantised key blocks in a single filter pass.
         """
         queries = np.asarray(queries, dtype=np.float64)
         keys = np.asarray(keys, dtype=np.float64)
@@ -508,22 +563,19 @@ def make_bgpp_predictor(
         rows = np.flatnonzero(lengths > 0)
         if rows.size == 0:
             return out
+        if rows.size == 1 and keys.ndim == 3:
+            # one stream: the plain predictor is the cheaper pass
+            i = int(rows[0])
+            out[i] = predictor(queries[i], keys[i, : lengths[i]])
+            return out
+        scaled, starts = _scaled_key_blocks(keys, lengths)
+        k_int = np.round(scaled, out=scaled)
         lengths = lengths[rows]
-        queries = queries[rows]
-        q_scales = np.maximum(np.abs(queries).max(axis=1), 1e-12) / 127.0
-        q_int = np.round(queries / q_scales[:, None])
-        key_cummax = np.maximum.accumulate(np.abs(keys).max(axis=1))
-        k_scales, group = np.unique(
-            np.maximum(key_cummax[lengths - 1], 1e-12) / 127.0, return_inverse=True
-        )
-        block_lengths = [int(lengths[group == g].max()) for g in range(k_scales.size)]
-        k_int = np.round(
-            np.concatenate([keys[:n] / s for s, n in zip(k_scales, block_lengths)])
-        )
-        starts = (np.cumsum(block_lengths) - block_lengths)[group]
-        # the predictor's norms; each mean must reduce its own prefix
-        q_norms = np.sqrt(np.add.reduce(q_int * q_int, axis=1))
-        key_norms = np.sqrt(np.add.reduce(k_int * k_int, axis=1))
+        q_int = _int8_rows(queries[rows])
+        # the predictor's norms (integer squares sum exactly in any order);
+        # each mean must reduce its own block
+        q_norms = np.sqrt(np.einsum("ij,ij->i", q_int, q_int))
+        key_norms = np.sqrt(np.einsum("ij,ij->i", k_int, k_int))
         k_norms = np.array(
             [np.add.reduce(key_norms[s : s + n]) / n for s, n in zip(starts, lengths)]
         )
@@ -548,9 +600,10 @@ def make_value_topk_predictor(keep_fraction: float = 0.3, prediction_bits: int =
     """Build a value-level top-k key predictor (the conventional baseline).
 
     Like :func:`make_bgpp_predictor`, the callable carries a
-    ``select_ragged`` attribute running a whole ragged query batch as one
-    masked score matmul plus per-row top-k, bit-exact against row-by-row
-    calls.
+    ``select_ragged`` attribute taking ``(L, d)`` prefix keys or
+    ``(B, L, d)`` per-stream keys.  It quantises the whole ragged batch's
+    key blocks at once and runs one score product plus top-k per row,
+    bit-exact against row-by-row calls.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
@@ -570,33 +623,29 @@ def make_value_topk_predictor(keep_fraction: float = 0.3, prediction_bits: int =
     def select_ragged(
         queries: np.ndarray, keys: np.ndarray, lengths: Sequence[int]
     ) -> List[np.ndarray]:
-        """Ragged-batch top-k: one estimated-score matmul per key-scale group."""
+        """Ragged-batch top-k over the stacked quantised key blocks.
+
+        Takes ``(L, d)`` prefix keys or ``(B, L, d)`` per-stream keys, as
+        :func:`make_bgpp_predictor`'s ``select_ragged`` does.
+        """
         queries = np.asarray(queries, dtype=np.float64)
         keys = np.asarray(keys, dtype=np.float64)
         lengths = np.asarray(lengths, dtype=np.int64)
-        n_rows = queries.shape[0]
-        out: List[np.ndarray] = [np.zeros(0, dtype=np.int64) for _ in range(n_rows)]
-        nonempty = np.flatnonzero(lengths > 0)
-        if nonempty.size == 0:
+        out: List[np.ndarray] = [np.zeros(0, dtype=np.int64) for _ in lengths]
+        rows = np.flatnonzero(lengths > 0)
+        if rows.size == 0:
             return out
-        q_scales = np.maximum(np.abs(queries).max(axis=1), 1e-12) / 127.0
-        q_int = np.clip(np.round(queries / q_scales[:, None]), -127, 127).astype(np.int64)
+        scaled, starts = _scaled_key_blocks(keys, lengths)
+        k_int = np.clip(np.round(scaled), -127, 127).astype(np.int64)
+        q_int = np.clip(_int8_rows(queries[rows]), -127, 127).astype(np.int64)
         reduced_q = _reduced_precision_query(q_int, prediction_bits, full_bits=8)
-        key_cummax = np.maximum.accumulate(np.abs(keys).max(axis=1))
-        k_scales = np.zeros(n_rows)
-        k_scales[nonempty] = np.maximum(key_cummax[lengths[nonempty] - 1], 1e-12) / 127.0
         shift = 8 - prediction_bits
-        for scale in np.unique(k_scales[nonempty]):
-            rows = np.flatnonzero((lengths > 0) & (k_scales == scale))
-            max_len = int(lengths[rows].max())
-            k_int = np.clip(np.round(keys[:max_len] / scale), -127, 127).astype(np.int64)
-            reduced_keys = (k_int >> shift) << shift if shift > 0 else k_int
-            scores = reduced_keys @ reduced_q[rows].T  # (max_len, n_rows_in_group)
-            for j, i in enumerate(rows):
-                length = int(lengths[i])
-                k = min(max(1, int(round(keep_fraction * length))), length)
-                order = np.argsort(scores[:length, j])[::-1]
-                out[int(i)] = np.sort(order[:k])
+        reduced_keys = (k_int >> shift) << shift if shift > 0 else k_int
+        for i, q_row, start in zip(rows, reduced_q, starts):
+            length = int(lengths[i])
+            scores = reduced_keys[start : start + length] @ q_row
+            k = min(max(1, int(round(keep_fraction * length))), length)
+            out[i] = np.sort(np.argsort(scores)[::-1][:k])
         return out
 
     predictor.select_ragged = select_ragged

@@ -29,7 +29,10 @@ __all__ = [
 # A predictor maps (query_row, keys) -> selected key indices.  Predictors may
 # additionally expose a ``select_ragged(queries, keys, lengths)`` attribute
 # (see repro.core.bgpp.make_bgpp_predictor) that runs a whole ragged query
-# batch in one pass; ragged_selection_mask() uses it when present.
+# batch in one pass: over (L, d) keys row i ranks the prefix keys[:lengths[i]]
+# (ragged_selection_mask(), one prompt chunk), over (B, L, d) keys row b ranks
+# its own stream's keys[b, :lengths[b]] (_attend_decode_rows, all decode rows
+# of a layer in one call).  Both fall back to per-row calls without it.
 KeyPredictor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -65,14 +68,7 @@ def ragged_selection_mask(
         (mask == (np.arange(n_keys)[None, :] < lengths[:, None])).all()
     )
     if select_ragged is not None and prefix_shaped:
-        for i, selected in enumerate(select_ragged(q_rows, keys, lengths)):
-            if lengths[i] == 0:
-                continue
-            selected = np.asarray(selected, dtype=np.int64)
-            selected = selected[selected < lengths[i]]
-            if selected.size == 0:
-                selected = np.array([lengths[i] - 1], dtype=np.int64)
-            selection[i, selected] = True
+        _mark_selected(selection, select_ragged(q_rows, keys, lengths), lengths)
         return selection
     for i in range(n_queries):
         allowed = np.flatnonzero(mask[i])
@@ -82,6 +78,22 @@ def ragged_selection_mask(
             selected = allowed[-1:]
         selection[i, selected] = True
     return selection
+
+
+def _mark_selected(selection: np.ndarray, picks, lengths: np.ndarray) -> None:
+    """Set ``selection[i, picks[i]]`` for each row with ``lengths[i] > 0``.
+
+    Picks at or past ``lengths[i]`` are dropped; a row left with none keeps
+    its most recent key.
+    """
+    for i, selected in enumerate(picks):
+        if lengths[i] == 0:
+            continue
+        selected = np.asarray(selected, dtype=np.int64)
+        selected = selected[selected < lengths[i]]
+        if selected.size == 0:
+            selected = np.array([lengths[i] - 1], dtype=np.int64)
+        selection[i, selected] = True
 
 
 class KVCache:
@@ -420,25 +432,25 @@ class MultiHeadAttention:
         """One batched contraction for ``B1`` plain decode rows.
 
         ``q`` is ``(B1, hidden)``; ``keys``/``values`` are ``(B1, L, hidden)``
-        padded past each stream's ``lengths[b]``.  The predictor runs once
-        per stream on its valid keys, scores and context are one einsum each,
-        and each softmax reduces over exactly ``lengths[b]`` keys (padding
-        gets exactly-zero probability), so every row is bit-identical to
-        stepping its stream alone.  Returns the merged-head context
-        ``(B1, hidden)`` and per-row attended key counts.
+        padded past each stream's ``lengths[b]``.  A predictor with
+        ``select_ragged`` filters every row's own valid keys in one call
+        over the padded view (one BGPP pass per layer per step); any other
+        predictor runs once per stream.  Scores and context are one einsum
+        each, and each softmax reduces over exactly ``lengths[b]`` keys
+        (padding gets exactly-zero probability), so every row is
+        bit-identical to stepping its stream alone.  Returns the merged-head
+        context ``(B1, hidden)`` and per-row attended key counts.
         """
         n_streams, max_len = keys.shape[:2]
         full_mask = np.arange(max_len)[None, :] < lengths[:, None]
         if predictor is not None:
+            select_ragged = getattr(predictor, "select_ragged", None)
+            if select_ragged is not None:
+                picks = select_ragged(q, keys, lengths)
+            else:
+                picks = [predictor(q[b], keys[b, : lengths[b]]) for b in range(n_streams)]
             selection = np.zeros_like(full_mask)
-            for b in range(n_streams):
-                selected = np.asarray(
-                    predictor(q[b], keys[b, : lengths[b]]), dtype=np.int64
-                )
-                selected = selected[selected < lengths[b]]
-                if selected.size == 0:
-                    selected = np.array([lengths[b] - 1], dtype=np.int64)
-                selection[b, selected] = True
+            _mark_selected(selection, picks, lengths)
             full_mask &= selection
 
         qh = q.reshape(n_streams, self.n_heads, self.head_dim)

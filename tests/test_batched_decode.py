@@ -6,7 +6,8 @@ Pins every new batched fast path bit-exact against its sequential reference:
   single-query filter on the truncated key matrix, including empty prefixes
   and ``B = 1``;
 * the predictors' ``select_ragged`` batch entry points vs row-by-row calls,
-  and the attention modules that consume them;
+  and the attention modules that consume them -- including one call per
+  layer for all decode rows of a step, over per-stream ``(B, L, d)`` keys;
 * decode-only ``IncrementalDecoder.prefill_step_batch`` steps (one-row
   chunks through ``QuantizedTransformer.prefill_batch``) vs stepping each
   stream alone (tokens, logits and per-stream statistics);
@@ -39,7 +40,7 @@ from repro.model import (
     get_model_config,
 )
 from repro.model.generation import IncrementalDecoder
-from repro.serve import Request, ServingEngine, ServingReport
+from repro.serve import PagedKVArena, Request, ServingEngine, ServingReport
 from repro.serve.session import GenerationSession
 from repro.workloads import sample_requests
 
@@ -181,6 +182,98 @@ class TestPredictorRaggedBatch:
         )
         assert np.array_equal(fast_logits, slow_logits)
         assert fast_stats.keys_attended == slow_stats.keys_attended
+
+
+def _mixed_steps(model, predictor):
+    """Two mixed ``prefill_batch`` steps over arena-backed streams.
+
+    The first step puts a prompt chunk before a contiguous decode tail (the
+    engine's order); the second scatters decode rows between a prompt chunk
+    and speculative verify chunks.  A freed session leaves +-1e6 keys in
+    the pages the streams reuse, so the gathered view holds garbage past
+    the stream lengths.  Returns each step's ``(logits, stats)``.
+    """
+    config = model.config
+    arena = PagedKVArena(config.n_layers, config.hidden_size, page_size=4)
+    rng = np.random.default_rng(5)
+    junk = model.new_cache(arena=arena)
+    for cache in junk:
+        cache.append(
+            rng.choice([-1e6, 1e6], size=(40, config.hidden_size)),
+            np.zeros((40, config.hidden_size)),
+        )
+    junk[0].release()
+    prompts = [
+        rng.integers(0, config.vocab_size, size=n).tolist() for n in (11, 3, 7, 5, 9, 2)
+    ]
+    caches = [model.new_cache(arena=arena) for _ in prompts]
+    model.prefill_batch(prompts[1:], caches[1:], predictor)
+    tail = model.prefill_batch(
+        [prompts[0][:4], [1], [2], [3]],
+        caches[:4],
+        predictor,
+        total_lens=[11, 4, 8, 6],
+    )
+    order = [1, 0, 2, 3, 4, 5]
+    scattered = model.prefill_batch(
+        [[4], prompts[0][4:8], [5], [6, 7, 8], [9], [1, 2]],
+        [caches[b] for b in order],
+        predictor,
+        total_lens=[5, 11, 9, 9, 10, 4],
+    )
+    return [tail, scattered]
+
+
+class TestDecodeRowsOneSelectionCall:
+    """All decode rows of a layer share one ``select_ragged`` call."""
+
+    @pytest.mark.parametrize(
+        "make_predictor",
+        [
+            lambda: make_bgpp_predictor(alpha=0.3, rounds=3),
+            lambda: make_value_topk_predictor(keep_fraction=0.5),
+        ],
+        ids=["bgpp", "value_topk"],
+    )
+    def test_mixed_steps_match_per_stream_loop(self, tiny_quantized, make_predictor):
+        batched = make_predictor()
+        loop = lambda q, keys: batched(q, keys)
+        fast = _mixed_steps(tiny_quantized, batched)
+        slow = _mixed_steps(tiny_quantized, loop)
+        for (fast_logits, fast_stats), (slow_logits, slow_stats) in zip(fast, slow):
+            assert np.array_equal(fast_logits, slow_logits)
+            for f, s in zip(fast_stats, slow_stats):
+                assert np.array_equal(f.row_keys_attended, s.row_keys_attended)
+                assert np.array_equal(f.row_keys_total, s.row_keys_total)
+        # the predictor pruned decode rows, so their selections were compared
+        decode_stats = [fast[0][1][b] for b in (1, 2, 3)] + [
+            fast[1][1][b] for b in (0, 2, 4)
+        ]
+        assert any(s.keys_attended < s.keys_total for s in decode_stats)
+
+    def test_pure_decode_step_calls_select_ragged_once_per_layer(self, tiny_quantized):
+        model = tiny_quantized
+        base = make_bgpp_predictor(alpha=0.7, rounds=3)
+        row_calls, ragged_shapes = [], []
+
+        def predictor(q, keys):
+            row_calls.append(np.shape(keys))
+            return base(q, keys)
+
+        def select_ragged(queries, keys, lengths):
+            ragged_shapes.append(np.shape(keys))
+            return base.select_ragged(queries, keys, lengths)
+
+        predictor.select_ragged = select_ragged
+        prompts = [[1, 2, 3], [4, 5, 6, 7, 8], [9, 10], [11, 12, 13, 14]]
+        caches = [model.new_cache() for _ in prompts]
+        model.prefill_batch(prompts, caches, predictor)
+        row_calls.clear()
+        ragged_shapes.clear()
+        model.prefill_batch([[1], [2], [3], [4]], caches, predictor)
+        assert row_calls == []
+        hidden = model.config.hidden_size
+        assert ragged_shapes == [(4, 6, hidden)] * model.config.n_layers
 
 
 class TestKVCache:

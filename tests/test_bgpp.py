@@ -418,3 +418,98 @@ class TestTruncatedKernelEquivalence:
             expected = reference(query, keys[: lengths[i]])
             assert np.array_equal(predictor(query, keys[: lengths[i]]), expected)
             assert np.array_equal(ragged[i], expected)
+
+
+# ---------------------------------------------------------------------------
+# select_ragged over per-stream (B, L, d) key blocks
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _stream_cases(draw):
+    """Padded ``(B, L, d)`` stream keys, their lengths and a garbage copy.
+
+    Each stream draws its own key kind and magnitude, so the streams' INT8
+    key scales differ; ``dirty`` holds NaN and +-1e6 rows past every
+    stream's length where ``keys`` holds zeros.
+    """
+    n_streams = draw(st.integers(1, 6))
+    max_len = draw(st.sampled_from([1, 2, 5, 17, 40]))
+    d = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = np.array(
+        [draw(st.integers(0, max_len)) for _ in range(n_streams)], dtype=np.int64
+    )
+    keys = np.zeros((n_streams, max_len, d))
+    for b, n in enumerate(lengths):
+        kind = draw(st.sampled_from(["normal", "spiky", "zero", "duplicates"]))
+        magnitude = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+        if kind == "normal":
+            block = rng.normal(size=(n, d))
+        elif kind == "spiky":
+            # a few large rows move the stream's key scale
+            block = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 8.0], size=(n, 1))
+        elif kind == "zero":
+            block = np.zeros((n, d))
+        else:  # repeated rows: tied scores for the min_keys guard and top-k
+            block = rng.normal(size=(2, d))[rng.integers(0, 2, size=n)]
+        keys[b, :n] = block * magnitude
+    dirty = keys.copy()
+    garbage = rng.choice([np.nan, 1e6, -1e6], size=keys.shape)
+    past = np.arange(max_len)[None, :] >= lengths[:, None]
+    dirty[past] = garbage[past]
+    queries = rng.normal(size=(n_streams, d)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    return queries, keys, dirty, lengths
+
+
+class TestStreamBlockSelection:
+    """The 3-D ``select_ragged`` equals one predictor call per stream."""
+
+    @EQUIV
+    @given(
+        _stream_cases(),
+        st.one_of(
+            st.floats(0.2, 1.0),
+            st.lists(st.floats(0.2, 1.0), min_size=1, max_size=3),
+        ),
+        st.integers(1, 7),
+        st.integers(1, 8),
+    )
+    def test_bgpp_streams_match_per_stream_calls_and_reference(
+        self, case, alpha, rounds, query_bits
+    ):
+        queries, keys, dirty, lengths = case
+        predictor = make_bgpp_predictor(alpha=alpha, rounds=rounds, query_bits=query_bits)
+        reference = _reference_predictor(alpha, rounds, query_bits=query_bits)
+        clean = predictor.select_ragged(queries, keys, lengths)
+        with np.errstate(all="raise"):  # garbage rows must never be read
+            batched = predictor.select_ragged(queries, dirty, lengths)
+        assert len(batched) == len(clean) == lengths.size
+        for b, n in enumerate(lengths):
+            expected = reference(queries[b], keys[b, :n])
+            assert np.array_equal(predictor(queries[b], keys[b, :n]), expected)
+            assert np.array_equal(clean[b], expected), (b, lengths.tolist())
+            assert np.array_equal(batched[b], expected), (b, lengths.tolist())
+
+    @EQUIV
+    @given(_stream_cases(), st.floats(0.05, 1.0), st.integers(1, 8))
+    def test_value_topk_streams_match_per_stream_calls(
+        self, case, keep_fraction, prediction_bits
+    ):
+        queries, keys, dirty, lengths = case
+        predictor = make_value_topk_predictor(keep_fraction, prediction_bits)
+        clean = predictor.select_ragged(queries, keys, lengths)
+        with np.errstate(all="raise"):
+            batched = predictor.select_ragged(queries, dirty, lengths)
+        for b, n in enumerate(lengths):
+            expected = predictor(queries[b], keys[b, :n])
+            assert np.array_equal(clean[b], expected), (b, lengths.tolist())
+            assert np.array_equal(batched[b], expected), (b, lengths.tolist())
+
+    def test_rejects_mismatched_stream_shapes(self):
+        keys = np.ones((2, 3, 4))
+        for predictor in (make_bgpp_predictor(), make_value_topk_predictor()):
+            with pytest.raises(ValueError, match="key streams"):
+                predictor.select_ragged(np.ones((3, 4)), keys, [1, 2, 3])
+            with pytest.raises(ValueError, match="cannot hold"):
+                predictor.select_ragged(np.ones((2, 4)), keys, [1, 4])
