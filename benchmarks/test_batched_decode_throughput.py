@@ -1,42 +1,34 @@
-"""Benchmark: fused batched decode vs the per-session loop, arena vs stacking.
+"""Benchmark: fused batched decode vs the per-session loop.
 
 For each batch size ``B`` in {1, 4, 8, 16} the same ``B`` prefilled decode
 streams advance ``N_STEPS`` tokens two ways:
 
 * **per-session loop** -- one ``model.forward`` call per stream per step
-  (the serial path the engine keeps for models without ``prefill_batch``);
+  over standalone caches (what the engine's per-stream fallback runs for
+  models without ``prefill_batch``);
 * **fused batched step** -- ``IncrementalDecoder.prefill_step_batch`` with
   every stream a one-row chunk (the engine's only decode path) stacks the
   streams into one ``(B, hidden)`` batch and runs a single quantised forward
-  per step, with the model bound to an :class:`MCBPEngine` so each weight
-  matrix's BSTC planes are decoded at most once per step (in steady state:
-  once overall, via the decoded-plane cache).
+  per step over one shared :class:`PagedKVArena`, with the model bound to an
+  :class:`MCBPEngine` so each weight matrix's BSTC planes are decoded at
+  most once per step (in steady state: once overall, via the decoded-plane
+  cache).
 
-A second grid pits the fused path's two KV layouts against each other at
-long context (``ARENA_CONTEXT`` tokens, ``B`` in {8, 16}):
-
-* **re-stacking** -- standalone per-stream caches, each step copies every
-  stream's full history into a fresh padded tensor
-  (``MultiHeadAttention.stack_copy_bytes``);
-* **paged arena** -- one shared :class:`PagedKVArena`, each step refreshes
-  an incrementally maintained batch view with only the ``B`` new rows
-  (``ArenaStats.gather_bytes_copied``).
-
-A third grid replays one bursty prioritized heavy-tail trace through the
+A second grid replays one bursty prioritized heavy-tail trace through the
 policy-driven :class:`ServingEngine` under the shipped policy pairs
 (FCFS, priority, deadline, aging) at ``B = 8`` slots, recording per-class
 p95 latency, preemption and deadline-miss counts, and wall-clock tokens/sec.
 
-A fourth grid measures the **chunked batched prefill pipeline**: one
+A third grid measures the **chunked batched prefill pipeline**: one
 prefill-heavy bursty (Pareto) trace at ``B = 8`` runs on the serial path
 (the model behind :class:`SerialOnly`: one-shot prefill at admission,
-per-session decode) vs the batched pass, recording per-request *wall-clock*
+per-stream decode) vs the batched pass, recording per-request *wall-clock*
 TTFT p50/p95
 (queue delay in steps is identical by construction, so wall time isolates
 the prefill execution strategy) plus a ``prefill_token_budget`` sweep
 showing the TTFT-vs-decode-throughput trade.
 
-A fifth grid measures the **cross-request prefix cache**: a shared-prefix
+A fourth grid measures the **cross-request prefix cache**: a shared-prefix
 trace (every prompt opens with the same long head) runs with
 ``prefix_cache`` off and on, recording wall-clock TTFT p95, page faults,
 reused prompt rows and shared pages; a divergent-prompt trace (no two
@@ -45,9 +37,8 @@ prompts share a full page) pins the cache as a strict no-op.
 CI gates: tokens bit-identical everywhere (including the preemption-heavy
 policy runs, whose evicted sessions must resume bit-identically to their
 solo decode, and every chunked/mixed prefill step), fused >= per-session at
-``B = 8``, arena >= stacking at ``B = 8``, exactly one BSTC decode per
-weight matrix, the arena must copy >= ``ARENA_BYTES_GATE``x fewer KV bytes
-per step at the long context, the priority policy must cut high-priority p95
+``B = 8``, exactly one BSTC decode per weight matrix, the priority policy
+must cut high-priority p95
 latency strictly below FCFS on the bursty trace (with real preemptions),
 the deadline policy must not miss more deadlines than FCFS, batched
 prefill must not lose to serial prefill on wall-clock TTFT p95 (its
@@ -90,18 +81,6 @@ GATED_BATCH = 8  # the CI gates compare paths at this batch size
 N_STEPS = 24
 PROMPT_LEN = 12
 REPEATS = 3
-
-# long-context arena grid: prompt + decode steps add up to ARENA_CONTEXT
-ARENA_BATCHES = (8, 16)
-ARENA_CONTEXT = 512
-ARENA_STEPS = 16
-ARENA_BYTES_GATE = 5.0  # arena must copy >= 5x fewer KV bytes per step
-# timed gates ride the median of per-round ratios (see _paired_cpu_rounds);
-# odd so the median is one round.  Best-of-3 perf_counter samples flipped
-# the arena gate between 0.84x and 1.29x on same-box reruns, and a 5-round
-# median still fell to 0.84x once in four runs on a shared 2-core box
-# (in-process runs of this row sit at 1.07-1.28x)
-ARENA_ROUNDS = 9
 
 # policy grid: one bursty prioritized heavy-tail trace, replayed under the
 # shipped policy pairs at B = GATED_BATCH slots
@@ -189,7 +168,11 @@ BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 
 
 class SerialOnly:
-    """``model`` without ``prefill_batch``: the engine serves it serially."""
+    """``model`` without ``prefill_batch``: a forward-only model.
+
+    The engine serves it through ``IncrementalDecoder.prefill_step_batch``'s
+    per-stream fallback (one ``forward`` per stream, whole-prompt chunks).
+    """
 
     def __init__(self, model):
         self.forward = model.forward
@@ -241,25 +224,36 @@ def _build_model() -> QuantizedTransformer:
     return QuantizedTransformer(TransformerModel(config, seed=0), seed=1)
 
 
-def _prefilled_decoders(model, batch, prompt_len=PROMPT_LEN, arena=None):
+def _prefilled_decoders(model, batch, arena=None):
     rng = np.random.default_rng(42)
     vocab = model.config.vocab_size
     decoders, tokens = [], []
     for _ in range(batch):
         decoder = IncrementalDecoder(model, arena=arena)
         tokens.append(
-            decoder.prefill(rng.integers(0, vocab, size=prompt_len).tolist())
+            decoder.prefill(rng.integers(0, vocab, size=PROMPT_LEN).tolist())
         )
         decoders.append(decoder)
     return decoders, tokens
 
 
+def _arena(model):
+    config = model.config
+    return PagedKVArena(config.n_layers, config.hidden_size, page_size=32)
+
+
 def _decode_tokens_per_sec(model, batch, fused):
-    """Best-of-REPEATS tokens/sec of the decode loop; returns (tps, tokens)."""
+    """Best-of-REPEATS tokens/sec of the decode loop; returns (tps, tokens).
+
+    The fused leg reads KV through one shared arena (the batched pass takes
+    no other caches); the per-session leg keeps standalone ones.
+    """
     best = float("inf")
     final_tokens = None
     for _ in range(REPEATS):
-        decoders, tokens = _prefilled_decoders(model, batch)
+        decoders, tokens = _prefilled_decoders(
+            model, batch, arena=_arena(model) if fused else None
+        )
         start = time.perf_counter()
         for _ in range(N_STEPS):
             if fused:
@@ -269,64 +263,6 @@ def _decode_tokens_per_sec(model, batch, fused):
         best = min(best, time.perf_counter() - start)
         final_tokens = list(tokens)
     return batch * N_STEPS / best, final_tokens
-
-
-def _stack_copy_bytes(model) -> int:
-    return sum(layer.attention.stack_copy_bytes for layer in model.model.layers)
-
-
-def _reset_stack_copy_bytes(model) -> None:
-    for layer in model.model.layers:
-        layer.attention.stack_copy_bytes = 0
-
-
-def _arena_vs_stacking_row(model, batch):
-    """Fused decode at long context: paged arena vs per-stream re-stacking."""
-    config = model.config
-    prompt_len = ARENA_CONTEXT - ARENA_STEPS
-    row = {
-        "batch": batch,
-        "context_tokens": ARENA_CONTEXT,
-        "decode_steps": ARENA_STEPS,
-    }
-    copied = {}
-
-    def _decode_run(mode):
-        arena = None
-        if mode == "arena":
-            arena = PagedKVArena(config.n_layers, config.hidden_size, page_size=32)
-        decoders, tokens = _prefilled_decoders(
-            model, batch, prompt_len=prompt_len, arena=arena
-        )
-        # count only decode-step copy traffic, not the prefill
-        _reset_stack_copy_bytes(model)
-        gather_base = arena.stats.gather_bytes_copied if arena else 0
-        start = time.process_time()
-        for _ in range(ARENA_STEPS):
-            tokens = _decode_step(decoders, tokens)
-        elapsed = time.process_time() - start
-        copied[mode] = (
-            arena.stats.gather_bytes_copied - gather_base
-            if arena
-            else _stack_copy_bytes(model)
-        )
-        return list(tokens), elapsed
-
-    speedup, best, final_tokens = _paired_cpu_rounds(
-        {mode: lambda mode=mode: _decode_run(mode) for mode in ("stacking", "arena")},
-        ARENA_ROUNDS,
-    )
-    for mode in ("stacking", "arena"):
-        row[f"{mode}_tokens_per_sec"] = batch * ARENA_STEPS / best[mode]
-        row[f"{mode}_kv_bytes_per_step"] = copied[mode] / ARENA_STEPS
-    assert final_tokens["arena"] == final_tokens["stacking"], (
-        f"arena decode diverged from stacking at B={batch}"
-    )
-    row["speedup"] = speedup
-    row["kv_bytes_ratio"] = (
-        row["stacking_kv_bytes_per_step"] / row["arena_kv_bytes_per_step"]
-    )
-    return row
 
 
 def _policy_trace(config):
@@ -1259,15 +1195,14 @@ def test_batched_decode_throughput(benchmark):
 
     # headline number under pytest-benchmark: the fused decode loop at B=8
     def fused_gated_batch():
-        decoders, tokens = _prefilled_decoders(model, GATED_BATCH)
+        decoders, tokens = _prefilled_decoders(
+            model, GATED_BATCH, arena=_arena(model)
+        )
         for _ in range(N_STEPS):
             tokens = _decode_step(decoders, tokens)
         return tokens
 
     benchmark.pedantic(fused_gated_batch, rounds=3, iterations=1)
-
-    # long-context KV layout grid: paged arena vs per-stream re-stacking
-    arena_rows = [_arena_vs_stacking_row(model, batch) for batch in ARENA_BATCHES]
 
     # shared-format serving report: one fused engine run over a sampled
     # request stream (the same schema serving_simulation.py --json emits)
@@ -1305,7 +1240,6 @@ def test_batched_decode_throughput(benchmark):
         "model": config.name,
         "prompt_len": PROMPT_LEN,
         "results": rows,
-        "arena_vs_stacking": arena_rows,
         "bstc_decode_calls": int(engine.codec.decode_calls),
         "weight_matrices": n_matrices,
         "serving_report": report.to_json(),
@@ -1325,7 +1259,6 @@ def test_batched_decode_throughput(benchmark):
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     gated = next(r for r in rows if r["batch"] == GATED_BATCH)
-    gated_arena = next(r for r in arena_rows if r["batch"] == GATED_BATCH)
     print_result(
         "Fused batched decode -- tokens/sec vs per-session loop",
         "\n".join(
@@ -1333,16 +1266,6 @@ def test_batched_decode_throughput(benchmark):
             f"tok/s   fused {r['batched_tokens_per_sec']:9.1f} tok/s   "
             f"speedup {r['speedup']:5.2f}x"
             for r in rows
-        )
-        + "\n"
-        + "\n".join(
-            f"B={r['batch']:>2} ctx={r['context_tokens']}: "
-            f"stacking {r['stacking_kv_bytes_per_step'] / 1024.0:8.1f} KiB/step "
-            f"{r['stacking_tokens_per_sec']:7.1f} tok/s   "
-            f"arena {r['arena_kv_bytes_per_step'] / 1024.0:6.1f} KiB/step "
-            f"{r['arena_tokens_per_sec']:7.1f} tok/s   "
-            f"bytes {r['kv_bytes_ratio']:5.1f}x  speed {r['speedup']:4.2f}x"
-            for r in arena_rows
         )
         + "\n".join(
             [""]
@@ -1433,18 +1356,6 @@ def test_batched_decode_throughput(benchmark):
         f"fused decode slower than per-session loop at B={GATED_BATCH}: "
         f"{gated['speedup']:.2f}x"
     )
-    # CI gate: the paged arena must not lose to re-stacking at B=8, and its
-    # per-step KV copy traffic must no longer scale with context length
-    assert gated_arena["speedup"] >= 1.0, (
-        f"arena decode slower than re-stacking at B={GATED_BATCH}: "
-        f"{gated_arena['speedup']:.2f}x"
-    )
-    for row in arena_rows:
-        assert row["kv_bytes_ratio"] >= ARENA_BYTES_GATE, (
-            f"arena copies too many KV bytes at B={row['batch']}: only "
-            f"{row['kv_bytes_ratio']:.1f}x below stacking "
-            f"(gate {ARENA_BYTES_GATE}x)"
-        )
     # CI gate: priority service must demonstrably reorder the bursty trace --
     # high-priority p95 latency strictly below FCFS, with real preemptions
     # (all metrics are step-domain, so this is deterministic)

@@ -1,7 +1,8 @@
-"""Setup shim so that ``pip install -e .`` works without the ``wheel`` package.
+"""Package metadata and install script: ``pip install -e .``.
 
-Project metadata lives in ``pyproject.toml``; this file only enables the
-legacy editable-install path on environments lacking PEP 517 build tooling.
+This file is the project's only build configuration (there is no
+``pyproject.toml``); the tests and benchmarks also run uninstalled with
+``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

@@ -111,8 +111,8 @@ class KVCache:
       (see :class:`repro.serve.kv_arena.PagedKVArena`), the cache is a thin
       handle -- appends write into the shared page pool and :attr:`keys` /
       :attr:`values` materialise contiguous copies on demand.  The batched
-      attention path (:meth:`MultiHeadAttention.prefill_batch`) recognises
-      arena-backed caches and reads the pool through
+      attention path (:meth:`MultiHeadAttention.prefill_batch`) takes only
+      such caches and reads the pool through
       :meth:`~repro.serve.kv_arena.PagedKVArena.gather_batch` instead,
       skipping the per-session materialisation entirely.  An
       arena in ``KVDtype.INT8`` mode is transparent here: appends are
@@ -307,9 +307,6 @@ class MultiHeadAttention:
         self.wk = wk or Linear.random(hidden_size, hidden_size, seed=base_seed + 2)
         self.wv = wv or Linear.random(hidden_size, hidden_size, seed=base_seed + 3)
         self.wo = wo or Linear.random(hidden_size, hidden_size, seed=base_seed + 4)
-        # KV bytes copied by prefill_batch's per-session stacking fallback;
-        # the arena path's counterpart is ArenaStats.gather_bytes_copied
-        self.stack_copy_bytes = 0
 
     # -- helpers -------------------------------------------------------------
 
@@ -492,12 +489,13 @@ class MultiHeadAttention:
         ``q``/``k_new``/``v_new`` hold every stream's chunk rows stacked flat
         to ``(total_rows, hidden)`` (stream ``b`` owns ``row_counts[b]``
         consecutive rows); ``caches[b]`` is stream ``b``'s KV cache, which may
-        already hold that stream's earlier chunks.  The new K/V rows are
-        appended first -- through one multi-row
-        :meth:`~repro.serve.kv_arena.PagedKVArena.append_batch` call when
-        every cache is a handle onto one shared arena -- and each chunk row
-        attends causally to its stream's full prefix (cached history plus the
-        chunk rows at or before it).
+        already hold that stream's earlier chunks; every cache must be a
+        handle onto one shared :class:`~repro.serve.kv_arena.PagedKVArena`
+        at this layer (``ValueError`` otherwise).  The new K/V rows are
+        appended first, in one multi-row ``append_batch`` call, and each
+        chunk row attends causally to its stream's full prefix (cached
+        history plus the chunk rows at or before it), read through
+        ``gather_batch``.
 
         ``total_lens[b]`` is the *final* prefill length of stream ``b`` (the
         key width of the one-shot serial forward this chunk sequence
@@ -542,22 +540,19 @@ class MultiHeadAttention:
         if len(caches) != n_streams:
             raise ValueError(f"expected {n_streams} caches, got {len(caches)}")
 
-        # append the chunk rows: one batched multi-row arena append when every
-        # cache shares the pool, per-cache appends otherwise
         arena = caches[0].arena
         layer = caches[0].arena_layer
-        shared = arena is not None and all(
+        if arena is None or not all(
             c.arena is arena and c.arena_layer == layer for c in caches
-        )
+        ):
+            raise ValueError(
+                "prefill_batch reads KV through one shared PagedKVArena: "
+                "every cache must be a handle onto it at this layer"
+            )
+        sessions = [c.arena_session for c in caches]
         k_blocks = [k_new[offsets[b] : offsets[b + 1]] for b in range(n_streams)]
         v_blocks = [v_new[offsets[b] : offsets[b + 1]] for b in range(n_streams)]
-        if shared:
-            arena.append_batch(
-                layer, [c.arena_session for c in caches], k_blocks, v_blocks
-            )
-        else:
-            for b, cache in enumerate(caches):
-                cache.append(k_blocks[b], v_blocks[b])
+        arena.append_batch(layer, sessions, k_blocks, v_blocks)
 
         lengths = np.array([cache.seq_len for cache in caches], dtype=np.int64)
         if total_lens is None:
@@ -568,20 +563,7 @@ class MultiHeadAttention:
                 raise ValueError("total_lens must carry one entry per stream")
             if (total_lens < lengths).any():
                 raise ValueError("total_lens must be >= each stream's length")
-        if shared:
-            keys, values, _ = arena.gather_batch(
-                layer, [c.arena_session for c in caches]
-            )
-        else:
-            max_len = int(lengths.max())
-            keys = np.zeros((n_streams, max_len, self.hidden_size))
-            values = np.zeros((n_streams, max_len, self.hidden_size))
-            for b, cache in enumerate(caches):
-                keys[b, : lengths[b]] = cache.keys
-                values[b, : lengths[b]] = cache.values
-            self.stack_copy_bytes += (
-                2 * int(lengths.sum()) * self.hidden_size * keys.itemsize
-            )
+        keys, values, _ = arena.gather_batch(layer, sessions)
 
         scale = 1.0 / np.sqrt(self.head_dim)
         n_rows_total = int(offsets[-1])

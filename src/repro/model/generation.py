@@ -323,11 +323,17 @@ class IncrementalDecoder:
         Returns ``(prefill_tokens, decode_tokens)``: ``prefill_tokens[i]`` is
         the first sampled token when decoder ``i`` finished its prompt this
         step, ``None`` while chunks remain; ``decode_tokens[j]`` is stream
-        ``j``'s next token.  All decoders must share one model exposing
-        ``prefill_batch`` (and one predictor); the serving engine runs models
-        without it through one-shot :meth:`prefill` and per-stream
-        :meth:`step` instead.  A step of decode rows alone is simply a batch
-        of one-row chunks.
+        ``j``'s next token.  All decoders must share one model and one
+        predictor.  A step of decode rows alone is simply a batch of one-row
+        chunks.
+
+        A model without ``prefill_batch`` (the float model, test stubs) runs
+        one ``forward(chunk, caches, predictor)`` per stream instead, with the
+        same return values.  Its prompt chunks must each be the decoder's
+        whole remaining prompt (``ValueError`` otherwise): a per-stream
+        forward reduces each softmax over the keys present so far, which is
+        the one-shot :meth:`prefill` width only when nothing of the prompt is
+        left over.
 
         **Speculative decode** (``draft_tokens`` given, one token list per
         decode stream, empty lists allowed): stream ``j``'s chunk becomes
@@ -372,8 +378,6 @@ class IncrementalDecoder:
         model = everyone[0].model
         predictor = everyone[0].predictor
         fused = getattr(model, "prefill_batch", None)
-        if fused is None:
-            raise RuntimeError("model does not expose prefill_batch")
         if not all(d.model is model and d.predictor is predictor for d in everyone):
             raise RuntimeError("mixed prefill batches need one shared model")
 
@@ -386,6 +390,12 @@ class IncrementalDecoder:
                 raise ValueError(
                     f"chunk of {n} rows outside the remaining "
                     f"{decoder.prefill_remaining}-token prompt"
+                )
+            if fused is None and n != decoder.prefill_remaining:
+                raise ValueError(
+                    f"chunk of {n} rows leaves part of the remaining "
+                    f"{decoder.prefill_remaining}-token prompt; a model "
+                    f"without prefill_batch prefills whole prompts only"
                 )
             start = decoder._prefill_done
             chunks.append(decoder._prefill_pending[start : start + n])
@@ -402,13 +412,19 @@ class IncrementalDecoder:
             if drafts is not None
             else []
         )
-        logits, stats_list, row_logits = fused(
-            chunks,
-            [d.caches for d in everyone],
-            predictor=predictor,
-            total_lens=totals,
-            row_logits_for=spec_idx,
-        )
+        caches = [d.caches for d in everyone]
+        if fused is None:
+            logits, stats_list, row_logits = _forward_each(
+                model, chunks, caches, predictor
+            )
+        else:
+            logits, stats_list, row_logits = fused(
+                chunks,
+                caches,
+                predictor=predictor,
+                total_lens=totals,
+                row_logits_for=spec_idx,
+            )
 
         prefill_out: List[Optional[int]] = []
         for i, (decoder, n) in enumerate(zip(prefills, chunk_sizes)):
@@ -493,6 +509,20 @@ class IncrementalDecoder:
         base = self.prefill_stats or self._prefill_partial
         total = base.keys_total if base else 0
         return total + sum(s.keys_total for s in self.decode_stats)
+
+
+def _forward_each(model, chunks, caches_list, predictor):
+    """One ``model.forward`` per stream, in ``prefill_batch``'s return shape.
+
+    Per-row logits come back for every stream: the forward computed them.
+    """
+    logits, stats = zip(
+        *(
+            model.forward(chunk, caches=caches, predictor=predictor)
+            for chunk, caches in zip(chunks, caches_list)
+        )
+    )
+    return np.stack([rows[-1] for rows in logits]), list(stats), dict(enumerate(logits))
 
 
 def generate(

@@ -27,8 +27,8 @@ resumes alike) -- and models exposing ``prefill_batch`` (the quantised
 transformer) run a single forward pass for the whole batch, one GEMM per
 weight matrix and one ragged attention per layer, with bit-identical tokens
 and statistics to per-session serial prefill and stepping.  Pure-decode
-steps take the same pass; models without ``prefill_batch`` run a serial
-per-session path instead.
+steps take the same pass; models without ``prefill_batch`` take the same
+step body with one ``forward`` per stream and whole-prompt chunks.
 
 KV storage is *paged*: every session's per-layer keys/values live as
 fixed-size pages inside one :class:`PagedKVArena` (vLLM-style), read by

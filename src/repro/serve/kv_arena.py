@@ -164,15 +164,14 @@ class ArenaStats:
 
     ``page_faults`` counts pages handed out (cumulative allocations, the
     paging analogue of a fault); ``gather_bytes_copied`` is the number of KV
-    bytes materialised by :meth:`PagedKVArena.gather_batch` -- the arena-side
-    counterpart of the stacking path's
-    :attr:`repro.model.attention.MultiHeadAttention.stack_copy_bytes`.  An
-    incremental refresh (``gather_incremental``) counts the rows it copied;
-    a rebuild (``gather_rebuilds``) counts the batch's whole padded page
-    span, ``B x ceil(max_len / page_size)`` pages, which bounds the live rows
-    it actually copies.
-    ``view_bytes_copied`` tracks the single-stream materialisations used by
-    the serial path (:meth:`PagedKVArena.session_keys` / ``session_values``).
+    bytes materialised by :meth:`PagedKVArena.gather_batch`, the one KV read
+    of the batched attention pass.  An incremental refresh
+    (``gather_incremental``) counts the rows it copied; a rebuild
+    (``gather_rebuilds``) counts the batch's whole padded page span,
+    ``B x ceil(max_len / page_size)`` pages, which bounds the live rows it
+    actually copies.  ``view_bytes_copied`` tracks the single-stream
+    materialisations of a per-stream ``forward``
+    (:meth:`PagedKVArena.session_keys` / ``session_values``).
 
     Prefix-cache accounting: ``prefix_hits`` / ``prefix_misses`` count
     :meth:`PagedKVArena.acquire_prefix` outcomes, ``prefix_tokens_reused`` the

@@ -34,20 +34,20 @@ Each engine step:
    attention per layer.  Sessions whose last chunk landed emit their first
    token.  A pure-decode step is the same pass over one-row chunks (even a
    batch of one): there is no separate decode driver.  Models without
-   ``prefill_batch`` (the float model, test stubs) are served by a serial
-   per-session path -- one-shot prefill at admission, one forward per decode
-   token -- with identical tokens;
+   ``prefill_batch`` (the float model, test stubs) take the same step body:
+   their decoders run one ``forward`` per stream, and each admission gets
+   its whole remaining prompt as one chunk whatever the budget, so the step
+   schedule is one-shot prefill at admission plus one token per step;
 5. retires finished sessions, freeing their slots -- and their KV arena
    pages -- for the next step.
 
 Because every session shares one model -- and, when the model is bound to an
 :class:`repro.core.engine.MCBPEngine`, one decoded-plane cache -- each
 layer's BSTC decode *and* its GEMM launch are paid once per step instead of
-once per session.  Session KV lives in a shared
-:class:`~repro.serve.kv_arena.PagedKVArena` by default, so each decode
-step's batched attention reads the paged pool through an incrementally
-maintained view (O(B) copy bytes per step) instead of re-stacking every
-session's full context.
+once per session.  Session KV lives in one shared
+:class:`~repro.serve.kv_arena.PagedKVArena`, so each decode step's batched
+attention reads the paged pool through an incrementally maintained view
+(O(B) copy bytes per step).
 
 The result of a run is a :class:`ServingReport` with per-request queueing
 delay, time-to-first-token, end-to-end latency, preemption and deadline-miss
@@ -91,9 +91,9 @@ __all__ = [
     "ServingEngine",
 ]
 
-#: What the engine-side containment catches around serial-path session calls:
-#: injected faults plus the real KV-integrity detector.  Anything else is a
-#: genuine bug and must crash loudly, never be quarantined into a retry.
+#: What the schedule-time arena probe quarantines: injected faults plus the
+#: real KV-integrity detector.  Anything else is a genuine bug and must crash
+#: loudly, never be quarantined into a retry.
 _FAULT_TYPES = (FaultError, KVCorruptionError)
 
 TokenCallback = Callable[["RequestHandle", int, int], None]
@@ -377,30 +377,27 @@ class ServingEngine:
     model:
         Shared inference substrate (``forward``/``new_cache``), typically a
         :class:`~repro.model.transformer.TransformerModel` or
-        :class:`~repro.model.transformer.QuantizedTransformer`.  The engine
-        picks its execution path from the model's capabilities: a model
-        exposing ``prefill_batch`` (the quantised transformer) runs every
-        step -- prompt chunks, decode rows, speculative verify chunks -- as
-        one batched pass; any other model runs the serial per-session path
-        (one-shot prefill at admission, one ``forward`` per decode token).
-        Tokens are identical either way.
+        :class:`~repro.model.transformer.QuantizedTransformer`.  Every step
+        -- prompt chunks, decode rows, speculative verify chunks -- goes
+        through :meth:`GenerationSession.prefill_step_batch`: one batched
+        pass for a model exposing ``prefill_batch`` (the quantised
+        transformer), one ``forward`` per stream for any other model, which
+        then prefills each prompt in one chunk.  Tokens are identical either
+        way.
     max_active:
         Maximum number of concurrently decoding sessions (batch slots).
     predictor:
         Optional BGPP/top-k key predictor shared by all sessions.
     arena:
-        KV storage policy.  ``None`` (the default) auto-enables a shared
-        :class:`~repro.serve.kv_arena.PagedKVArena` sized from
-        ``model.config`` whenever the model exposes ``prefill_batch`` and a
-        ``config`` -- every session's KV then lives in one paged pool,
-        finished sessions return their pages, and batched attention reads
-        the pool zero-copy instead of re-stacking per-session caches each
-        step.  The serial path cannot read the pool in place (it would pay a
-        full-context materialisation per step), so auto mode keeps
-        standalone caches there.  ``True`` forces the arena (models without
-        a ``config`` still fall back), ``False`` disables it, and passing a
-        :class:`PagedKVArena` instance uses it directly (sharing one pool
-        across several engines is allowed).
+        An optional :class:`~repro.serve.kv_arena.PagedKVArena` to share
+        (several engines may use one pool).  ``None`` (the default) builds
+        one sized from ``model.config`` if and only if the model exposes
+        ``prefill_batch`` and a ``config``: every session's KV then lives in
+        one paged pool, finished sessions return their pages, and batched
+        attention reads the pool through an incrementally maintained view.
+        Other models keep standalone per-session caches (a per-stream
+        ``forward`` would materialise the whole context from the pool every
+        step).
     page_size:
         Tokens per arena page when the engine builds the arena itself.
     max_pages:
@@ -408,11 +405,10 @@ class ServingEngine:
         geometric growth).  Set it when pairing the engine with
         :class:`~repro.serve.policies.ArenaBudgetAdmission`, whose watermark
         gate is relative to this bound -- with an unbounded arena the gate
-        has nothing to enforce and admits everything.  An explicit
-        ``max_pages`` on an engine that resolves to *no* arena raises
-        ``ValueError`` (the budget would be silently unenforced), as does
-        combining it with an externally built ``PagedKVArena`` instance
-        (whose own constructor owns the bound).
+        has nothing to enforce and admits everything.  Needs a self-built
+        arena: ``ValueError`` on an engine without one (the budget would be
+        silently unenforced) and beside a shared ``PagedKVArena`` (whose own
+        constructor owns the bound).
     prefix_cache:
         Share prompt KV across requests through the arena's content-keyed
         prefix index: completed prefills register their prompt pages, later
@@ -427,10 +423,8 @@ class ServingEngine:
         ``"int8"`` stores rows quantised with per-page per-layer scales
         (~8x smaller pool and snapshots) and dequantises on every read;
         ``None`` (the default) keeps full-precision rows, byte-identical
-        to an engine without the knob.  Requires the engine to resolve to
-        an arena, and conflicts with an externally built ``PagedKVArena``
-        (whose own constructor owns the dtype) -- ``ValueError`` either
-        way.
+        to an engine without the knob.  Needs a self-built arena, like
+        ``max_pages``.
     kv_snapshots:
         Preempt and (trusted-)retry arena-backed sessions by **snapshot**:
         the victim's KV pages are copied off-arena
@@ -457,10 +451,9 @@ class ServingEngine:
         :meth:`~repro.serve.kv_arena.PagedKVArena.truncate_session` rolls
         the rejected KV rows back, so the committed token stream is
         **bit-identical** to one-token decode for any drafter and any
-        ``k``.  Requires a model exposing ``prefill_batch`` and a KV
-        arena (``ValueError`` otherwise); ``None`` (the default) keeps
-        plain one-token decode, byte-identical to an engine without the
-        knob.
+        ``k``.  Requires a KV arena (``ValueError`` otherwise); ``None``
+        (the default) keeps plain one-token decode, byte-identical to an
+        engine without the knob.
     admission:
         :class:`~repro.serve.policies.AdmissionPolicy` ordering and gating
         the ready queue; defaults to FIFO.
@@ -474,7 +467,7 @@ class ServingEngine:
         per step via
         :meth:`~repro.serve.policies.AdmissionPolicy.prefill_token_budget`).
         ``None`` (the default) completes every admitted prompt in its
-        admission step, preserving the serial path's step-domain schedule
+        admission step, preserving one-shot prefill's step-domain schedule
         exactly while still batching the work into one pass.
     faults:
         Optional :class:`~repro.serve.faults.FaultPlan` (or a pre-built
@@ -536,82 +529,52 @@ class ServingEngine:
         self.max_active = max_active
         self.predictor = predictor
         self.prefill_token_budget = prefill_token_budget
-        # the batched pass when the model has one, else the serial path
+        # forward-only models prefill each prompt in one chunk
         self._batched = hasattr(model, "prefill_batch")
         self.admission = admission if admission is not None else FIFOAdmission()
         self.scheduling = scheduling if scheduling is not None else FCFSPolicy()
-        config = getattr(model, "config", None)
-        if arena is None:
-            arena = self._batched
-        if arena is True:
-            if config is None:
-                arena = None  # model shape unknown: standalone caches
-            else:
-                arena = PagedKVArena(
-                    n_layers=config.n_layers,
-                    hidden_size=config.hidden_size,
-                    page_size=page_size,
-                    initial_pages=(
-                        64 if max_pages is None else min(64, max_pages)
-                    ),
-                    max_pages=max_pages,
-                    kv_dtype=kv_dtype,
-                )
-        elif arena is False:
-            arena = None
-        elif isinstance(arena, PagedKVArena):
-            if max_pages is not None:
-                # the instance's own constructor set (or declined) the bound;
-                # accepting a second one here would silently shadow it
-                raise ValueError(
-                    "max_pages conflicts with an externally built arena: "
-                    "configure max_pages on the PagedKVArena instance instead"
-                )
-            if kv_dtype is not None:
-                raise ValueError(
-                    "kv_dtype conflicts with an externally built arena: "
-                    "configure kv_dtype on the PagedKVArena instance instead"
-                )
-        if arena is None and kv_dtype is not None:
-            raise ValueError(
-                "kv_dtype was given but the engine resolved to no KV arena "
-                "(arena=False, or the model lacks prefill_batch/config "
-                "support); the pool dtype would be silently unapplied -- "
-                "drop kv_dtype or run an arena-capable model"
-            )
-        if arena is None and kv_snapshots:
-            raise ValueError(
-                "kv_snapshots=True requires a KV arena; the engine resolved "
-                "to standalone caches (arena=False, or the model lacks "
-                "prefill_batch/config support)"
-            )
-        if arena is None and max_pages is not None:
-            raise ValueError(
-                "max_pages was given but the engine resolved to no KV arena "
-                "(arena=False, or the model lacks prefill_batch/config "
-                "support); the page budget would be silently unenforced -- "
-                "drop max_pages or run an arena-capable model"
-            )
-        if prefix_cache and arena is None:
-            raise ValueError(
-                "prefix_cache=True requires a KV arena; the engine resolved "
-                "to standalone caches (arena=False, or the model lacks "
-                "prefill_batch/config support)"
-            )
         self._speculative = resolve_speculation(speculative)
-        if self._speculative is not None and not self._batched:
-            raise ValueError(
-                "speculative decode verifies draft rows through the batched "
-                "prefill_batch pass, which this model lacks (it runs on the "
-                "serial per-session path) -- drop speculative or serve a "
-                "model exposing prefill_batch"
+        # the options that act on the engine's arena, as given
+        arena_options = [
+            name
+            for name, value in (
+                ("max_pages", max_pages),
+                ("kv_dtype", kv_dtype),
+                ("kv_snapshots", kv_snapshots or None),
+                ("prefix_cache", prefix_cache or None),
+                ("speculative", self._speculative),
             )
-        if self._speculative is not None and arena is None:
+            if value is not None
+        ]
+        config = getattr(model, "config", None)
+        if arena is not None:
+            if not isinstance(arena, PagedKVArena):
+                raise TypeError(
+                    f"arena must be a PagedKVArena to share or None, "
+                    f"got {type(arena).__name__}"
+                )
+            # the instance's own constructor set (or declined) these;
+            # accepting them here too would silently shadow it
+            shadowed = [n for n in arena_options if n in ("max_pages", "kv_dtype")]
+            if shadowed:
+                raise ValueError(
+                    f"{' and '.join(shadowed)} conflict with a shared arena: "
+                    f"configure them on the PagedKVArena instance instead"
+                )
+        elif self._batched and config is not None:
+            arena = PagedKVArena(
+                n_layers=config.n_layers,
+                hidden_size=config.hidden_size,
+                page_size=page_size,
+                initial_pages=64 if max_pages is None else min(64, max_pages),
+                max_pages=max_pages,
+                kv_dtype=kv_dtype,
+            )
+        elif arena_options:
             raise ValueError(
-                "speculative decode requires a KV arena (rejected draft "
-                "rows are rolled back via truncate_session); the engine "
-                "resolved to standalone caches (arena=False, or the model "
-                "lacks prefill_batch/config support)"
+                f"{', '.join(arena_options)} need a KV arena, and the engine "
+                f"has none: the model lacks prefill_batch or a config and no "
+                f"PagedKVArena was shared"
             )
         if self._speculative is not None:
             self._drafter = self._speculative.drafter or NGramDrafter()
@@ -1221,128 +1184,89 @@ class ServingEngine:
 
         self._max_concurrency = max(self._max_concurrency, len(self._active))
 
-        prefill_rows = 0
+        # admissions enter the chunked pipeline; older PREFILLING sessions
+        # come first so the queue head always finishes first
+        for handle in admitted:
+            session = handle.session
+            if session.state is not SessionState.PREEMPTED:
+                session.begin_admit(step)
+            elif not session.has_snapshot:
+                session.begin_resume(step)
+            # page restore, zero re-prefill passes: an ACTIVE session rejoins
+            # the decode batch this very step, a mid-prefill one rejoins the
+            # chunk scan below with its progress intact
+            elif session.resume_from_snapshot(step) is SessionState.ACTIVE:
+                decoding.append(handle)
+        prefilling = [
+            h for h in self._active if h.session.state is SessionState.PREFILLING
+        ]
+        # schedule-time arena probe: every session about to append KV rows
+        # this step (prefill chunks and decode rows alike) is tested before
+        # the fused forward; faulted ones never enter it
+        if self._faults is not None and self.arena is not None:
+            prefilling = self._check_arena_faults(prefilling, step)
+            decoding = self._check_arena_faults(decoding, step)
+        # spend the step's prefill-row budget in admission order: the head
+        # always progresses (its chunk is clamped to >= 1 row even under a
+        # zero-returning policy override, so the engine cannot livelock),
+        # long prompts split across steps, later sessions may wait a step
+        # entirely.  A forward-only model takes whole prompts
+        budget = None
         if self._batched:
-            # admissions enter the chunked pipeline; older PREFILLING
-            # sessions come first so the queue head always finishes first
-            for handle in admitted:
-                session = handle.session
-                if session.state is SessionState.PREEMPTED:
-                    if session.has_snapshot:
-                        # page restore, zero re-prefill passes: an ACTIVE
-                        # session rejoins the decode batch this very step, a
-                        # mid-prefill one rejoins the chunk scan below with
-                        # its progress intact
-                        if session.resume_from_snapshot(step) is (
-                            SessionState.ACTIVE
-                        ):
-                            decoding.append(handle)
-                    else:
-                        session.begin_resume(step)
-                else:
-                    session.begin_admit(step)
-            prefilling = [
-                h for h in self._active
-                if h.session.state is SessionState.PREFILLING
-            ]
-            # schedule-time arena probe: every session about to append KV
-            # rows this step (prefill chunks and decode rows alike) is
-            # tested before the fused forward; faulted ones never enter it
-            if self._faults is not None and self.arena is not None:
-                prefilling = self._check_arena_faults(prefilling, step)
-                decoding = self._check_arena_faults(decoding, step)
-            # spend the step's prefill-row budget in admission order: the
-            # head always progresses (its chunk is clamped to >= 1 row even
-            # under a zero-returning policy override, so the engine cannot
-            # livelock), long prompts split across steps, later sessions may
-            # wait a step entirely
             budget = self.admission.prefill_token_budget(self)
             if self.watchdog is not None:
                 budget = self.watchdog.throttle(budget)
-            chunked: List[RequestHandle] = []
-            chunk_sizes: List[int] = []
-            for handle in prefilling:
-                remaining = handle.session.decoder.prefill_remaining
-                if budget is None:
-                    take = remaining
-                else:
-                    cap = budget if chunked else max(budget, 1)
-                    take = min(remaining, cap)
-                if take <= 0:
-                    continue
-                chunked.append(handle)
-                chunk_sizes.append(take)
-                if budget is not None:
-                    budget -= take
-            prefill_rows = sum(chunk_sizes)
-            draft_lists: Optional[List[List[int]]] = None
-            if self._speculative is not None and decoding:
-                draft_lists = self._build_drafts(decoding)
-                if not any(draft_lists):
-                    # nothing proposed anywhere: plain one-token decode --
-                    # identical rows, no verify overhead
-                    draft_lists = None
-            if chunked or decoding:
-                # one pass for the whole step; decode rows are one-row chunks
-                emitted.update(
-                    GenerationSession.prefill_step_batch(
-                        [h.session for h in chunked],
-                        chunk_sizes,
-                        [h.session for h in decoding],
-                        step,
-                        draft_tokens=draft_lists,
-                    )
+        chunked: List[RequestHandle] = []
+        chunk_sizes: List[int] = []
+        for handle in prefilling:
+            remaining = handle.session.decoder.prefill_remaining
+            if budget is None:
+                take = remaining
+            else:
+                cap = budget if chunked else max(budget, 1)
+                take = min(remaining, cap)
+            if take <= 0:
+                continue
+            chunked.append(handle)
+            chunk_sizes.append(take)
+            if budget is not None:
+                budget -= take
+        prefill_rows = sum(chunk_sizes)
+        draft_lists: Optional[List[List[int]]] = None
+        if self._speculative is not None and decoding:
+            draft_lists = self._build_drafts(decoding)
+            if not any(draft_lists):
+                # nothing proposed anywhere: plain one-token decode --
+                # identical rows, no verify overhead
+                draft_lists = None
+        if chunked or decoding:
+            # one pass for the whole step; decode rows are one-row chunks
+            emitted.update(
+                GenerationSession.prefill_step_batch(
+                    [h.session for h in chunked],
+                    chunk_sizes,
+                    [h.session for h in decoding],
+                    step,
+                    draft_tokens=draft_lists,
                 )
-            # fold this step's accept outcomes into the per-session
-            # throttles (quarantined commits left no outcome: a faulted
-            # step must not skew the acceptance window)
-            spec_proposed = spec_accepted = 0
-            if self._speculative is not None:
-                for handle in decoding:
-                    outcome = handle.session.last_spec_outcome
-                    if outcome is None:
-                        continue
-                    handle.session.last_spec_outcome = None
-                    proposed, accepted = outcome
-                    spec_proposed += proposed
-                    spec_accepted += accepted
-                    throttle = self._spec_state.get(handle.request_id)
-                    if throttle is not None:
-                        throttle.observe(proposed, accepted)
-            recipients = chunked + decoding
-        else:
-            if self._faults is not None and self.arena is not None:
-                admitted = self._check_arena_faults(admitted, step)
-                decoding = self._check_arena_faults(decoding, step)
-            for handle in admitted:
-                session = handle.session
-                try:
-                    if session.state is SessionState.PREEMPTED:
-                        if session.has_snapshot:
-                            # restore emits no token (pure page traffic);
-                            # the decode pass below produces this step's
-                            # token, matching the step-domain schedule of
-                            # the serial resume() it replaces
-                            session.resume_from_snapshot(step)
-                            decoding.append(handle)
-                            continue
-                        token = session.resume(step)
-                    else:
-                        token = session.admit(step)
-                except _FAULT_TYPES as exc:
-                    self._quarantine(handle, exc, step)
-                    continue
-                emitted[handle.request_id] = token
+            )
+        # fold this step's accept outcomes into the per-session throttles
+        # (quarantined commits left no outcome: a faulted step must not skew
+        # the acceptance window)
+        spec_proposed = spec_accepted = 0
+        if self._speculative is not None:
             for handle in decoding:
-                try:
-                    emitted[handle.request_id] = handle.session.decode_step(step)
-                except _FAULT_TYPES as exc:
-                    self._quarantine(handle, exc, step)
-            admitted_ids = set(map(id, admitted))
-            recipients = admitted + [
-                h for h in decoding if id(h) not in admitted_ids
-            ]
-
+                outcome = handle.session.last_spec_outcome
+                if outcome is None:
+                    continue
+                handle.session.last_spec_outcome = None
+                proposed, accepted = outcome
+                spec_proposed += proposed
+                spec_accepted += accepted
+                throttle = self._spec_state.get(handle.request_id)
+                if throttle is not None:
+                    throttle.observe(proposed, accepted)
+        recipients = chunked + decoding
         # commit-time faults the batch loops quarantined per-session: route
         # each to retry-with-backoff or FAILED before callbacks/retirement,
         # so the surviving rows' commits stand and the step stays atomic

@@ -33,13 +33,14 @@ Admission enters the **chunked prefill pipeline**: a ``PREFILLING`` session
 feeds its prompt to the model in ragged chunks (batched with every other
 prefilling and decoding session, one fused pass per engine step) and emits
 its first token the step the last chunk lands; decoding sessions ride the
-same pass as one-row chunks.  ``admit()``/``resume()``/``decode_step()``
-remain as the one-shot serial path for models without ``prefill_batch``.
+same pass as one-row chunks.  Models without ``prefill_batch`` ride the
+same step body: their decoders run one ``forward`` per stream, and the
+engine hands each admission its whole prompt as one chunk.
 
 Preemption is the mechanism behind priority/deadline scheduling policies: a
 preempted session -- mid-decode *or* mid-prefill -- *releases its KV
 storage* (arena pages return to the shared pool immediately) and snapshots
-only its generated tokens; :meth:`begin_resume` / :meth:`resume` re-prefill
+only its generated tokens; :meth:`begin_resume` re-prefills
 ``prompt + generated`` through a fresh decoder (through the same chunked
 batched pipeline as admissions), so the emitted token stream is identical to
 an unpreempted run while the KV budget of the victim is available to more
@@ -267,8 +268,8 @@ class GenerationSession:
     token out of one decode step, and no trailing forward pass runs once the
     decode budget (or EOS) is reached.  A request served through a session
     therefore produces bit-identical tokens to a solo ``generate()`` call --
-    including across :meth:`preempt`/:meth:`resume` cycles, whose re-prefill
-    recomputes exactly the prefix an unpreempted run would hold.
+    including across :meth:`preempt`/:meth:`begin_resume` cycles, whose
+    re-prefill recomputes exactly the prefix an unpreempted run would hold.
     """
 
     def __init__(
@@ -302,9 +303,8 @@ class GenerationSession:
         self.fault_injector = None
         self.last_fault: Optional[Exception] = None
         self.failure: Optional[dict] = None
-        self._pending_token: Optional[int] = None
         # traffic counters of decoders retired by preemption (the re-prefill
-        # work of resume() is real served traffic and must stay visible)
+        # work of begin_resume() is real served traffic and must stay visible)
         self._keys_attended_base = 0
         self._keys_total_base = 0
         # snapshot preemption: the off-arena KVSnapshot of a snapshot-preempted
@@ -320,23 +320,14 @@ class GenerationSession:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def admit(self, step: int) -> int:
-        """Prefill the prompt in one serial pass and emit the first token."""
-        if self.state is not SessionState.QUEUED:
-            raise RuntimeError(f"session {self.request.request_id!r} already admitted")
-        self.state = SessionState.ACTIVE
-        self.admitted_step = step
-        self._pending_token = self.decoder.prefill(self.request.prompt_tokens)
-        return self._commit(step)
-
     def begin_admit(self, step: int) -> None:
-        """Enter the chunked prefill pipeline instead of serial prefill.
+        """Enter the chunked prefill pipeline.
 
         The session moves to ``PREFILLING`` and holds a batch slot, but no
         forward pass runs yet: the engine feeds its prompt through
         :meth:`prefill_step_batch` in ragged chunks (sharing every step's
         fused pass with the decoding sessions) and the first token is emitted
-        the step the final chunk lands -- bit-identical to :meth:`admit`.
+        the step the final chunk lands.
         """
         if self.state is not SessionState.QUEUED:
             raise RuntimeError(f"session {self.request.request_id!r} already admitted")
@@ -405,11 +396,11 @@ class GenerationSession:
     def _abandon_snapshot(self) -> None:
         """Fall back to re-prefill: drop the snapshot *and* the kept decoder.
 
-        Defensive twin of :meth:`_discard_snapshot` for the legacy resume
-        paths -- folding the kept decoder's traffic into the preemption bases
-        and releasing its (empty) arena session before a fresh decoder
-        replaces it, so arena books stay balanced even if a caller routes a
-        snapshot-preempted session through ``begin_resume``/``resume``.
+        Defensive twin of :meth:`_discard_snapshot` for :meth:`begin_resume`
+        -- folding the kept decoder's traffic into the preemption bases and
+        releasing its (empty) arena session before a fresh decoder replaces
+        it, so arena books stay balanced even if a caller re-prefills a
+        snapshot-preempted session instead of restoring it.
         """
         if self.kv_snapshot is None:
             return
@@ -428,10 +419,9 @@ class GenerationSession:
         state it was evicted from -- ``ACTIVE`` sessions rejoin the decode
         batch this very step, ``PREFILLING`` sessions rejoin the chunked
         pipeline with their progress intact.  Returns the re-entered state
-        so the engine can route the session.  Unlike :meth:`resume` no
-        token is emitted here: restoring is pure page traffic, and the next
-        fused pass produces the same token the uninterrupted schedule would
-        have.
+        so the engine can route the session.  No token is emitted here:
+        restoring is pure page traffic, and the next fused pass produces the
+        same token the uninterrupted schedule would have.
         """
         if self.state is not SessionState.PREEMPTED or self.kv_snapshot is None:
             raise RuntimeError(
@@ -443,24 +433,15 @@ class GenerationSession:
         self.state, self._resume_state = self._resume_state, None
         return self.state
 
-    def decode_step(self, step: int) -> int:
-        """Emit one more token (running a decode forward pass when needed)."""
-        if self.state is not SessionState.ACTIVE:
-            raise RuntimeError(
-                f"session {self.request.request_id!r} is not active ({self.state.value})"
-            )
-        self._pending_token = self.decoder.step(self.generated_tokens[-1])
-        return self._commit(step)
-
     def preempt(self, step: int, snapshot: bool = False) -> None:
         """Evict the session: release its KV storage, keep only the tokens.
 
         The arena pages (or standalone buffers) return to the pool right away;
-        the generated-token snapshot is all :meth:`resume` /
-        :meth:`begin_resume` needs to rebuild the stream.  Active *and
-        mid-prefill* sessions can be preempted -- a prefilling victim's
-        partial chunks are discarded with its pages (the KV rows *are* the
-        progress) and the resume re-prefills from scratch.
+        the generated-token snapshot is all :meth:`begin_resume` needs to
+        rebuild the stream.  Active *and mid-prefill* sessions can be
+        preempted -- a prefilling victim's partial chunks are discarded with
+        its pages (the KV rows *are* the progress) and the resume re-prefills
+        from scratch.
 
         With ``snapshot=True`` an arena-backed session instead copies its KV
         rows off-arena (:meth:`~repro.serve.kv_arena.PagedKVArena.\
@@ -491,9 +472,9 @@ snapshot_session`) and keeps its decoder, so
         The fault-recovery twin of :meth:`preempt` -- the faulted decoder's
         KV is untrusted (or was never allocated), so it is discarded
         wholesale and the session re-enters ``PREEMPTED``; the engine
-        requeues it with backoff and the eventual :meth:`begin_resume` /
-        :meth:`resume` re-prefills ``prompt + generated``, which is why a
-        retried request's token stream is bit-identical to a fault-free run.
+        requeues it with backoff and the eventual :meth:`begin_resume`
+        re-prefills ``prompt + generated``, which is why a retried request's
+        token stream is bit-identical to a fault-free run.
         Counted in :attr:`retries` (not ``preemptions``: one is a policy
         decision, the other a failure).  Unlike preemption this is also
         legal from ``QUEUED`` and ``PREEMPTED`` -- a schedule-time arena
@@ -566,31 +547,6 @@ snapshot_session`) and keeps its decoder, so
         self.state = state
         self.finished_step = step
 
-    def resume(self, step: int) -> int:
-        """Re-admit a preempted session; emits its next token.
-
-        A fresh decoder prefills ``prompt + generated`` in one pass -- the
-        same prefix an unpreempted run would hold in its KV cache -- so the
-        token emitted here (and every one after it) is identical to what the
-        uninterrupted stream would have produced.
-        """
-        if self.state is not SessionState.PREEMPTED:
-            raise RuntimeError(
-                f"cannot resume session {self.request.request_id!r} "
-                f"({self.state.value})"
-            )
-        self._abandon_snapshot()
-        self.state = SessionState.ACTIVE
-        self.decoder = IncrementalDecoder(
-            self.model,
-            predictor=self.predictor,
-            arena=self.arena,
-            prefix_cache=self.prefix_cache,
-        )
-        replay = [int(t) for t in self.request.prompt_tokens] + self.generated_tokens
-        self._pending_token = self.decoder.prefill(replay)
-        return self._commit(step)
-
     def cancel(self, step: Optional[int] = None) -> None:
         """Abort the request and free its KV storage (terminal).
 
@@ -627,11 +583,10 @@ snapshot_session`) and keeps its decoder, so
         ``chunk_sizes[i]`` prompt rows and ``decoding[j]`` (``ACTIVE``) by
         one token, all through a single
         :meth:`~repro.model.generation.IncrementalDecoder.prefill_step_batch`
-        fused forward.  Sessions whose final chunk landed move to ``ACTIVE``
-        and commit their first token exactly as :meth:`admit` would; decode
-        commits match :meth:`decode_step`.  Returns ``{request_id: token}``
-        for every token emitted this step (mid-prefill sessions emit
-        nothing).
+        forward.  Sessions whose final chunk landed move to ``ACTIVE`` and
+        commit their first token; decoding sessions commit their next one.
+        Returns ``{request_id: token}`` for every token emitted this step
+        (mid-prefill sessions emit nothing).
 
         ``draft_tokens`` (one proposal list per decoding session, empty
         lists allowed) switches the decode rows to speculative draft-verify
@@ -666,12 +621,10 @@ snapshot_session`) and keeps its decoder, so
             if token is None:
                 continue  # chunks remain; the session keeps its slot
             session.state = SessionState.ACTIVE
-            session._pending_token = token
-            emitted.update(session._commit_contained(step))
+            emitted.update(session._commit_contained(token, step))
         for j, (session, token) in enumerate(zip(decoding, decode_tokens)):
             if draft_tokens is None:
-                session._pending_token = token
-                emitted.update(session._commit_contained(step))
+                emitted.update(session._commit_contained(token, step))
             else:
                 emitted.update(
                     session._commit_spec_contained(
@@ -687,7 +640,7 @@ snapshot_session`) and keeps its decoder, so
         """One token from every active session: :meth:`prefill_step_batch`."""
         return GenerationSession.prefill_step_batch([], [], sessions, step)
 
-    def _commit_contained(self, step: int) -> Dict[str, int]:
+    def _commit_contained(self, token: int, step: int) -> Dict[str, int]:
         """Commit with per-session fault isolation for the batch loops.
 
         A fault raised by this session's commit (injected or the real KV
@@ -699,7 +652,7 @@ snapshot_session`) and keeps its decoder, so
         faulted step's output is untrusted).
         """
         try:
-            return {self.request.request_id: self._commit(step)}
+            return {self.request.request_id: self._commit(token, step)}
         except _FAULT_TYPES as exc:
             self.last_fault = exc
             return {}
@@ -812,10 +765,10 @@ snapshot_session`) and keeps its decoder, so
         garbage = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
         caches[0].append(garbage, garbage)
 
-    def _commit(self, step: int) -> int:
+    def _commit(self, token: int, step: int) -> int:
         if self.fault_injector is not None:
             self._inject_and_verify(step)
-        token = int(self._pending_token)
+        token = int(token)
         self.generated_tokens.append(token)
         if self.first_token_step is None:
             self.first_token_step = step

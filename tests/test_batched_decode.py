@@ -9,10 +9,11 @@ Pins every new batched fast path bit-exact against its sequential reference:
   and the attention modules that consume them -- including one call per
   layer for all decode rows of a step, over per-stream ``(B, L, d)`` keys;
 * decode-only ``IncrementalDecoder.prefill_step_batch`` steps (one-row
-  chunks through ``QuantizedTransformer.prefill_batch``) vs stepping each
-  stream alone (tokens, logits and per-stream statistics);
-* the batched serving engine vs the serial per-session path (the same model
-  behind :class:`SerialOnly`) over random traffic (ragged context lengths,
+  chunks through ``QuantizedTransformer.prefill_batch`` over arena-backed
+  caches) vs stepping each stream alone on standalone caches (tokens,
+  logits and per-stream statistics);
+* the batched serving engine vs the same model behind :class:`SerialOnly`
+  (one ``forward`` per stream) over random traffic (ragged context lengths,
   sessions finishing mid-run, B = 1 and all-finished steps);
 * ``MCBPEngine.matmul`` vs the bit-serial ``gemm`` path and its counters;
 * ``ServingReport`` JSON round-tripping (the schema shared between the
@@ -43,15 +44,7 @@ from repro.model.generation import IncrementalDecoder
 from repro.serve import PagedKVArena, Request, ServingEngine, ServingReport
 from repro.serve.session import GenerationSession
 from repro.workloads import sample_requests
-
-
-class SerialOnly:
-    """``model`` without ``prefill_batch``: the engine serves it serially."""
-
-    def __init__(self, model):
-        self.forward = model.forward
-        self.new_cache = model.new_cache
-        self.config = model.config
+from doubles import SerialOnly, StubModel
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +259,8 @@ class TestDecodeRowsOneSelectionCall:
 
         predictor.select_ragged = select_ragged
         prompts = [[1, 2, 3], [4, 5, 6, 7, 8], [9, 10], [11, 12, 13, 14]]
-        caches = [model.new_cache() for _ in prompts]
+        arena = _arena(model)
+        caches = [model.new_cache(arena=arena) for _ in prompts]
         model.prefill_batch(prompts, caches, predictor)
         row_calls.clear()
         ragged_shapes.clear()
@@ -306,6 +300,12 @@ class TestKVCache:
         assert np.array_equal(cache.keys, np.ones((2, 4)))
 
 
+def _arena(model, layers=None):
+    config = model.config
+    n_layers = config.n_layers if layers is None else layers
+    return PagedKVArena(n_layers, config.hidden_size, page_size=4)
+
+
 def _decode_step(decoders, tokens):
     """One decode-only batched step: every stream a one-row chunk."""
     return IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)[1]
@@ -324,10 +324,13 @@ class TestStepBatch:
             for _ in range(n_streams)
         ]
 
+        # the batched pass reads KV through one shared arena; the
+        # sequential oracle keeps standalone caches
+        arena = _arena(tiny_quantized)
         fused_decoders, fused_tokens = [], []
         seq_decoders, seq_tokens = [], []
         for prompt in prompts:
-            d = IncrementalDecoder(tiny_quantized)
+            d = IncrementalDecoder(tiny_quantized, arena=arena)
             fused_tokens.append(d.prefill(prompt))
             fused_decoders.append(d)
             d = IncrementalDecoder(tiny_quantized)
@@ -364,7 +367,8 @@ class TestStepBatch:
         hidden = model.config.hidden_size
 
         def prefilled():
-            caches = [model.new_cache() for _ in range(3)]
+            arena = _arena(model)
+            caches = [model.new_cache(arena=arena) for _ in range(3)]
             for prompt, cache in zip([[1, 2, 3], [4], [5, 6, 7, 8, 9]], caches):
                 model.forward(prompt, caches=cache)
             return caches
@@ -376,10 +380,12 @@ class TestStepBatch:
 
         def attend(via_delegate):
             rng = np.random.default_rng(0)
-            caches = [
-                KVCache(rng.normal(size=(n, hidden)), rng.normal(size=(n, hidden)))
-                for n in (4, 7)
-            ]
+            arena = _arena(model, layers=1)
+            caches = []
+            for n in (4, 7):
+                cache = arena.new_session_caches()[0]
+                cache.append(rng.normal(size=(n, hidden)), rng.normal(size=(n, hidden)))
+                caches.append(cache)
             q, k, v = (rng.normal(size=(2, hidden)) for _ in range(3))
             attn = model.model.layers[0].attention
             if via_delegate:
@@ -392,28 +398,13 @@ class TestStepBatch:
         assert np.array_equal(fast.keys_total, slow.keys_total)
 
     def test_falls_back_without_forward_batch(self):
-        """A model without a batched pass is served by the serial path."""
-
-        class MinimalModel:
-            """forward/new_cache only -- no batched entry point."""
-
-            vocab = 16
-
-            def new_cache(self):
-                return []
-
-            def forward(self, token_ids, caches=None, predictor=None):
-                from repro.model.transformer import ForwardStats
-
-                logits = np.zeros((len(token_ids), self.vocab))
-                logits[-1, (int(token_ids[-1]) + 1) % self.vocab] = 1.0
-                return logits, ForwardStats(tokens_processed=len(token_ids))
-
-        model = MinimalModel()
+        """Decoders of a forward-only model step through the fallback."""
+        model = StubModel()
         decoders = [IncrementalDecoder(model) for _ in range(2)]
         tokens = [d.prefill([start]) for d, start in zip(decoders, (3, 7))]
-        with pytest.raises(RuntimeError, match="prefill_batch"):
-            _decode_step(decoders, tokens)
+        calls = model.forward_calls
+        assert _decode_step(decoders, tokens) == [5, 9]
+        assert model.forward_calls == calls + 2  # one forward per stream
         engine = ServingEngine(model, max_active=2)
         handles = [
             engine.submit(Request(f"r{start}", prompt_tokens=[start], max_new_tokens=3))

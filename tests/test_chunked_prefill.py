@@ -9,13 +9,14 @@ tests pin its core contract three ways:
   chunkings (including mixed decode+prefill batches) reproduces the one-shot
   serial forward bit-exactly: logits, KV rows and per-stream statistics;
 * **engine layer** -- a ``ServingEngine`` under any ``prefill_token_budget``
-  emits the same tokens as the serial engine (the same model behind
-  :class:`SerialOnly`) and as solo ``generate()`` runs, with TTFT split into
-  its queue/prefill components;
+  emits the same tokens as the engine serving the forward-only
+  :class:`SerialOnly` (whole-prompt chunks, one ``forward`` per stream) and
+  as solo ``generate()`` runs, with TTFT split into its queue/prefill
+  components;
 * **grouped decode rows** -- the batched pass is the engine's only decode
   path, so mixed batches of ragged one-row decode streams, prompt chunks and
   speculative verify chunks are fuzzed row by row against the serial
-  forward (predictor on/off, arena vs standalone caches, int8 KV);
+  forward (predictor on/off, fp and int8 arena pages);
 * **edge cases** -- prompt shorter than one chunk, prompt exactly a page
   multiple, cancel mid-prefill, preempt-then-resume mid-prefill; all fuzzed
   under the deterministic hypothesis profile the scheduler suite uses.
@@ -43,17 +44,9 @@ from repro.serve import (
     SessionState,
     make_policies,
 )
+from doubles import SerialOnly
 
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
-
-
-class SerialOnly:
-    """``model`` without ``prefill_batch``: the engine serves it serially."""
-
-    def __init__(self, model):
-        self.forward = model.forward
-        self.new_cache = model.new_cache
-        self.config = model.config
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +62,21 @@ def _serial_reference(model, prompt, predictor=None):
     return token, decoder
 
 
+def _arena(model, **kwargs):
+    config = model.config
+    return PagedKVArena(config.n_layers, config.hidden_size, page_size=4, **kwargs)
+
+
 def _chunked_prefill(model, prompts, chunk_schedule, predictor=None, arena=None):
     """Drive B decoders through prefill_step_batch with per-step chunk sizes.
 
     ``chunk_schedule(b, remaining)`` returns the chunk size decoder ``b``
-    gets while it still owes ``remaining`` tokens.
+    gets while it still owes ``remaining`` tokens.  The decoders share
+    ``arena`` (a fresh one by default): the batched pass reads KV only
+    through one shared arena.
     """
+    if arena is None:
+        arena = _arena(model)
     decoders = [
         IncrementalDecoder(model, predictor=predictor, arena=arena)
         for _ in prompts
@@ -163,9 +165,10 @@ class TestModelLayerBitIdentity:
             ref_tokens.append(ref_a.step(ref_tokens[-1]))
         ref_b_token, ref_b = _serial_reference(model, prompt_b)
 
-        dec_a = IncrementalDecoder(model)
+        arena = _arena(model)
+        dec_a = IncrementalDecoder(model, arena=arena)
         mixed_tokens = [dec_a.prefill(prompt_a)]
-        dec_b = IncrementalDecoder(model)
+        dec_b = IncrementalDecoder(model, arena=arena)
         dec_b.begin_prefill(prompt_b)
         token_b = None
         while dec_b.prefill_remaining:
@@ -187,12 +190,10 @@ class TestModelLayerBitIdentity:
     def test_arena_backed_chunking_matches_standalone(self, model):
         rng = np.random.default_rng(3)
         vocab = model.config.vocab_size
-        config = model.config
-        arena = PagedKVArena(config.n_layers, config.hidden_size, page_size=4)
+        arena = _arena(model)
         prompts = [rng.integers(0, vocab, size=n).tolist() for n in (5, 9, 3)]
-        ref_tokens, _ = _chunked_prefill(
-            model, prompts, lambda b, rem: min(4, rem)
-        )
+        # standalone caches take the one-shot serial prefill
+        ref_tokens = [_serial_reference(model, p)[0] for p in prompts]
         tokens, decoders = _chunked_prefill(
             model, prompts, lambda b, rem: min(4, rem), arena=arena
         )
@@ -215,6 +216,13 @@ class TestModelLayerBitIdentity:
         with pytest.raises(ValueError):
             IncrementalDecoder.prefill_step_batch([decoder], [9])  # > remaining
         assert decoder.prefill_remaining == 3
+        # a forward-only model prefills whole prompts: a partial chunk would
+        # narrow its softmax below the one-shot width
+        forward_only = IncrementalDecoder(SerialOnly(model))
+        forward_only.begin_prefill([1, 2, 3])
+        with pytest.raises(ValueError, match="whole prompts"):
+            IncrementalDecoder.prefill_step_batch([forward_only], [2])
+        assert forward_only.prefill_remaining == 3
 
     def test_prompt_shorter_than_one_chunk(self, model):
         """A one-token prompt completes in its first (partial) chunk."""
@@ -267,12 +275,10 @@ class TestGroupedDecodeRows:
         predictor = (
             make_bgpp_predictor(alpha=0.7, rounds=3) if rng.random() < 0.5 else None
         )
-        storage = ("standalone", "fp", "int8")[int(rng.integers(0, 3))]
-        arena = None
-        if storage != "standalone":
-            arena = PagedKVArena(
-                config.n_layers, config.hidden_size, page_size=4, kv_dtype=storage
-            )
+        storage = ("fp", "int8")[int(rng.integers(0, 2))]
+        arena = PagedKVArena(
+            config.n_layers, config.hidden_size, page_size=4, kv_dtype=storage
+        )
 
         def caches():
             return model.new_cache(arena=arena)
@@ -331,10 +337,9 @@ class TestGroupedDecodeRows:
             assert np.array_equal(stats[b].row_keys_total, ref_total)
             assert stats[b].keys_attended == int(ref_attended.sum())
             assert stats[b].keys_total == int(ref_total.sum())
-        if arena is not None:
-            for cache in stream_caches:
-                cache[0].release()
-            assert arena.stats.sessions_opened == arena.stats.sessions_freed + len(refs)
+        for cache in stream_caches:
+            cache[0].release()
+        assert arena.stats.sessions_opened == arena.stats.sessions_freed + len(refs)
 
     @FUZZ
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -352,13 +357,11 @@ class TestGroupedDecodeRows:
         predictor = (
             make_bgpp_predictor(alpha=0.7, rounds=3) if rng.random() < 0.5 else None
         )
-        storage = ("standalone", "fp", "int8")[int(rng.integers(0, 3))]
-        arena = None
-        if storage != "standalone":
-            arena = PagedKVArena(1, hidden, page_size=4, kv_dtype=storage)
+        storage = ("fp", "int8")[int(rng.integers(0, 2))]
+        arena = PagedKVArena(1, hidden, page_size=4, kv_dtype=storage)
 
         def cache(keys, values):
-            c = KVCache() if arena is None else arena.new_session_caches()[0]
+            c = arena.new_session_caches()[0]
             c.append(keys, values)
             return c
 
@@ -404,9 +407,7 @@ class TestGroupedDecodeRows:
         predictor = (
             make_bgpp_predictor(alpha=0.7, rounds=3) if rng.random() < 0.5 else None
         )
-        arena = None
-        if rng.random() < 0.5:
-            arena = PagedKVArena(1, hidden, page_size=4)
+        arena = PagedKVArena(1, hidden, page_size=4)
         n_streams = int(rng.integers(1, 7))
         histories = [
             rng.normal(size=(2, int(rng.integers(1, 41)), hidden))
@@ -420,7 +421,7 @@ class TestGroupedDecodeRows:
         )
         caches = []
         for keys, values in histories:
-            cache = KVCache() if arena is None else arena.new_session_caches()[0]
+            cache = arena.new_session_caches()[0]
             cache.append(keys, values)
             caches.append(cache)
         batched = attn.prefill_batch(

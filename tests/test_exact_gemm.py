@@ -18,6 +18,7 @@ from repro.core.bstc import BSTCCodec
 from repro.core.engine import MCBPEngine, exact_product_dtype
 from repro.model import QuantizedTransformer, TransformerModel, get_model_config
 from repro.quant.calibration import calibrate_linear
+from repro.serve import PagedKVArena
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -253,7 +254,8 @@ def test_quantized_model_runs_one_qkv_gemm_per_layer(small_models):
     try:
         engine.reset_stats()
         chunks = [[1, 2, 3, 4], [5], [6, 7]]
-        quant.prefill_batch(chunks, [quant.new_cache() for _ in chunks])
+        arena = PagedKVArena(n_layers, model.config.hidden_size, page_size=4)
+        quant.prefill_batch(chunks, [quant.new_cache(arena=arena) for _ in chunks])
         # four GEMMs per layer (wqkv, wo, ffn_up, ffn_down) plus the LM head
         assert engine.stats.gemm_calls == 4 * n_layers + 1 == 17
         assert engine.stats.dense_macs == sum(

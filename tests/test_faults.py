@@ -35,26 +35,7 @@ from repro.serve import (
 )
 from repro.serve.session import GenerationSession
 from repro.workloads import sample_requests
-
-
-class StubModel:
-    """Deterministic O(1) stand-in: next token = last + 1 (mod vocab)."""
-
-    def __init__(self, vocab: int = 16):
-        self.vocab = vocab
-        self.forward_calls = 0
-
-    def new_cache(self):
-        return []
-
-    def forward(self, token_ids, caches=None, predictor=None):
-        from repro.model.transformer import ForwardStats
-
-        self.forward_calls += 1
-        logits = np.zeros((len(token_ids), self.vocab))
-        logits[-1, (int(token_ids[-1]) + 1) % self.vocab] = 1.0
-        n = len(token_ids)
-        return logits, ForwardStats(keys_attended=n, keys_total=n, tokens_processed=n)
+from doubles import SerialOnly, StubModel, admit
 
 
 @pytest.fixture(scope="module")
@@ -258,8 +239,11 @@ class TestRetryAndIsolation:
         assert handle.generated_tokens == reference
 
     def test_verify_kv_rows_raises_on_mismatch(self, model):
-        session = GenerationSession(Request("r", [1, 2], max_new_tokens=4), model)
-        session.admit(step=0)  # caches hold exactly the 2 prompt rows
+        # forward-only: standalone caches, no arena
+        session = GenerationSession(
+            Request("r", [1, 2], max_new_tokens=4), SerialOnly(model)
+        )
+        admit(session, 0)  # caches hold exactly the 2 prompt rows
         session.decoder.verify_kv_rows(2)  # clean cache passes
         session._corrupt_kv_append()  # garbage row lands in layer 0
         with pytest.raises(KVCorruptionError, match="layer 0 holds 3"):

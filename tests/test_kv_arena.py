@@ -2,8 +2,8 @@
 
 Random page sizes, session lifetimes and append patterns are replayed in
 parallel against plain reference rows and standalone
-:class:`~repro.model.attention.KVCache` buffers (the storage of record for
-the stacking path).  Invariants pinned here:
+:class:`~repro.model.attention.KVCache` buffers (the storage of a per-stream
+``forward``).  Invariants pinned here:
 
 * ``gather_batch`` output equals the appended rows and the single-stream
   ``session_keys``/``session_values`` views exactly (bit-for-bit), in fp and
@@ -12,6 +12,8 @@ the stacking path).  Invariants pinned here:
   refresh right after a rewind;
 * a rollback over a stable batch rewinds the batch view instead of
   rebuilding it;
+* a pure-decode step of the quantised model copies the same KV bytes at
+  any context length: one new row per stream, layer, K and V;
 * freed pages are reused before the pool grows, and occupancy
   (``pages_in_use``) always equals the live sessions' page demand and never
   exceeds the pool;
@@ -27,7 +29,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.model import QuantizedTransformer, TransformerModel, get_model_config
 from repro.model.attention import KVCache
+from repro.model.generation import IncrementalDecoder
 from repro.serve import PagedKVArena
 
 # deterministic on CI: no wall-clock deadline, fixed example sequence
@@ -324,6 +328,41 @@ class TestBatchViewRewind:
         assert arena._gather[0] is not None
         arena.free(sid)
         assert arena._gather == [None]
+
+
+class TestDecodeCopyTraffic:
+    def test_pure_decode_step_copies_the_same_bytes_at_any_context(self):
+        """KV copy traffic of a B=8 decode step does not scale with context.
+
+        The step's one ``gather_batch`` per layer refreshes the batch view
+        with the one new row of each stream, so 64-token and 512-token
+        streams copy exactly the same bytes.
+        """
+        model = QuantizedTransformer(
+            TransformerModel(get_model_config("tiny"), seed=0), seed=1
+        )
+        config = model.config
+        rng = np.random.default_rng(0)
+        copied = {}
+        for context in (64, 512):
+            arena = PagedKVArena(config.n_layers, config.hidden_size, page_size=32)
+            decoders = [IncrementalDecoder(model, arena=arena) for _ in range(8)]
+            tokens = [
+                d.prefill(rng.integers(0, config.vocab_size, context - 2).tolist())
+                for d in decoders
+            ]
+            # the first decode step builds the view; the measured second one
+            # ends at exactly context rows
+            _, tokens = IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)
+            before = arena.stats.gather_bytes_copied
+            rebuilds = arena.stats.gather_rebuilds
+            IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)
+            assert arena.stats.gather_rebuilds == rebuilds
+            assert all(d.seq_len == context for d in decoders)
+            copied[context] = arena.stats.gather_bytes_copied - before
+        itemsize = np.dtype(np.float64).itemsize
+        assert copied[64] == copied[512]
+        assert copied[512] == 8 * config.n_layers * 2 * config.hidden_size * itemsize
 
 
 class TestArenaBackedKVCacheHandle:

@@ -47,6 +47,7 @@ from repro.serve import (
     ServingEngine,
     make_policies,
 )
+from doubles import StubModel
 
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
 
@@ -56,26 +57,6 @@ def model():
     return QuantizedTransformer(
         TransformerModel(get_model_config("tiny"), seed=0), seed=1
     )
-
-
-class StubModel:
-    """Arena-less stand-in (no ``prefill_batch``/``config``): next = last + 1."""
-
-    def __init__(self, vocab: int = 16):
-        self.vocab = vocab
-
-    def new_cache(self):
-        return []
-
-    def forward(self, token_ids, caches=None, predictor=None):
-        from repro.model.transformer import ForwardStats
-
-        logits = np.zeros((len(token_ids), self.vocab))
-        logits[-1, (int(token_ids[-1]) + 1) % self.vocab] = 1.0
-        n = len(token_ids)
-        return logits, ForwardStats(
-            keys_attended=n, keys_total=n, tokens_processed=n
-        )
 
 
 # -- arena-level unit tests ----------------------------------------------------
@@ -622,7 +603,8 @@ class TestMaxPagesValidation:
             ServingEngine(StubModel(), max_pages=8)
 
     def test_explicit_max_pages_with_arena_false_raises(self, model):
-        with pytest.raises(ValueError, match="max_pages"):
+        # arena takes no on/off switch: only None or a pool to share
+        with pytest.raises(TypeError, match="PagedKVArena"):
             ServingEngine(model, arena=False, max_pages=8)
 
     def test_max_pages_with_external_arena_instance_raises(self, model):

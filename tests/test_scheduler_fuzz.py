@@ -4,11 +4,14 @@ Two fuzzed contracts:
 
 * ``TestFuzzedTraces`` -- each example replays one serving trace (Poisson or
   bursty arrivals, random prompt/output lengths, capacities 1..16) through
-  the FCFS engine in all four execution configurations (batched pass vs
-  the serial per-session path, via :class:`SerialOnly`, x ``arena``
-  on/off).  Every configuration must emit bit-identical tokens
-  and identical :class:`RequestMetrics`, and the arena must drain completely
-  (every page freed) once the trace finishes.
+  the FCFS engine in four configurations: the batched model and the
+  forward-only :class:`SerialOnly` (one ``forward`` per stream), each on
+  the engine's own KV storage (a self-built arena for the batched model,
+  standalone caches for the forward-only one) and on a shared
+  ``PagedKVArena``.  Every configuration must emit bit-identical tokens and
+  identical :class:`RequestMetrics`, the forward-only legs must match solo
+  ``generate()`` too, and every arena must drain completely (every page
+  freed) once the trace finishes.
 * ``TestPreemptionFuzz`` -- each example replays one prioritized bursty
   trace under the preemptive priority/deadline policy pairs with tight slot
   counts.  Runs must be deterministic under a fixed seed, every request's
@@ -34,20 +37,13 @@ from repro.serve import (
     ServingEngine,
     make_policies,
 )
+from doubles import SerialOnly, StubModel
 
 # deterministic on CI: no wall-clock deadline, fixed example sequence
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
 
-CONFIGS = [(serial, arena) for serial in (False, True) for arena in (True, False)]
-
-
-class SerialOnly:
-    """``model`` without ``prefill_batch``: the engine serves it serially."""
-
-    def __init__(self, model):
-        self.forward = model.forward
-        self.new_cache = model.new_cache
-        self.config = model.config
+#: (forward-only model, shared arena) for every engine configuration
+CONFIGS = [(serial, shared) for serial in (False, True) for shared in (False, True)]
 
 
 @pytest.fixture(scope="module")
@@ -77,12 +73,17 @@ def _sample_trace(rng, vocab):
     ]
 
 
-def _run(model, requests, max_active, serial, arena, predictor=None):
+def _arena(model):
+    config = model.config
+    return PagedKVArena(config.n_layers, config.hidden_size, page_size=4)
+
+
+def _run(model, requests, max_active, serial, shared, predictor=None):
     engine = ServingEngine(
         SerialOnly(model) if serial else model,
         max_active=max_active,
         predictor=predictor,
-        arena=arena,
+        arena=_arena(model) if shared else None,
         page_size=4,  # small pages so traces exercise multi-page sessions
     )
     handles = engine.submit_many(requests)
@@ -101,13 +102,22 @@ class TestFuzzedTraces:
         max_active = int(rng.integers(1, 17))
 
         results = {
-            cfg: _run(model, requests, max_active, serial=cfg[0], arena=cfg[1])
+            cfg: _run(model, requests, max_active, serial=cfg[0], shared=cfg[1])
             for cfg in CONFIGS
         }
-        ref_tokens, ref_metrics, _ = results[(False, True)]
+        ref_tokens, ref_metrics, _ = results[(False, False)]
+        solo = [
+            generate(
+                model, r.prompt_tokens, max_new_tokens=r.max_new_tokens
+            ).generated_tokens
+            for r in requests
+        ]
+        assert ref_tokens == solo
+        assert results[(False, False)][2].arena is not None
+        assert results[(True, False)][2].arena is None
         for cfg, (tokens, metrics, scheduler) in results.items():
-            assert tokens == ref_tokens, f"tokens diverge for serial,arena={cfg}"
-            assert metrics == ref_metrics, f"metrics diverge for serial,arena={cfg}"
+            assert tokens == ref_tokens, f"tokens diverge for serial,shared={cfg}"
+            assert metrics == ref_metrics, f"metrics diverge for serial,shared={cfg}"
             if scheduler.arena is not None:
                 stats = scheduler.arena.stats
                 # the drained arena holds zero live pages and balanced books
@@ -124,7 +134,7 @@ class TestFuzzedTraces:
         requests = _sample_trace(rng, model.config.vocab_size)[:4]
         max_active = int(rng.integers(1, 9))
         predictor = make_bgpp_predictor(alpha=0.7, rounds=3)
-        arena_run = _run(model, requests, max_active, False, True, predictor)
+        arena_run = _run(model, requests, max_active, False, False, predictor)
         plain_run = _run(model, requests, max_active, True, False, predictor)
         assert arena_run[0] == plain_run[0]
         assert arena_run[1] == plain_run[1]
@@ -238,13 +248,17 @@ class TestPreemptionFuzz:
 
 class TestArenaPolicy:
     def test_auto_mode_skips_arena_for_per_session_stepping(self, model):
-        """Auto arena only engages where gather_batch can consume it."""
+        """The engine builds an arena only where gather_batch can consume it.
+
+        ``arena`` takes no on/off switch: only ``None`` or a pool to share.
+        """
         assert ServingEngine(model).arena is not None
         assert ServingEngine(SerialOnly(model)).arena is None
-        # explicit True still forces it (the fuzz matrix relies on this)
-        forced = ServingEngine(SerialOnly(model), arena=True)
-        assert forced.arena is not None
-        assert ServingEngine(model, arena=False).arena is None
+        shared = _arena(model)
+        assert ServingEngine(SerialOnly(model), arena=shared).arena is shared
+        for switch in (True, False):
+            with pytest.raises(TypeError, match="PagedKVArena"):
+                ServingEngine(model, arena=switch)
 
 
 class TestSharedArena:
@@ -257,7 +271,7 @@ class TestSharedArena:
             Request(f"q{i}", prompt_tokens=[i + 1, i + 2], max_new_tokens=3)
             for i in range(4)
         ]
-        baseline, _, _ = _run(model, requests, 2, serial=False, arena=False)
+        baseline, _, _ = _run(model, requests, 2, serial=True, shared=False)
         for _ in range(2):  # the same pool drains and is reused run after run
             sched = ServingEngine(model, max_active=2, arena=arena)
             handles = sched.submit_many(requests)
@@ -267,24 +281,9 @@ class TestSharedArena:
         assert arena.stats.sessions_opened == 8
 
     def test_model_without_config_falls_back_to_standalone(self):
-        class Stub:
-            vocab = 8
-
-            def new_cache(self):
-                return []
-
-            def forward(self, token_ids, caches=None, predictor=None):
-                from repro.model.transformer import ForwardStats
-
-                logits = np.zeros((len(token_ids), self.vocab))
-                logits[-1, (int(token_ids[-1]) + 1) % self.vocab] = 1.0
-                return logits, ForwardStats(tokens_processed=len(token_ids))
-
-        # default arena policy is auto: Stub has neither prefill_batch nor a
-        # config, so the engine must stay on standalone caches -- even when
-        # the arena is forced
-        assert ServingEngine(Stub(), max_active=2).arena is None
-        sched = ServingEngine(Stub(), max_active=2, arena=True)
+        # StubModel has neither prefill_batch nor a config, so the engine
+        # must stay on standalone caches
+        sched = ServingEngine(StubModel(vocab=8), max_active=2)
         assert sched.arena is None
         sched.submit(Request("r0", prompt_tokens=[1], max_new_tokens=2))
         report = sched.run()

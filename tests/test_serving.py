@@ -12,31 +12,7 @@ from repro.serve import (
 )
 from repro.serve.session import GenerationSession
 from repro.workloads import poisson_arrival_steps, sample_requests
-
-
-class StubModel:
-    """Deterministic O(1) stand-in for a transformer: next token = last + 1.
-
-    Exposes the same ``forward``/``new_cache`` surface as the real models so
-    scheduler-logic tests don't pay transformer cost.  ``forward`` returns
-    logits whose argmax is ``(last_token + 1) % vocab``.
-    """
-
-    def __init__(self, vocab: int = 16):
-        self.vocab = vocab
-        self.forward_calls = 0
-
-    def new_cache(self):
-        return []
-
-    def forward(self, token_ids, caches=None, predictor=None):
-        from repro.model.transformer import ForwardStats
-
-        self.forward_calls += 1
-        logits = np.zeros((len(token_ids), self.vocab))
-        logits[-1, (int(token_ids[-1]) + 1) % self.vocab] = 1.0
-        n = len(token_ids)
-        return logits, ForwardStats(keys_attended=n, keys_total=n, tokens_processed=n)
+from doubles import StubModel, admit, decode
 
 
 class TestIncrementalDecoder:
@@ -68,9 +44,9 @@ class TestSession:
         # prompt ends at 4 -> emits 5, 6, 7, ... ; eos=7 stops after 3 tokens
         request = Request("r0", prompt_tokens=[4], max_new_tokens=10, eos_token=7)
         session = GenerationSession(request, model)
-        assert session.admit(step=0) == 5
-        assert session.decode_step(step=1) == 6
-        assert session.decode_step(step=2) == 7
+        assert admit(session, 0) == 5
+        assert decode(session, 1) == 6
+        assert decode(session, 2) == 7
         assert session.is_finished
         assert session.generated_tokens == [5, 6, 7]
         metrics = session.to_metrics()
@@ -87,8 +63,8 @@ class TestSession:
         model = StubModel()
         request = Request("r1", prompt_tokens=[0], max_new_tokens=2)
         session = GenerationSession(request, model)
-        session.admit(step=0)
-        session.decode_step(step=1)
+        admit(session, 0)
+        decode(session, 1)
         assert session.is_finished
         # prefill + exactly one decode forward: the final token needs no pass
         assert model.forward_calls == 2
@@ -97,17 +73,17 @@ class TestSession:
         request = Request("r2", prompt_tokens=[0], max_new_tokens=1)
         session = GenerationSession(request, StubModel())
         with pytest.raises(RuntimeError):
-            session.decode_step(step=0)
-        session.admit(step=0)
+            decode(session, 0)
+        admit(session, 0)
         assert session.is_finished  # budget of 1 is met by the prefill token
         with pytest.raises(RuntimeError):
-            session.admit(step=1)
+            admit(session, 1)
 
     def test_numpy_array_prompt_accepted(self):
         prompt = np.array([1, 2, 3])
         request = Request("np", prompt_tokens=prompt, max_new_tokens=2)
         session = GenerationSession(request, StubModel())
-        assert session.admit(step=0) == 4
+        assert admit(session, 0) == 4
 
     def test_request_validation(self):
         with pytest.raises(ValueError):

@@ -37,26 +37,7 @@ from repro.workloads import (
     sample_requests,
     trace_arrival_steps,
 )
-
-
-class StubModel:
-    """Deterministic O(1) stand-in: next token = last + 1 (mod vocab)."""
-
-    def __init__(self, vocab: int = 16):
-        self.vocab = vocab
-        self.forward_calls = 0
-
-    def new_cache(self):
-        return []
-
-    def forward(self, token_ids, caches=None, predictor=None):
-        from repro.model.transformer import ForwardStats
-
-        self.forward_calls += 1
-        logits = np.zeros((len(token_ids), self.vocab))
-        logits[-1, (int(token_ids[-1]) + 1) % self.vocab] = 1.0
-        n = len(token_ids)
-        return logits, ForwardStats(keys_attended=n, keys_total=n, tokens_processed=n)
+from doubles import StubModel, admit, decode, resume
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +55,14 @@ class TestPreemptResume:
         session = GenerationSession(
             Request("r", prompt_tokens=[3], max_new_tokens=6), StubModel()
         )
-        assert session.admit(step=0) == 4
-        assert session.decode_step(step=1) == 5
+        assert admit(session, 0) == 4
+        assert decode(session, 1) == 5
         session.preempt(step=2)
         assert session.state is SessionState.PREEMPTED
         assert session.decoder is None
         assert session.preemptions == 1
-        assert session.resume(step=5) == 6  # re-prefill emits the next token
-        assert session.decode_step(step=6) == 7
+        assert resume(session, 5) == 6  # re-prefill emits the next token
+        assert decode(session, 6) == 7
         assert session.generated_tokens == [4, 5, 6, 7]
 
     def test_preemption_work_stays_in_traffic_counters(self):
@@ -89,15 +70,15 @@ class TestPreemptResume:
             session = GenerationSession(
                 Request("r", prompt_tokens=[0, 1], max_new_tokens=4), StubModel()
             )
-            session.admit(step=0)
-            session.decode_step(step=1)
+            admit(session, 0)
+            decode(session, 1)
             if preempt:
                 session.preempt(step=2)
-                session.resume(step=3)
+                resume(session, 3)
             else:
-                session.decode_step(step=2)
+                decode(session, 2)
             while not session.is_finished:
-                session.decode_step(step=4)
+                decode(session, 4)
             return session
 
         plain, preempted = run(False), run(True)
@@ -112,17 +93,17 @@ class TestPreemptResume:
         with pytest.raises(RuntimeError):
             session.preempt(step=0)  # queued, not active
         with pytest.raises(RuntimeError):
-            session.resume(step=0)  # not preempted
-        session.admit(step=0)
+            resume(session, 0)  # not preempted
+        admit(session, 0)
         session.preempt(step=1)
         with pytest.raises(RuntimeError):
-            session.decode_step(step=1)  # preempted sessions do not decode
+            decode(session, 1)  # preempted sessions do not decode
         session.cancel()
         assert session.state is SessionState.CANCELLED
         with pytest.raises(RuntimeError):
             session.cancel()  # terminal
         with pytest.raises(RuntimeError):
-            session.resume(step=2)  # cancelled stays cancelled
+            resume(session, 2)  # cancelled stays cancelled
 
     def test_request_validation(self):
         with pytest.raises(ValueError):

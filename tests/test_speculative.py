@@ -37,15 +37,7 @@ from repro.serve import (
     make_policies,
 )
 from repro.serve.speculative import _SessionThrottle, resolve_speculation
-
-
-class SerialOnly:
-    """``model`` without ``prefill_batch``: the engine serves it serially."""
-
-    def __init__(self, model):
-        self.forward = model.forward
-        self.new_cache = model.new_cache
-        self.config = model.config
+from doubles import SerialOnly
 
 
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
@@ -189,11 +181,11 @@ class TestSpeculationConfig:
             resolve_speculation("fast")
 
     def test_engine_knob_validation(self, model):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="PagedKVArena"):
             ServingEngine(model, speculative=2, arena=False)
-        with pytest.raises(ValueError, match="prefill_batch"):
-            # the arena is forced, so only the missing batched pass can refuse
-            ServingEngine(SerialOnly(model), speculative=2, arena=True)
+        with pytest.raises(ValueError, match="speculative"):
+            # a forward-only model gets no arena, and rollback needs one
+            ServingEngine(SerialOnly(model), speculative=2)
         with pytest.raises(TypeError):
             ServingEngine(model, speculative="yes")
 
@@ -313,12 +305,20 @@ class TestSpeculativeBitIdentity:
         max_active = int(rng.integers(1, 7))
         base_tokens, base_states, _ = _run(model, requests, max_active=max_active)
         k = int(rng.integers(1, 5))
-        for drafter in (NGramDrafter(), TruncatedBitDrafter(model, bits=4)):
+        shared = PagedKVArena(
+            model.config.n_layers, model.config.hidden_size, page_size=4
+        )
+        for served, drafter, arena in (
+            (model, NGramDrafter(), None),
+            (model, TruncatedBitDrafter(model, bits=4), None),
+            # forward-only: verify chunks run through the per-stream fallback
+            (SerialOnly(model), NGramDrafter(), shared),
+        ):
             cfg = SpeculationConfig(
                 k=k, adaptive=bool(rng.random() < 0.5), drafter=drafter
             )
             tokens, states, engine = _run(
-                model, requests, speculative=cfg, max_active=max_active
+                served, requests, speculative=cfg, max_active=max_active, arena=arena
             )
             assert tokens == base_tokens, f"k={k} drafter={drafter.name}"
             assert states == base_states
