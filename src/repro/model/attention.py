@@ -5,6 +5,14 @@ predictor selects the vital keys for each query and the full-precision
 ``QK^T`` / softmax / ``PV`` computation only touches those keys (paper §2.2,
 Fig. 3).  The predictor is pluggable so that the same module can run dense
 attention, value-level top-k and bit-grained progressive prediction.
+
+Two kernels compute the score and context contractions when serving.  Every
+multi-row pass -- a whole prompt, a prompt chunk, a speculative verify chunk
+-- runs :func:`causal_context`, which contracts over fixed-shape BLAS tiles
+aligned to absolute sequence positions, so a row's float result depends only
+on its position and never on how its sequence was chunked or batched.  Plain
+decode rows (one query over its whole context, batched or serial) share one
+grouped einsum (:meth:`MultiHeadAttention._attend_decode_rows`).
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ __all__ = [
     "BatchedAttentionOutput",
     "ChunkedAttentionOutput",
     "MultiHeadAttention",
+    "TILE_ROWS",
+    "causal_context",
     "causal_mask",
     "ragged_selection_mask",
 ]
@@ -42,6 +52,92 @@ def causal_mask(n_queries: int, n_keys: int) -> np.ndarray:
     q_idx = np.arange(n_queries)[:, None]
     k_idx = np.arange(n_keys)[None, :]
     return k_idx <= (q_idx + offset)
+
+
+#: Query rows per :func:`causal_context` tile.  Each tile pays a full
+#: ``TILE_ROWS``-row product however few of its rows a chunk owns, so this
+#: trades the padding that two- to five-row verify chunks pay against the
+#: number of BLAS calls a long prompt makes (32 cost spec_code about 12%
+#: tokens/s; 8 measured close to 16).
+TILE_ROWS = 16
+
+
+def _padded_heads(x: np.ndarray, n_heads: int, length: int) -> np.ndarray:
+    """Fresh zero ``(n_heads, length, head_dim)`` buffer holding ``x``'s rows first."""
+    n, hidden = x.shape
+    heads = np.zeros((n_heads, length, hidden // n_heads))
+    heads[:, :n] = x.reshape(n, n_heads, -1).transpose(1, 0, 2)
+    return heads
+
+
+def causal_context(
+    q_rows: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    n_heads: int,
+    full_mask: np.ndarray,
+    width: int,
+    scale: float,
+) -> np.ndarray:
+    """Merged-head attention context of consecutive query rows, shape-stable.
+
+    ``keys``/``values`` are the first ``n_keys`` rows of one sequence and
+    ``q_rows`` its last ``n`` positions ``n_keys - n .. n_keys - 1``;
+    ``full_mask`` ``(n, n_keys)`` is True where a row attends (causal, minus
+    any predictor holes; every row attends at least one key) and
+    ``width >= n_keys`` is the key width each row's softmax reduces over:
+    one contiguous row, exactly zero probability wherever it does not attend.
+
+    Rows are cut into :data:`TILE_ROWS`-row tiles aligned to absolute
+    position: row ``p`` sits in tile ``t = p // TILE_ROWS`` at slot
+    ``p % TILE_ROWS``.  Per head, tile ``t`` makes one ``(TILE_ROWS,
+    head_dim) @ (head_dim, E)`` score product and one ``(TILE_ROWS, E) @
+    (E, head_dim)`` context product, ``E = (t + 1) * TILE_ROWS`` (keys past
+    the tile's end are never multiplied).  Both run on freshly built
+    operands, zero wherever the call owns no row or key: every BLAS call an
+    output element takes part in has the same shape, leading dimensions,
+    slot and operand values whatever the chunking, batch or caller, so the
+    element's rounding is fixed by its absolute position and chunk rows are
+    bit-identical to the same rows of a one-shot pass over the sequence.  A
+    zero-padded key only ever meets a masked score or an exactly-zero
+    probability.
+
+    The scale multiplies the queries (exact for the power-of-two scale of a
+    head width that is a power of four).  Each softmax skips the ``exp`` of
+    keys past the tile's end or the last key, whose probability is exactly
+    zero, but still sums the full ``width``-long row, so its reduction order
+    does not depend on the tile or the chunk either.
+    """
+    n_rows, hidden = q_rows.shape
+    n_keys = keys.shape[0]
+    head_dim = hidden // n_heads
+    start = n_keys - n_rows
+    last = -(-n_keys // TILE_ROWS) * TILE_ROWS  # end of the last tile
+    kh = _padded_heads(keys, n_heads, last)
+    vh = _padded_heads(values, n_heads, last)
+    qh = (q_rows * scale).reshape(n_rows, n_heads, head_dim).transpose(1, 0, 2)
+    bias = np.where(full_mask, 0.0, -np.inf)
+    context = np.empty((n_rows, hidden))
+    for end in range(start // TILE_ROWS * TILE_ROWS + TILE_ROWS, last + 1, TILE_ROWS):
+        lo, hi = max(start, end - TILE_ROWS), min(n_keys, end)
+        rows = slice(lo - start, hi - start)  # the caller's rows in this tile
+        slots = slice(lo - end + TILE_ROWS, hi - end + TILE_ROWS)
+        n_read = min(end, n_keys)
+        q_tile = np.zeros((n_heads, TILE_ROWS, head_dim))
+        q_tile[:, slots] = qh[:, rows]
+        scores = q_tile @ kh[:, :end].transpose(0, 2, 1)
+        # softmax over the full width: exp(-inf) is exactly 0 past n_read
+        e = np.empty((n_heads, hi - lo, width))
+        e[..., n_read:] = 0.0
+        x = e[..., :n_read]
+        np.add(scores[:, slots, :n_read], bias[rows, :n_read], out=x)
+        x -= x.max(axis=-1, keepdims=True)
+        np.exp(x, out=x)
+        p_tile = np.zeros((n_heads, TILE_ROWS, end))
+        np.divide(x, e.sum(axis=-1, keepdims=True), out=p_tile[:, slots, :n_read])
+        tile_context = (p_tile @ vh[:, :end])[:, slots]
+        context[rows] = tile_context.transpose(1, 0, 2).reshape(-1, hidden)
+    return context
 
 
 def ragged_selection_mask(
@@ -324,7 +420,10 @@ class MultiHeadAttention:
         """Dense causal attention on pre-projected Q/K/V, before the output projection.
 
         Used by the quantisation calibration path, which needs the exact tensor
-        that feeds the ``wo`` projection.
+        that feeds the ``wo`` projection.  It keeps an einsum contraction
+        rather than :func:`causal_context`: the two differ in the last bit,
+        and an activation scale fitted to an extreme value carries that bit
+        into the calibrated ``tiny`` and ``small`` models.
         """
         qh = self._split_heads(np.atleast_2d(np.asarray(q, dtype=np.float64)))
         kh = self._split_heads(np.atleast_2d(np.asarray(k, dtype=np.float64)))
@@ -354,47 +453,63 @@ class MultiHeadAttention:
         ``-inf`` logits before the softmax, mirroring top-k sparse attention.
         """
         hidden_states = np.atleast_2d(np.asarray(hidden_states, dtype=np.float64))
-        q = self.wq(hidden_states)
-        k_new = self.wk(hidden_states)
-        v_new = self.wv(hidden_states)
+        attn = self.attend(
+            self.wq(hidden_states),
+            self.wk(hidden_states),
+            self.wv(hidden_states),
+            cache=cache,
+            predictor=predictor,
+        )
+        attn.output = self.wo(attn.output)
+        return attn
 
+    def attend(
+        self,
+        q: np.ndarray,
+        k_new: np.ndarray,
+        v_new: np.ndarray,
+        cache: Optional[KVCache] = None,
+        predictor: Optional[KeyPredictor] = None,
+    ) -> AttentionOutput:
+        """Causal attention on pre-projected ``(seq, hidden)`` Q/K/V rows.
+
+        The body of :meth:`__call__` without the projections: ``output`` is
+        the merged-head context *before* ``wo``.  ``k_new``/``v_new`` are
+        appended to ``cache`` first when one is given.  A single query row
+        runs the decode rows' grouped einsum (:meth:`_attend_decode_rows`),
+        so a serial one-token step matches a batched decode row in float;
+        more rows run :func:`causal_context`.
+        """
+        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
+        k_all = np.atleast_2d(np.asarray(k_new, dtype=np.float64))
+        v_all = np.atleast_2d(np.asarray(v_new, dtype=np.float64))
         if cache is not None:
-            cache.append(k_new, v_new)
-            k_all = cache.keys
-            v_all = cache.values
-        else:
-            k_all = k_new
-            v_all = v_new
+            cache.append(k_all, v_all)
+            k_all, v_all = cache.keys, cache.values
 
-        qh = self._split_heads(q)
-        kh = self._split_heads(k_all)
-        vh = self._split_heads(v_all)
-
-        n_queries = qh.shape[1]
-        n_keys = kh.shape[1]
+        n_queries, n_keys = q.shape[0], k_all.shape[0]
         mask = causal_mask(n_queries, n_keys)
+        if n_queries == 1:
+            merged, row_attended = self._attend_decode_rows(
+                q, k_all[None], v_all[None], np.array([n_keys]), predictor
+            )
+        else:
+            full_mask = mask
+            if predictor is not None:
+                # Predictors operate on the full (head-concatenated) Q/K rows,
+                # the same granularity the BGPP unit sees (Q x K^T per row).
+                full_mask = mask & ragged_selection_mask(predictor, q, k_all, mask)
+            merged = causal_context(
+                q, k_all, v_all, self.n_heads, full_mask, n_keys,
+                1.0 / np.sqrt(self.head_dim),
+            )
+            row_attended = full_mask.sum(axis=1).astype(np.int64)
 
-        selection_mask = np.ones((n_queries, n_keys), dtype=bool)
-        if predictor is not None:
-            # Predictors operate on the full (head-concatenated) Q/K rows, the
-            # same granularity the BGPP unit sees (it processes Q x K^T per row).
-            selection_mask = ragged_selection_mask(predictor, q, k_all, mask)
-        full_mask = mask & selection_mask
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        logits = np.einsum("hqd,hkd->hqk", qh, kh) * scale
-        logits = np.where(full_mask[None, :, :], logits, -np.inf)
-        probs = softmax(logits, axis=-1)
-        context = np.einsum("hqk,hkd->hqd", probs, vh)
-        merged = self._merge_heads(context)
-        output = self.wo(merged)
-
-        row_attended = full_mask.sum(axis=1).astype(np.int64)
         row_total = mask.sum(axis=1).astype(np.int64)
         keys_attended = int(row_attended.sum())
         keys_total = int(row_total.sum())
         return AttentionOutput(
-            output=output,
+            output=merged,
             keys_attended=keys_attended,
             keys_total=keys_total,
             selected_fraction=keys_attended / keys_total if keys_total else 1.0,
@@ -437,6 +552,13 @@ class MultiHeadAttention:
         (padding gets exactly-zero probability), so every row is
         bit-identical to stepping its stream alone.  Returns the merged-head
         context ``(B1, hidden)`` and per-row attended key counts.
+
+        Decode rows stay on einsum rather than :func:`causal_context`: a
+        one-query row there would pay a whole ``TILE_ROWS``-row product,
+        multiplying decode attention FLOPs by ``TILE_ROWS``, while einsum's
+        rounding is already independent of how many rows or keys share the
+        call.  The serial one-token step runs this method too
+        (:meth:`attend`), so a batched decode row equals it in float.
         """
         n_streams, max_len = keys.shape[:2]
         full_mask = np.arange(max_len)[None, :] < lengths[:, None]
@@ -503,20 +625,24 @@ class MultiHeadAttention:
         query row's softmax runs over exactly that width -- real logits on
         the causal prefix, ``-inf`` (hence exactly-zero probability)
         everywhere else -- which is the same array the serial pass reduces,
-        so every output row is **bit-identical** to the corresponding row of
+        so every chunk row is **bit-identical** to the corresponding row of
         ``__call__`` over the whole prompt, no matter how the prompt was
-        chunked or which streams shared the batch.
+        chunked or which streams shared the batch.  A one-row final chunk is
+        a plain decode row (below); like a verify row against a one-row
+        decode step, it matches the serial row only through the int8
+        quantiser ahead of ``wo``, i.e. at the logits.
 
         Plain decode rows (one row whose width is its whole context) run as
         one ``(B1, heads, L)`` score/softmax/context pass over the gathered
         view (:meth:`_attend_decode_rows`).  Every other stream -- prompt
-        chunks and speculative verify chunks -- contracts at its *exact*
-        shapes: mixed batches are extremely ragged (one-row decode streams
-        next to whole-prompt admission chunks), so a padded
-        ``(B, Lmax, W)`` einsum would spend most of its FLOPs on padding --
-        per-stream contraction keeps the attention cost identical to the
-        serial pass while the projections/FFN GEMMs (where the fused win
-        lives) still run once for the whole stacked batch.
+        chunks and speculative verify chunks -- runs :func:`causal_context`
+        over its own keys: fixed-shape BLAS tiles aligned to absolute
+        positions, so each row's float result is the one the serial pass's
+        tiles give that position, and a stream pays only for its own causal
+        prefix rather than the batch's longest (mixed batches are extremely
+        ragged: one-row decode streams next to whole-prompt admission
+        chunks).  The projection and FFN GEMMs still run once for the whole
+        stacked batch.
 
         Returns the merged-head context rows (flattened back to
         ``(total_rows, hidden)``, before the output projection) plus
@@ -605,18 +731,13 @@ class MultiHeadAttention:
                 full_mask = mask & ragged_selection_mask(
                     predictor, q_rows, keys[b, :n_keys], mask
                 )
-            qh = self._split_heads(q_rows)
-            kh = self._split_heads(keys[b, :n_keys])
-            vh = self._split_heads(values[b, :n_keys])
-            scores = np.einsum("hqd,hkd->hqk", qh, kh) * scale
-            # each row's softmax must reduce over exactly the serial pass's
-            # key width (total_lens[b]); keys past the materialised prefix
-            # are -inf like any other masked position, probability exactly 0
-            logits = np.full((self.n_heads, n_rows, w), -np.inf)
-            logits[..., :n_keys] = np.where(full_mask[None, :, :], scores, -np.inf)
-            probs = softmax(logits, axis=-1)
-            context = np.einsum("hqk,hkd->hqd", probs[..., :n_keys], vh)
-            flat[offsets[b] : offsets[b + 1]] = self._merge_heads(context)
+            # each row's softmax reduces over exactly the serial pass's key
+            # width (total_lens[b]); keys past the materialised prefix are
+            # -inf like any other masked position, probability exactly 0
+            flat[offsets[b] : offsets[b + 1]] = causal_context(
+                q_rows, keys[b, :n_keys], values[b, :n_keys], self.n_heads,
+                full_mask, w, scale,
+            )
             row_attended[offsets[b] : offsets[b + 1]] = full_mask.sum(axis=1)
             row_total[offsets[b] : offsets[b + 1]] = mask.sum(axis=1)
         return ChunkedAttentionOutput(

@@ -15,15 +15,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attention import (
-    AttentionOutput,
-    KVCache,
-    MultiHeadAttention,
-    causal_mask,
-    ragged_selection_mask,
-)
+from .attention import AttentionOutput, KVCache, MultiHeadAttention
 from .config import ModelConfig
-from .layers import ACTIVATIONS, Embedding, Linear, layer_norm, rms_norm, softmax
+from .layers import ACTIVATIONS, Embedding, Linear, layer_norm, rms_norm
 
 __all__ = ["DecoderLayer", "TransformerModel", "QuantizedTransformer", "ForwardStats"]
 
@@ -324,10 +318,12 @@ class QuantizedTransformer:
         stats = ForwardStats(tokens_processed=int(token_ids.size))
         for i, (layer, qentry) in enumerate(zip(self.model.layers, self.quant_layers)):
             normed = layer.norm_fn(hidden)
-            attn_mod = layer.attention
             q, k, v = self._qkv(qentry, i, normed)
 
-            attn_out = self._attention(attn_mod, q, k, v, caches, layer, predictor)
+            attn_out = layer.attention.attend(
+                q, k, v, cache=None if caches is None else caches[i],
+                predictor=predictor,
+            )
             proj = self._qlin_forward(qentry["wo"], f"layer{i}.wo", attn_out.output)
             hidden = hidden + proj
             stats.merge(attn_out)
@@ -467,57 +463,6 @@ class QuantizedTransformer:
             row_logits[b] = all_logits[pos : pos + n]
             pos += n
         return logits, stats, row_logits
-
-    def _attention(
-        self,
-        attn_mod: MultiHeadAttention,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        caches: Optional[List[KVCache]],
-        layer: DecoderLayer,
-        predictor: Optional[KeyPredictor],
-    ) -> AttentionOutput:
-        """Attention on pre-projected Q/K/V (projections already quantised)."""
-        layer_index = self.model.layers.index(layer)
-        cache = caches[layer_index] if caches is not None else None
-        if cache is not None:
-            cache.append(k, v)
-            k_all, v_all = cache.keys, cache.values
-        else:
-            k_all, v_all = k, v
-
-        qh = attn_mod._split_heads(np.atleast_2d(q))
-        kh = attn_mod._split_heads(np.atleast_2d(k_all))
-        vh = attn_mod._split_heads(np.atleast_2d(v_all))
-        n_queries, n_keys = qh.shape[1], kh.shape[1]
-        mask = causal_mask(n_queries, n_keys)
-
-        selection_mask = np.ones((n_queries, n_keys), dtype=bool)
-        if predictor is not None:
-            selection_mask = ragged_selection_mask(
-                predictor, np.atleast_2d(q), np.atleast_2d(k_all), mask
-            )
-        full_mask = mask & selection_mask
-
-        scale = 1.0 / np.sqrt(attn_mod.head_dim)
-        logits = np.einsum("hqd,hkd->hqk", qh, kh) * scale
-        logits = np.where(full_mask[None, :, :], logits, -np.inf)
-        probs = softmax(logits, axis=-1)
-        context = np.einsum("hqk,hkd->hqd", probs, vh)
-        merged = attn_mod._merge_heads(context)
-        row_attended = full_mask.sum(axis=1).astype(np.int64)
-        row_total = mask.sum(axis=1).astype(np.int64)
-        keys_attended = int(row_attended.sum())
-        keys_total = int(row_total.sum())
-        return AttentionOutput(
-            output=merged,
-            keys_attended=keys_attended,
-            keys_total=keys_total,
-            selected_fraction=keys_attended / keys_total if keys_total else 1.0,
-            row_keys_attended=row_attended,
-            row_keys_total=row_total,
-        )
 
     def new_cache(self, arena=None) -> List[KVCache]:
         return self.model.new_cache(arena=arena)
