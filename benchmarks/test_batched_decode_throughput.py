@@ -181,8 +181,12 @@ class SerialOnly:
 
 
 def _decode_step(decoders, tokens):
-    """One batched decode step: every stream a one-row chunk."""
-    return IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)[1]
+    """One batched decode step: every stream a one-row chunk.
+
+    Returns each stream's one emitted token.
+    """
+    emitted = IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)[1]
+    return [t for (t,) in emitted]
 
 
 def _paired_cpu_rounds(runs, rounds):

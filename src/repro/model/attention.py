@@ -40,9 +40,9 @@ __all__ = [
 # additionally expose a ``select_ragged(queries, keys, lengths)`` attribute
 # (see repro.core.bgpp.make_bgpp_predictor) that runs a whole ragged query
 # batch in one pass: over (L, d) keys row i ranks the prefix keys[:lengths[i]]
-# (ragged_selection_mask(), one prompt chunk), over (B, L, d) keys row b ranks
-# its own stream's keys[b, :lengths[b]] (_attend_decode_rows, all decode rows
-# of a layer in one call).  Both fall back to per-row calls without it.
+# (one prompt chunk), over (B, L, d) keys row b ranks its own stream's
+# keys[b, :lengths[b]] (all decode rows of a layer in one call).
+# ragged_selection_mask() serves both and falls back to per-row calls.
 KeyPredictor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -144,44 +144,25 @@ def ragged_selection_mask(
     predictor: KeyPredictor,
     q_rows: np.ndarray,
     keys: np.ndarray,
-    mask: np.ndarray,
+    lengths: np.ndarray,
 ) -> np.ndarray:
-    """Boolean ``(n_queries, n_keys)`` predictor-selection mask under ``mask``.
+    """Boolean ``(n_queries, L)`` predictor selection over causal key prefixes.
 
-    Each query row may only attend where ``mask`` is True; the predictor
-    ranks that row's allowed keys and at least one key (the most recent
-    allowed one) is always kept.  Causal masks are prefix-shaped, so when the
-    predictor exposes ``select_ragged`` the whole batch runs as one masked
-    pass instead of ``n_queries`` separate predictor calls; the fallback loop
-    is bit-identical.
+    Row ``i`` ranks the prefix ``keys[:lengths[i]]`` of ``(L, d)`` keys (one
+    prompt or verify chunk), or its own stream's ``keys[i, :lengths[i]]`` of
+    ``(B, L, d)`` keys (one layer's decode rows).  Picks at or past
+    ``lengths[i]`` are dropped, and a row with a key but no pick keeps its
+    most recent one.  A predictor with ``select_ragged`` runs every row in
+    one pass; any other runs once per row, with the same result.
     """
-    n_queries, n_keys = mask.shape
-    selection = np.zeros((n_queries, n_keys), dtype=bool)
-    lengths = mask.sum(axis=1)
+    lengths = np.asarray(lengths, dtype=np.int64)
     select_ragged = getattr(predictor, "select_ragged", None)
-    # the batched entry point assumes each row attends a key prefix
-    prefix_shaped = bool(
-        (mask == (np.arange(n_keys)[None, :] < lengths[:, None])).all()
-    )
-    if select_ragged is not None and prefix_shaped:
-        _mark_selected(selection, select_ragged(q_rows, keys, lengths), lengths)
-        return selection
-    for i in range(n_queries):
-        allowed = np.flatnonzero(mask[i])
-        selected = np.asarray(predictor(q_rows[i], keys[allowed]), dtype=np.int64)
-        selected = allowed[selected[selected < allowed.size]]
-        if selected.size == 0:
-            selected = allowed[-1:]
-        selection[i, selected] = True
-    return selection
-
-
-def _mark_selected(selection: np.ndarray, picks, lengths: np.ndarray) -> None:
-    """Set ``selection[i, picks[i]]`` for each row with ``lengths[i] > 0``.
-
-    Picks at or past ``lengths[i]`` are dropped; a row left with none keeps
-    its most recent key.
-    """
+    if select_ragged is not None:
+        picks = select_ragged(q_rows, keys, lengths)
+    else:
+        per_row = keys if keys.ndim == 3 else [keys] * len(lengths)
+        picks = [predictor(q, k[:n]) for q, k, n in zip(q_rows, per_row, lengths)]
+    selection = np.zeros((len(lengths), keys.shape[-2]), dtype=bool)
     for i, selected in enumerate(picks):
         if lengths[i] == 0:
             continue
@@ -190,6 +171,7 @@ def _mark_selected(selection: np.ndarray, picks, lengths: np.ndarray) -> None:
         if selected.size == 0:
             selected = np.array([lengths[i] - 1], dtype=np.int64)
         selection[i, selected] = True
+    return selection
 
 
 class KVCache:
@@ -498,7 +480,9 @@ class MultiHeadAttention:
             if predictor is not None:
                 # Predictors operate on the full (head-concatenated) Q/K rows,
                 # the same granularity the BGPP unit sees (Q x K^T per row).
-                full_mask = mask & ragged_selection_mask(predictor, q, k_all, mask)
+                full_mask = mask & ragged_selection_mask(
+                    predictor, q, k_all, mask.sum(axis=1)
+                )
             merged = causal_context(
                 q, k_all, v_all, self.n_heads, full_mask, n_keys,
                 1.0 / np.sqrt(self.head_dim),
@@ -563,14 +547,7 @@ class MultiHeadAttention:
         n_streams, max_len = keys.shape[:2]
         full_mask = np.arange(max_len)[None, :] < lengths[:, None]
         if predictor is not None:
-            select_ragged = getattr(predictor, "select_ragged", None)
-            if select_ragged is not None:
-                picks = select_ragged(q, keys, lengths)
-            else:
-                picks = [predictor(q[b], keys[b, : lengths[b]]) for b in range(n_streams)]
-            selection = np.zeros_like(full_mask)
-            _mark_selected(selection, picks, lengths)
-            full_mask &= selection
+            full_mask &= ragged_selection_mask(predictor, q, keys, lengths)
 
         qh = q.reshape(n_streams, self.n_heads, self.head_dim)
         kh = keys.reshape(n_streams, max_len, self.n_heads, self.head_dim)
@@ -729,7 +706,7 @@ class MultiHeadAttention:
                 # each chunk row ranks its own prefix, fed the same key
                 # values the serial pass would (cache rows are exact copies)
                 full_mask = mask & ragged_selection_mask(
-                    predictor, q_rows, keys[b, :n_keys], mask
+                    predictor, q_rows, keys[b, :n_keys], mask.sum(axis=1)
                 )
             # each row's softmax reduces over exactly the serial pass's key
             # width (total_lens[b]); keys past the materialised prefix are

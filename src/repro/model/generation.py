@@ -89,7 +89,8 @@ class IncrementalDecoder:
     stream is finished.
 
     With ``prefix_cache=True`` (requires an arena) the decoder consults the
-    arena's cross-request prefix index before prefilling: prompt rows whose
+    arena's cross-request prefix index in :meth:`begin_prefill` (the serial
+    :meth:`prefill` refuses such a decoder): prompt rows whose
     KV pages are already cached are mapped into the session read-only and
     their prefill compute is *skipped* -- only the novel suffix (always at
     least the last prompt row, whose logits sample the first token) runs
@@ -201,51 +202,29 @@ class IncrementalDecoder:
                 )
 
     def prefill(self, prompt_tokens: Sequence[int]) -> int:
-        """Process the whole prompt in parallel; returns the first sampled token."""
+        """Process the whole prompt in parallel; returns the first sampled token.
+
+        The one-shot serial pass of :func:`generate` and the tests' oracle.
+        A prefix-cache decoder raises ``ValueError``: it prefills through
+        :meth:`begin_prefill` and :meth:`prefill_step_batch`, which map and
+        register the shared prompt pages.
+        """
+        if self.prefix_cache:
+            raise ValueError(
+                "a prefix-cache decoder prefills through begin_prefill() and "
+                "prefill_step_batch()"
+            )
         prompt_tokens = [int(t) for t in prompt_tokens]
         if not prompt_tokens:
             raise ValueError("prompt must contain at least one token")
         if self.prefill_stats is not None or self._prefill_pending is not None:
             raise RuntimeError("decoder was already prefilled")
-        n_reused, credit_att, credit_tot = self._acquire_prefix(prompt_tokens)
-        # run only the novel suffix; the right-aligned causal mask gives the
-        # suffix rows their absolute positions over the mapped cache rows, so
-        # each row is bit-identical to the same row of a cold full prefill
         logits, stats = self.model.forward(
-            prompt_tokens[n_reused:], caches=self.caches, predictor=self.predictor
+            prompt_tokens, caches=self.caches, predictor=self.predictor
         )
-        if n_reused:
-            stats.keys_attended += int(credit_att.sum())
-            stats.keys_total += int(credit_tot.sum())
-            stats.tokens_processed += n_reused
-            if stats.row_keys_attended is not None:
-                stats.row_keys_attended = np.concatenate(
-                    [credit_att, stats.row_keys_attended]
-                )
-                stats.row_keys_total = np.concatenate(
-                    [credit_tot, stats.row_keys_total]
-                )
         self.prefill_stats = stats
         self.last_logits = logits
-        if self.prefix_cache:
-            self._prompt_tokens = prompt_tokens
-            self._prefill_rows = (
-                [(stats.row_keys_attended, stats.row_keys_total)]
-                if stats.row_keys_attended is not None
-                else None
-            )
-            self._register_prefix()
         return greedy_sample(logits)
-
-    def _acquire_prefix(self, prompt_tokens: List[int]):
-        """Map cached prompt pages into this decoder's fresh arena session."""
-        if not self.prefix_cache:
-            return 0, None, None
-        n_reused, att, tot = self.arena.acquire_prefix(
-            self.caches[0].arena_session, prompt_tokens
-        )
-        self.prefix_reused_tokens = n_reused
-        return n_reused, att, tot
 
     def _register_prefix(self) -> None:
         """Index this decoder's completed prompt pages for future reuse."""
@@ -285,7 +264,10 @@ class IncrementalDecoder:
             # cache-hit rows count as already-done chunks: the existing
             # resume-from-chunk machinery then runs only the novel suffix
             # (n_reused <= len(prompt) - 1, so at least one row remains)
-            n_reused, att, tot = self._acquire_prefix(prompt_tokens)
+            n_reused, att, tot = self.arena.acquire_prefix(
+                self.caches[0].arena_session, prompt_tokens
+            )
+            self.prefix_reused_tokens = n_reused
             if n_reused:
                 self._prefill_done = n_reused
                 self._prefill_partial = ForwardStats(
@@ -309,7 +291,7 @@ class IncrementalDecoder:
         decodes: Sequence["IncrementalDecoder"] = (),
         decode_tokens: Sequence[int] = (),
         draft_tokens: Optional[Sequence[Sequence[int]]] = None,
-    ) -> Tuple[List[Optional[int]], List]:
+    ) -> Tuple[List[Optional[int]], List[List[int]]]:
         """Advance a mixed batch: prefill chunks plus decode rows, one pass.
 
         ``prefills[i]`` (begun via :meth:`begin_prefill`) contributes its next
@@ -322,10 +304,11 @@ class IncrementalDecoder:
 
         Returns ``(prefill_tokens, decode_tokens)``: ``prefill_tokens[i]`` is
         the first sampled token when decoder ``i`` finished its prompt this
-        step, ``None`` while chunks remain; ``decode_tokens[j]`` is stream
-        ``j``'s next token.  All decoders must share one model and one
-        predictor.  A step of decode rows alone is simply a batch of one-row
-        chunks.
+        step, ``None`` while chunks remain; ``decode_tokens[j]`` is the list
+        of tokens decode stream ``j`` emitted -- every emitted value is a
+        list, one token long for a plain decode row.  All decoders must
+        share one model and one predictor.  A step of decode rows alone is
+        simply a batch of one-row chunks.
 
         A model without ``prefill_batch`` (the float model, test stubs) runs
         one ``forward(chunk, caches, predictor)`` per stream instead, with the
@@ -335,8 +318,9 @@ class IncrementalDecoder:
         the one-shot :meth:`prefill` width only when nothing of the prompt is
         left over.
 
-        **Speculative decode** (``draft_tokens`` given, one token list per
-        decode stream, empty lists allowed): stream ``j``'s chunk becomes
+        **Speculative decode** (``draft_tokens``: one token list per decode
+        stream; ``None`` means an empty list for every stream, which is plain
+        decode): stream ``j``'s chunk is
         ``[decode_tokens[j]] + draft_tokens[j]`` -- the accepted token plus
         up to ``k`` drafter proposals -- and the fused pass verifies all of
         them at once.  The greedy accept rule then runs over the stream's
@@ -347,10 +331,9 @@ class IncrementalDecoder:
         one bonus token from the final row.  Rejected drafts' KV rows are
         popped via :meth:`truncate_kv`, so the stream's tokens **and** KV are
         bit-identical to one-token decode -- the drafter only ever changes
-        how many verified tokens one pass yields.  In this mode
-        ``decode_tokens[j]`` in the return value is the *list* of emitted
-        tokens (length ``accepted + 1``) and speculative streams require
-        arena-backed decoders (rollback needs
+        how many verified tokens one pass yields.  Stream ``j`` emits
+        ``accepted + 1`` tokens, and a stream with drafts needs an
+        arena-backed decoder (rollback needs
         :meth:`~repro.serve.kv_arena.PagedKVArena.truncate_session`).
         """
         prefills = list(prefills)
@@ -365,13 +348,13 @@ class IncrementalDecoder:
             raise ValueError(
                 f"got {len(decode_tokens)} tokens for {len(decodes)} decoders"
             )
-        drafts: Optional[List[List[int]]] = None
-        if draft_tokens is not None:
-            drafts = [[int(t) for t in d] for d in draft_tokens]
-            if len(drafts) != len(decodes):
-                raise ValueError(
-                    f"got {len(drafts)} draft lists for {len(decodes)} decoders"
-                )
+        if draft_tokens is None:
+            draft_tokens = [()] * len(decodes)
+        drafts = [[int(t) for t in d] for d in draft_tokens]
+        if len(drafts) != len(decodes):
+            raise ValueError(
+                f"got {len(drafts)} draft lists for {len(decodes)} decoders"
+            )
         if not prefills and not decodes:
             return [], []
         everyone = prefills + decodes
@@ -400,18 +383,13 @@ class IncrementalDecoder:
             start = decoder._prefill_done
             chunks.append(decoder._prefill_pending[start : start + n])
             totals.append(len(decoder._prefill_pending))
-        for j, (decoder, token) in enumerate(zip(decodes, decode_tokens)):
+        for decoder, token, tail in zip(decodes, decode_tokens, drafts):
             if decoder.prefill_stats is None:
                 raise RuntimeError("prefill must finish before decode steps")
-            tail = drafts[j] if drafts is not None else []
             chunks.append([token] + tail)
             totals.append(decoder.seq_len + 1 + len(tail))
 
-        spec_idx = (
-            [len(prefills) + j for j, d in enumerate(drafts) if d]
-            if drafts is not None
-            else []
-        )
+        spec_idx = [len(prefills) + j for j, d in enumerate(drafts) if d]
         caches = [d.caches for d in everyone]
         if fused is None:
             logits, stats_list, row_logits = _forward_each(
@@ -449,29 +427,21 @@ class IncrementalDecoder:
                 prefill_out.append(greedy_sample(logits[i]))
             else:
                 prefill_out.append(None)
-        decode_out: List = []
-        for j, decoder in enumerate(decodes):
+        decode_out: List[List[int]] = []
+        for j, (decoder, drafts_j) in enumerate(zip(decodes, drafts)):
             b = len(prefills) + j
             # a decode step keeps its scalar totals only: the per-row views
             # would pin the whole step's row-count buffers for the stream's life
             stats = stats_list[b]
             stats.row_keys_attended = stats.row_keys_total = None
             decoder.decode_stats.append(stats)
-            if drafts is None:
-                decoder.last_logits = logits[b : b + 1]
-                decode_out.append(greedy_sample(logits[b]))
-                continue
-            drafts_j = drafts[j]
-            if not drafts_j:
-                decoder.last_logits = logits[b : b + 1]
-                decode_out.append([greedy_sample(logits[b])])
-                continue
             if decoder.arena is not None:
                 decoder.arena.stats.draft_rows_appended += len(drafts_j)
             # greedy accept: row i's argmax is what one-token decode would
             # emit at that position, so emitting it (and accepting drafts
-            # only while they match) reproduces the serial stream exactly
-            rows = row_logits[b]
+            # only while they match) reproduces the serial stream exactly;
+            # a row without drafts emits its own argmax alone
+            rows = row_logits[b] if drafts_j else logits[b : b + 1]
             out_tokens: List[int] = []
             kept = 0
             for i, d in enumerate(drafts_j):

@@ -344,9 +344,10 @@ class QuantizedTransformer:
         predictor: Optional[KeyPredictor] = None,
     ) -> Tuple[np.ndarray, List[ForwardStats]]:
         """One decode token per stream: :meth:`prefill_batch` with 1-row chunks."""
-        return self.prefill_batch(
+        logits, stats, _ = self.prefill_batch(
             [[t] for t in np.asarray(tokens).reshape(-1)], caches_list, predictor
         )
+        return logits, stats
 
     def prefill_batch(
         self,
@@ -354,8 +355,8 @@ class QuantizedTransformer:
         caches_list: Sequence[List[KVCache]],
         predictor: Optional[KeyPredictor] = None,
         total_lens: Optional[Sequence[int]] = None,
-        row_logits_for: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, List[ForwardStats]]:
+        row_logits_for: Sequence[int] = (),
+    ) -> Tuple[np.ndarray, List[ForwardStats], Dict[int, np.ndarray]]:
         """One fused pass over ``B`` ragged prompt chunks (and decode rows).
 
         ``chunks[b]`` is stream ``b``'s next batch of accepted tokens -- a
@@ -378,16 +379,14 @@ class QuantizedTransformer:
         batch composition.
 
         Returns float logits ``(B, vocab)`` (one row per stream, the logits
-        of that stream's **last chunk row**) and one :class:`ForwardStats`
-        per stream covering only this chunk's rows.
-
-        ``row_logits_for`` names stream indices whose *per-row* logits the
-        caller needs -- the speculative verify pass samples one token after
-        every chunk row, not just the last.  When given, a third return value
-        is appended: ``{b: (row_counts[b], vocab) logits}`` for exactly those
-        streams, produced by one extra LM-head projection over the selected
-        rows (the LM head is row-local, so each row's logits equal what a
-        serial forward ending at that row would produce).
+        of that stream's **last chunk row**), one :class:`ForwardStats` per
+        stream covering only this chunk's rows, and
+        ``{b: (row_counts[b], vocab) logits}`` for exactly the streams
+        ``row_logits_for`` names (empty by default).  The speculative verify
+        pass samples one token after every chunk row, not just the last; the
+        per-row logits come from one extra LM-head projection over the
+        selected rows (the LM head is row-local, so each row's logits equal
+        what a serial forward ending at that row would produce).
         """
         chunks = [np.asarray(c, dtype=np.int64).reshape(-1) for c in chunks]
         n_streams = len(chunks)
@@ -447,8 +446,6 @@ class QuantizedTransformer:
         # is row-local, so projecting just those B rows is exact
         last_rows = hidden[offsets[1:] - 1]
         logits = self._qlin_forward(self.lm_head, "lm_head", last_rows)
-        if row_logits_for is None:
-            return logits, stats
         sel = [int(b) for b in row_logits_for]
         if not sel:
             return logits, stats, {}

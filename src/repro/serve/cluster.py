@@ -630,7 +630,7 @@ class ClusterEngine:
 
     # -- stepping --------------------------------------------------------------
 
-    def step(self) -> Dict[str, int]:
+    def step(self) -> Dict[str, List[int]]:
         """Advance the whole fleet one step; returns all emitted tokens.
 
         Order within a cluster step: (1) cooled-down replicas recover,
@@ -663,7 +663,7 @@ class ClusterEngine:
             if not self._dispatch(chandle, step):
                 self._deferred.append(chandle)
 
-        emitted: Dict[str, int] = {}
+        emitted: Dict[str, List[int]] = {}
         for replica in self.replicas:
             emitted.update(replica.engine.step())
 

@@ -1072,15 +1072,14 @@ class ServingEngine:
             drafts.append(proposal)
         return drafts
 
-    def step(self) -> Dict[str, int]:
+    def step(self) -> Dict[str, List[int]]:
         """Advance one engine step; returns the tokens emitted per request.
 
-        With speculation off every value is the single ``int`` token the
-        request emitted this step; with ``speculative`` on, a decoding
-        session's value is the *list* of tokens its verified chunk committed
-        (prefilling sessions still emit a single ``int`` first token).
+        Every emitted value is a list: ``[token]`` for a first token or a
+        plain decode row, and with ``speculative`` on the tokens a decoding
+        session's verified chunk committed.
         """
-        emitted: Dict[str, object] = {}
+        emitted: Dict[str, List[int]] = {}
         step = self.current_step
 
         # timeout reaper first: a request past its hard bound must not take
@@ -1232,13 +1231,9 @@ class ServingEngine:
             if budget is not None:
                 budget -= take
         prefill_rows = sum(chunk_sizes)
-        draft_lists: Optional[List[List[int]]] = None
-        if self._speculative is not None and decoding:
-            draft_lists = self._build_drafts(decoding)
-            if not any(draft_lists):
-                # nothing proposed anywhere: plain one-token decode --
-                # identical rows, no verify overhead
-                draft_lists = None
+        draft_lists = (
+            None if self._speculative is None else self._build_drafts(decoding)
+        )
         if chunked or decoding:
             # one pass for the whole step; decode rows are one-row chunks
             emitted.update(
@@ -1277,9 +1272,9 @@ class ServingEngine:
             value = emitted.get(handle.request_id)
             if value is None:
                 continue
-            # speculative decode commits a list per chunk; on_token still
-            # fires once per token, in commit order, same step timestamp
-            for token in value if isinstance(value, list) else (value,):
+            # on_token fires once per token, in commit order, same step
+            # timestamp
+            for token in value:
                 self._dispatch_token(handle, token, step)
 
         retired = 0
@@ -1296,9 +1291,7 @@ class ServingEngine:
 
         stats: Dict[str, int] = {
             "step": step,
-            "emitted": sum(
-                len(v) if isinstance(v, list) else 1 for v in emitted.values()
-            ),
+            "emitted": sum(map(len, emitted.values())),
             "admitted": len(admitted),
             "preempted": len(victims),
             "decoded": len(decoding),

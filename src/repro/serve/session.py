@@ -349,7 +349,7 @@ class GenerationSession:
                 f"cannot resume session {self.request.request_id!r} "
                 f"({self.state.value})"
             )
-        self._abandon_snapshot()
+        self._drop_decoder()
         self.state = SessionState.PREFILLING
         self.decoder = IncrementalDecoder(
             self.model,
@@ -367,49 +367,39 @@ class GenerationSession:
         """Whether the session holds an off-arena KV snapshot to restore."""
         return self.kv_snapshot is not None
 
-    def _snapshot_kv(self) -> bool:
-        """Copy the live KV off-arena, keeping the decoder; False when unable.
+    def _drop_decoder(self) -> None:
+        """Re-prefill fallback: free the KV and any snapshot, drop the decoder.
 
-        Only arena-backed decoders can snapshot (standalone buffers have no
-        page table to copy out); on success the decoder keeps every bit of
-        its continuation state -- pending prefill chunks, statistics, logits
-        -- so the restored stream is indistinguishable from an uninterrupted
-        one, metrics included (no traffic is folded into the preemption
-        bases: nothing is recomputed).
+        The dropped decoder's traffic is folded into the preemption bases
+        first: the re-prefill work of :meth:`begin_resume` is real served
+        traffic on top of it.  A session without a decoder is left as is.
         """
-        if self.decoder is None:
-            return False
-        snap = self.decoder.snapshot_kv()
-        if snap is None:
-            return False
-        self.kv_snapshot = snap
-        self._resume_state = self.state
-        return True
-
-    def _discard_snapshot(self) -> None:
-        """Release a snapshot that will never be restored (idempotent)."""
-        if self.kv_snapshot is not None and self.arena is not None:
-            self.arena.discard_snapshot(self.kv_snapshot)
-        self.kv_snapshot = None
-        self._resume_state = None
-
-    def _abandon_snapshot(self) -> None:
-        """Fall back to re-prefill: drop the snapshot *and* the kept decoder.
-
-        Defensive twin of :meth:`_discard_snapshot` for :meth:`begin_resume`
-        -- folding the kept decoder's traffic into the preemption bases and
-        releasing its (empty) arena session before a fresh decoder replaces
-        it, so arena books stay balanced even if a caller re-prefills a
-        snapshot-preempted session instead of restoring it.
-        """
-        if self.kv_snapshot is None:
-            return
-        self._discard_snapshot()
+        self.release_kv()
         if self.decoder is not None:
             self._keys_attended_base += self.decoder.keys_attended
             self._keys_total_base += self.decoder.keys_total
-            self.decoder.release()
             self.decoder = None
+
+    def _evict(self, snapshot: bool) -> None:
+        """Give up the live KV and enter ``PREEMPTED``: preempt and retry.
+
+        With ``snapshot`` an already-held snapshot is kept and a live
+        (``ACTIVE`` / ``PREFILLING``) arena-backed session copies its KV
+        off-arena; either way the decoder stays with every bit of its
+        continuation state -- pending prefill chunks, statistics, logits --
+        so the restored stream is indistinguishable from an uninterrupted
+        one, metrics included (nothing is recomputed, so nothing is folded
+        into the preemption bases).  Otherwise, or when there is nothing to
+        copy (standalone buffers have no page table), the decoder is dropped
+        and the resume re-prefills.
+        """
+        live = self.state in (SessionState.ACTIVE, SessionState.PREFILLING)
+        if snapshot and self.kv_snapshot is None and live:
+            self.kv_snapshot = self.decoder.snapshot_kv()
+            self._resume_state = self.state
+        if not snapshot or self.kv_snapshot is None:
+            self._drop_decoder()
+        self.state = SessionState.PREEMPTED
 
     def resume_from_snapshot(self, step: int) -> SessionState:
         """Fault the snapshot's pages back in; zero re-prefill forward passes.
@@ -455,15 +445,7 @@ snapshot_session`) and keeps its decoder, so
                 f"cannot preempt session {self.request.request_id!r} "
                 f"({self.state.value})"
             )
-        if snapshot and self._snapshot_kv():
-            self.state = SessionState.PREEMPTED
-            self.preemptions += 1
-            return
-        self._keys_attended_base += self.decoder.keys_attended
-        self._keys_total_base += self.decoder.keys_total
-        self.decoder.release()
-        self.decoder = None
-        self.state = SessionState.PREEMPTED
+        self._evict(snapshot)
         self.preemptions += 1
 
     def retry(self, step: int, snapshot: bool = False) -> None:
@@ -489,36 +471,12 @@ snapshot_session`) and keeps its decoder, so
         waiting simply keeps its existing snapshot.  Untrusted faults
         (``snapshot=False``) discard any snapshot along with the decoder.
         """
-        if self.state not in (
-            SessionState.QUEUED,
-            SessionState.PREFILLING,
-            SessionState.ACTIVE,
-            SessionState.PREEMPTED,
-        ):
+        if self.is_terminal:
             raise RuntimeError(
                 f"cannot retry session {self.request.request_id!r} "
                 f"({self.state.value})"
             )
-        if snapshot:
-            if self.kv_snapshot is not None:
-                # already snapshot-preempted: the pages are off-arena, keep them
-                self.retries += 1
-                self.state = SessionState.PREEMPTED
-                return
-            if self.state in (
-                SessionState.PREFILLING,
-                SessionState.ACTIVE,
-            ) and self._snapshot_kv():
-                self.state = SessionState.PREEMPTED
-                self.retries += 1
-                return
-        self._discard_snapshot()
-        if self.decoder is not None:
-            self._keys_attended_base += self.decoder.keys_attended
-            self._keys_total_base += self.decoder.keys_total
-            self.decoder.release()
-            self.decoder = None
-        self.state = SessionState.PREEMPTED
+        self._evict(snapshot)
         self.retries += 1
 
     def finalize(self, state: SessionState, step: int) -> None:
@@ -541,9 +499,7 @@ snapshot_session`) and keeps its decoder, so
                 f"cannot finalize session {self.request.request_id!r} "
                 f"({self.state.value})"
             )
-        self._discard_snapshot()
-        if self.decoder is not None:
-            self.decoder.release()
+        self.release_kv()
         self.state = state
         self.finished_step = step
 
@@ -561,9 +517,7 @@ snapshot_session`) and keeps its decoder, so
                 f"cannot cancel session {self.request.request_id!r} "
                 f"({self.state.value})"
             )
-        self._discard_snapshot()
-        if self.decoder is not None:
-            self.decoder.release()
+        self.release_kv()
         self.state = SessionState.CANCELLED
         if step is not None:
             self.finished_step = step
@@ -576,7 +530,7 @@ snapshot_session`) and keeps its decoder, so
         decoding: Sequence["GenerationSession"],
         step: int,
         draft_tokens: Optional[Sequence[Sequence[int]]] = None,
-    ) -> Dict[str, object]:
+    ) -> Dict[str, List[int]]:
         """One mixed engine step: prefill chunks plus decode rows, one pass.
 
         ``prefilling[i]`` (in ``PREFILLING`` state) advances by
@@ -584,16 +538,17 @@ snapshot_session`) and keeps its decoder, so
         one token, all through a single
         :meth:`~repro.model.generation.IncrementalDecoder.prefill_step_batch`
         forward.  Sessions whose final chunk landed move to ``ACTIVE`` and
-        commit their first token; decoding sessions commit their next one.
-        Returns ``{request_id: token}`` for every token emitted this step
-        (mid-prefill sessions emit nothing).
+        commit their first token; decoding sessions commit their next ones.
+        Returns ``{request_id: tokens}`` for every session that emitted this
+        step (mid-prefill sessions emit nothing); every emitted value is a
+        list, ``[token]`` for a first token or a plain decode row.
 
-        ``draft_tokens`` (one proposal list per decoding session, empty
-        lists allowed) switches the decode rows to speculative draft-verify
-        chunks: each decoding session's emitted value becomes the *list* of
-        tokens the accept rule committed this step (see
+        ``draft_tokens`` (one proposal list per decoding session; ``None``
+        is an empty list each, i.e. plain decode) makes the decode rows
+        speculative draft-verify chunks: a decoding session commits the list
+        of tokens the accept rule emitted (see
         :meth:`IncrementalDecoder.prefill_step_batch`), bit-identical as a
-        stream to the one-token path.
+        stream to one-token decode.
         """
         prefilling = list(prefilling)
         decoding = list(decoding)
@@ -616,76 +571,56 @@ snapshot_session`) and keeps its decoder, so
             [s.generated_tokens[-1] for s in decoding],
             draft_tokens=draft_tokens,
         )
-        emitted: Dict[str, object] = {}
+        emitted: Dict[str, List[int]] = {}
         for session, token in zip(prefilling, prefill_tokens):
             if token is None:
                 continue  # chunks remain; the session keeps its slot
             session.state = SessionState.ACTIVE
-            emitted.update(session._commit_contained(token, step))
-        for j, (session, token) in enumerate(zip(decoding, decode_tokens)):
-            if draft_tokens is None:
-                emitted.update(session._commit_contained(token, step))
-            else:
-                emitted.update(
-                    session._commit_spec_contained(
-                        token, len(draft_tokens[j]), step
-                    )
-                )
+            emitted.update(session._commit_contained([token], 0, step))
+        for j, (session, tokens) in enumerate(zip(decoding, decode_tokens)):
+            proposed = 0 if draft_tokens is None else len(draft_tokens[j])
+            emitted.update(session._commit_contained(tokens, proposed, step))
         return emitted
 
     @staticmethod
     def decode_step_batch(
         sessions: Sequence["GenerationSession"], step: int
-    ) -> Dict[str, int]:
+    ) -> Dict[str, List[int]]:
         """One token from every active session: :meth:`prefill_step_batch`."""
         return GenerationSession.prefill_step_batch([], [], sessions, step)
 
-    def _commit_contained(self, token: int, step: int) -> Dict[str, int]:
+    def _commit_contained(
+        self, tokens: List[int], proposed: int, step: int
+    ) -> Dict[str, List[int]]:
         """Commit with per-session fault isolation for the batch loops.
 
         A fault raised by this session's commit (injected or the real KV
         integrity check) is parked on :attr:`last_fault` for the engine to
         route (retry / FAILED) instead of propagating -- one bad row must
         never abort its siblings' commits, which is what keeps an engine
-        step atomic for the surviving batch.  Returns ``{request_id: token}``
-        on success, ``{}`` when quarantined (the token is discarded: a
-        faulted step's output is untrusted).
+        step atomic for the surviving batch.  Returns
+        ``{request_id: committed_tokens}`` on success, ``{}`` when
+        quarantined: a faulted step commits *nothing* (its output is
+        untrusted), so the retry re-prefills the fault-free prefix.
         """
         try:
-            return {self.request.request_id: self._commit(token, step)}
+            return {self.request.request_id: self._commit(tokens, proposed, step)}
         except _FAULT_TYPES as exc:
             self.last_fault = exc
             return {}
 
-    def _commit_spec_contained(
-        self, tokens: List[int], proposed: int, step: int
-    ) -> Dict[str, List[int]]:
-        """Speculative twin of :meth:`_commit_contained`.
+    def _commit(self, tokens: List[int], proposed: int, step: int) -> List[int]:
+        """Commit one step's emission; returns the committed list.
 
-        ``tokens`` is the verified emission list of one speculative decode
-        chunk (``accepted + 1`` tokens, the accept rule's output) and
-        ``proposed`` how many drafts were verified to get it.  Returns
-        ``{request_id: committed_tokens}`` on success (possibly shorter than
-        ``tokens`` when EOS or the decode budget lands mid-list), ``{}``
-        when quarantined -- a faulted step commits *nothing*, exactly like
-        the one-token path, so the retry re-prefills the fault-free prefix.
-        """
-        try:
-            return {self.request.request_id: self._commit_spec(tokens, proposed, step)}
-        except _FAULT_TYPES as exc:
-            self.last_fault = exc
-            return {}
-
-    def _commit_spec(self, tokens: List[int], proposed: int, step: int) -> List[int]:
-        """Commit a verified multi-token emission; returns the committed list.
-
-        Tokens land in order with the same EOS / ``max_new_tokens`` checks
-        :meth:`_commit` applies per token; the first terminal token stops the
-        commit and discards the rest of the list (their KV rows are freed
-        with the session at retirement).  All committed tokens carry this
-        step's timestamp -- one fused pass produced them.  Draft counters
-        and :attr:`last_spec_outcome` update only on success, so a
-        quarantined step never skews the acceptance window.
+        ``tokens`` is ``[token]`` for a first token or a plain decode row,
+        or the verified emission of a speculative chunk (``accepted + 1``
+        tokens) that checked ``proposed`` drafts.  Tokens land in order; the
+        first EOS or the ``max_new_tokens``-th token finishes the session and
+        discards the rest of the list (their KV rows are freed with the
+        session at retirement).  All committed tokens carry this step's
+        timestamp -- one fused pass produced them.  Draft counters and
+        :attr:`last_spec_outcome` update only on success, so a quarantined
+        step never skews the acceptance window.
         """
         if self.fault_injector is not None:
             self._inject_and_verify(step, extra_rows=len(tokens) - 1)
@@ -765,21 +700,6 @@ snapshot_session`) and keeps its decoder, so
         garbage = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
         caches[0].append(garbage, garbage)
 
-    def _commit(self, token: int, step: int) -> int:
-        if self.fault_injector is not None:
-            self._inject_and_verify(step)
-        token = int(token)
-        self.generated_tokens.append(token)
-        if self.first_token_step is None:
-            self.first_token_step = step
-        eos = self.request.eos_token
-        if (eos is not None and token == eos) or (
-            len(self.generated_tokens) >= self.request.max_new_tokens
-        ):
-            self.state = SessionState.FINISHED
-            self.finished_step = step
-        return token
-
     def release_kv(self) -> None:
         """Free the session's KV storage (arena pages or standalone buffers).
 
@@ -788,7 +708,10 @@ snapshot_session`) and keeps its decoder, so
         and generated tokens are unaffected; only further decoding becomes
         impossible.
         """
-        self._discard_snapshot()
+        if self.kv_snapshot is not None:
+            self.arena.discard_snapshot(self.kv_snapshot)
+        self.kv_snapshot = None
+        self._resume_state = None
         if self.decoder is not None:
             self.decoder.release()
 

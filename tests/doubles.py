@@ -55,7 +55,11 @@ def _step(session, step, prefill=False):
         emitted = GenerationSession.prefill_step_batch([session], [chunk], [], step)
     else:
         emitted = GenerationSession.prefill_step_batch([], [], [session], step)
-    return emitted.get(session.request.request_id)
+    value = emitted.get(session.request.request_id)
+    if value is None:
+        return None
+    (token,) = value  # a first token or a plain decode row: one token
+    return token
 
 
 def admit(session, step):

@@ -214,7 +214,7 @@ def _mixed_steps(model, predictor):
         predictor,
         total_lens=[5, 11, 9, 9, 10, 4],
     )
-    return [tail, scattered]
+    return [tail[:2], scattered[:2]]
 
 
 class TestDecodeRowsOneSelectionCall:
@@ -307,8 +307,12 @@ def _arena(model, layers=None):
 
 
 def _decode_step(decoders, tokens):
-    """One decode-only batched step: every stream a one-row chunk."""
-    return IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)[1]
+    """One decode-only batched step: every stream a one-row chunk.
+
+    Returns each stream's one emitted token.
+    """
+    emitted = IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)[1]
+    return [t for (t,) in emitted]
 
 
 class TestStepBatch:
@@ -374,7 +378,7 @@ class TestStepBatch:
             return caches
 
         logits_a, stats_a = model.forward_batch([3, 1, 4], prefilled())
-        logits_b, stats_b = model.prefill_batch([[3], [1], [4]], prefilled())
+        logits_b, stats_b, _ = model.prefill_batch([[3], [1], [4]], prefilled())
         assert np.array_equal(logits_a, logits_b)
         assert stats_a == stats_b
 

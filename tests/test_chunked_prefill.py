@@ -176,7 +176,8 @@ class TestModelLayerBitIdentity:
             out_p, out_d = IncrementalDecoder.prefill_step_batch(
                 [dec_b], [chunk], [dec_a], [mixed_tokens[-1]]
             )
-            mixed_tokens.append(out_d[0])
+            (token_a,) = out_d[0]
+            mixed_tokens.append(token_a)
             if out_p[0] is not None:
                 token_b = out_p[0]
         assert mixed_tokens == ref_tokens[: len(mixed_tokens)]

@@ -353,7 +353,8 @@ class TestDecodeCopyTraffic:
             ]
             # the first decode step builds the view; the measured second one
             # ends at exactly context rows
-            _, tokens = IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)
+            _, emitted = IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)
+            tokens = [t for (t,) in emitted]
             before = arena.stats.gather_bytes_copied
             rebuilds = arena.stats.gather_rebuilds
             IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)

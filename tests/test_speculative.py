@@ -13,8 +13,10 @@ on fault-free runs, and the arena always drains to zero pages.
 Unit classes cover the two drafters, the adaptive throttle's window
 arithmetic, :meth:`PagedKVArena.truncate_session` and the report/metrics
 plumbing (spec keys only when speculation is on; ``from_json`` tolerant
-both ways).  ``TestAdaptivePrefillBudget`` covers the satellite
-:class:`AdaptivePrefillAdmission` policy.
+both ways).  ``TestZeroDraftIsPlainDecode`` pins that a drafter which
+never proposes runs exactly the speculation-off engine, step by step, and
+that every step value is a token list.  ``TestAdaptivePrefillBudget``
+covers the satellite :class:`AdaptivePrefillAdmission` policy.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 from repro.model import QuantizedTransformer, TransformerModel, get_model_config
 from repro.serve import (
     AdaptivePrefillAdmission,
+    Drafter,
     FaultPlan,
     NGramDrafter,
     PagedKVArena,
@@ -483,6 +486,72 @@ class TestSpeculationReporting:
         off.submit(Request("t1", [1, 2, 3], max_new_tokens=2))
         off.run()
         assert "draft_proposed" not in off.last_step_stats
+
+
+class _SilentDrafter(Drafter):
+    """Never proposes: every decode row verifies an empty draft list."""
+
+    name = "silent"
+
+    def propose(self, history, k):
+        return []
+
+
+def _step_by_step(model, requests, speculative):
+    """Run to completion one step at a time; returns the per-step record.
+
+    Each step contributes its emitted dict and its ``last_step_stats``
+    without the ``draft_*`` keys (those exist only with speculation on).
+    """
+    engine = ServingEngine(
+        model, max_active=3, prefill_token_budget=5, speculative=speculative
+    )
+    handles = [engine.submit(r) for r in requests]
+    steps = []
+    while engine.has_work:
+        emitted = engine.step()
+        stats = dict(engine.last_step_stats)
+        drafts = {k: stats.pop(k) for k in list(stats) if k.startswith("draft_")}
+        zero = {"draft_proposed": 0, "draft_accepted": 0}
+        assert drafts == ({} if speculative is None else zero)
+        steps.append((emitted, stats))
+    tokens = {h.request_id: list(h.generated_tokens) for h in handles}
+    return tokens, steps, engine.report().to_json()["requests"]
+
+
+class TestZeroDraftIsPlainDecode:
+    """A decode row with no drafts is plain decode: one commit path."""
+
+    @FUZZ
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    def test_silent_drafter_matches_spec_off(self, model, seed):
+        requests = _sample_trace(
+            np.random.default_rng(seed), model.config.vocab_size, repetitive=True
+        )
+        off = _step_by_step(model, requests, None)
+        silent = _step_by_step(
+            model, requests, SpeculationConfig(k=4, drafter=_SilentDrafter())
+        )
+        assert silent[0] == off[0]  # tokens
+        assert silent[1] == off[1]  # emitted dict and stats, step by step
+        assert silent[2] == off[2]  # per-request report entries
+        for entry in silent[2]:
+            assert entry["draft_proposed"] == 0
+            assert entry["draft_accepted"] == 0
+            assert entry["spec_steps"] == 0
+
+    def test_spec_off_step_values_are_lists(self, model):
+        engine = ServingEngine(model, max_active=2)
+        handles = [
+            engine.submit(Request("a", [1, 2, 3], max_new_tokens=3)),
+            engine.submit(Request("b", [4, 5], max_new_tokens=2)),
+        ]
+        streamed = {"a": [], "b": []}
+        while engine.has_work:
+            for request_id, value in engine.step().items():
+                assert type(value) is list and len(value) == 1
+                streamed[request_id] += value
+        assert streamed == {h.request_id: h.generated_tokens for h in handles}
 
 
 # -- adaptive prefill budget (satellite) ---------------------------------------
