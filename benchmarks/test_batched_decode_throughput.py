@@ -15,7 +15,7 @@ streams advance ``N_STEPS`` tokens two ways:
   cache).
 
 A second grid replays one bursty prioritized heavy-tail trace through the
-policy-driven :class:`ServingEngine` under the shipped policy pairs
+policy-driven :class:`ServingEngine` under the shipped policies
 (FCFS, priority, deadline, aging) at ``B = 8`` slots, recording per-class
 p95 latency, preemption and deadline-miss counts, and wall-clock tokens/sec.
 
@@ -70,7 +70,7 @@ from repro.serve import (
     Request,
     ServingEngine,
     SpeculationConfig,
-    make_policies,
+    make_policy,
 )
 from repro.workloads import sample_requests
 
@@ -83,7 +83,7 @@ PROMPT_LEN = 12
 REPEATS = 3
 
 # policy grid: one bursty prioritized heavy-tail trace, replayed under the
-# shipped policy pairs at B = GATED_BATCH slots
+# shipped policies at B = GATED_BATCH slots
 POLICY_NAMES = ("fcfs", "priority", "deadline", "aging")
 POLICY_REQUESTS = 48
 POLICY_SEED = 29
@@ -303,12 +303,10 @@ def _policy_rows(model):
     }
     rows = {}
     for name in POLICY_NAMES:
-        admission, scheduling = make_policies(name)
         engine = ServingEngine(
             model,
             max_active=GATED_BATCH,
-            admission=admission,
-            scheduling=scheduling,
+            scheduling=make_policy(name),
         )
         handles = engine.submit_many(requests)
         start = time.perf_counter()
@@ -758,12 +756,10 @@ def _snapshot_block(model):
     }
 
     def _run(kv_snapshots, kv_dtype=None):
-        admission, scheduling = make_policies("priority")
         engine = ServingEngine(
             model,
             max_active=GATED_BATCH,
-            admission=admission,
-            scheduling=scheduling,
+            scheduling=make_policy("priority"),
             kv_snapshots=kv_snapshots,
             kv_dtype=kv_dtype,
         )
@@ -834,12 +830,10 @@ def _snapshot_block(model):
     ]
     long_runs = {}
     for mode, snap in (("off", False), ("on", True)):
-        admission, scheduling = make_policies("priority")
         engine = ServingEngine(
             model,
             max_active=1,
-            admission=admission,
-            scheduling=scheduling,
+            scheduling=make_policy("priority"),
             kv_snapshots=snap,
         )
         handles = engine.submit_many(long_requests)

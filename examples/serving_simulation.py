@@ -7,9 +7,9 @@ Demonstrates the batched serving layer end to end:
    :class:`ServingEngine` with >= 8 concurrent sessions, printing
    per-request latency/traffic and aggregate throughput;
 2. replay one bursty heavy-tail (Pareto) trace with an 80/20 low/high
-   priority mix under the shipped policy pairs -- FCFS, priority, deadline
+   priority mix under the shipped policies -- FCFS, priority, deadline
    and aging (anti-starvation effective priorities) -- showing how priority
-   admission + preemption cut the high-priority p95 latency while FCFS
+   ordering + preemption cut the high-priority p95 latency while FCFS
    makes urgent requests wait behind the burst, with identical tokens
    everywhere;
 3. run the same stream through a quantised model bound to an
@@ -78,7 +78,7 @@ from repro.serve import (
     Request,
     ServingEngine,
     SpeculationConfig,
-    make_policies,
+    make_policy,
 )
 from repro.workloads import sample_requests
 
@@ -139,10 +139,8 @@ def policy_comparison(policy: str = None, n_requests: int = 32,
     baseline_tokens = None
     chosen_report = None
     for name in names:
-        admission, scheduling = make_policies(name)
         engine = ServingEngine(
-            model, max_active=max_active,
-            admission=admission, scheduling=scheduling,
+            model, max_active=max_active, scheduling=make_policy(name)
         )
         handles = engine.submit_many(requests)
         report = engine.run()
@@ -281,12 +279,10 @@ def snapshot_demo(n_requests: int = 24, max_active: int = 4) -> None:
     )
 
     def run(kv_snapshots: bool, kv_dtype=None):
-        admission, scheduling = make_policies("priority")
         serving = ServingEngine(
             model,
             max_active=max_active,
-            admission=admission,
-            scheduling=scheduling,
+            scheduling=make_policy("priority"),
             page_size=8,
             kv_snapshots=kv_snapshots,
             kv_dtype=kv_dtype,

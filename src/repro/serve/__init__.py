@@ -11,9 +11,10 @@ multi-tenant serving simulator with a pluggable control plane:
   (:class:`PagedKVArena`): preallocated per-layer page pools, per-session
   page tables, occupancy watermarks for admission control, and an
   incrementally maintained batch view for attention;
-* :mod:`repro.serve.policies` -- the pluggable
-  :class:`AdmissionPolicy` / :class:`SchedulingPolicy` interfaces plus the
-  shipped FIFO / priority / deadline / arena-budget implementations;
+* :mod:`repro.serve.policies` -- the pluggable :class:`SchedulingPolicy`
+  (one object per engine orders the ready queue, gates admissions and picks
+  preemption victims) plus the shipped FCFS / priority / deadline / aging
+  disciplines and the arena-budget and adaptive-prefill wrappers;
 * :mod:`repro.serve.scheduler` -- the :class:`ServingEngine` facade (request
   lifecycle: ``submit() -> RequestHandle``, ``cancel``, streaming and
   completion callbacks, ``step``/``run``) wrapped around the batched
@@ -47,12 +48,12 @@ forward passes, bit-identical tokens *and* metrics -- and **int8 KV pages**
 
 The failure model lives in :mod:`repro.serve.faults`: a deterministic,
 seedable :class:`FaultInjector` (driven by a :class:`FaultPlan`) threads
-through the arena, the sessions and the callback dispatch; the engine
-hardens the request lifecycle around it with per-request timeouts, capped
-exponential-backoff retries (bit-identical recovered token streams),
-failure isolation (one faulted row never aborts its batch siblings),
-hysteretic load shedding (:class:`LoadShedWatchdog`) and graceful
-``drain()`` / ``shutdown()``.  Every request ends in exactly one terminal
+through the engine's arena probe, the sessions and the callback dispatch;
+the engine hardens the request lifecycle around it with per-request
+timeouts, capped exponential-backoff retries (bit-identical recovered token
+streams), failure isolation (one faulted row never aborts its batch
+siblings), hysteretic load shedding (:class:`LoadShedWatchdog`) and
+graceful ``drain()`` / ``shutdown()``.  Every request ends in exactly one terminal
 state -- ``FINISHED`` / ``CANCELLED`` / ``FAILED`` / ``TIMED_OUT`` /
 ``SHED`` -- recorded as :attr:`RequestMetrics.outcome`.
 
@@ -97,22 +98,18 @@ from .faults import (
 )
 from .kv_arena import ArenaStats, KVDtype, KVSnapshot, PagedKVArena
 from .policies import (
-    AdaptivePrefillAdmission,
-    AdmissionPolicy,
-    AgingPriorityAdmission,
-    ArenaBudgetAdmission,
-    DeadlineAdmission,
+    AdaptivePrefillPolicy,
+    AgingPriorityPolicy,
+    ArenaBudgetPolicy,
     DeadlinePolicy,
     FCFSPolicy,
-    FIFOAdmission,
     LeastLoadedRouting,
     PrefixAffinityRouting,
-    PriorityAdmission,
     PriorityPolicy,
     RoundRobinRouting,
     RoutingPolicy,
     SchedulingPolicy,
-    make_policies,
+    make_policy,
     make_routing,
 )
 from .scheduler import (
@@ -130,20 +127,17 @@ from .speculative import (
 )
 
 __all__ = [
-    "AdaptivePrefillAdmission",
-    "AdmissionPolicy",
-    "AgingPriorityAdmission",
-    "ArenaBudgetAdmission",
+    "AdaptivePrefillPolicy",
+    "AgingPriorityPolicy",
+    "ArenaBudgetPolicy",
     "ArenaStats",
     "ClusterEngine",
     "ClusterHandle",
     "ClusterReport",
-    "DeadlineAdmission",
     "DeadlinePolicy",
     "Drafter",
     "FAULT_SITES",
     "FCFSPolicy",
-    "FIFOAdmission",
     "FailureInfo",
     "FaultError",
     "FaultInjector",
@@ -158,7 +152,6 @@ __all__ = [
     "NGramDrafter",
     "PagedKVArena",
     "PrefixAffinityRouting",
-    "PriorityAdmission",
     "PriorityPolicy",
     "Replica",
     "Request",
@@ -175,6 +168,6 @@ __all__ = [
     "TERMINAL_STATES",
     "TransientArenaFault",
     "TruncatedBitDrafter",
-    "make_policies",
+    "make_policy",
     "make_routing",
 ]

@@ -3,7 +3,7 @@
 The fleet control plane of the "millions of users" arc.  A
 :class:`ClusterEngine` owns ``D`` independent
 :class:`~repro.serve.scheduler.ServingEngine` replicas -- each with its own
-paged KV arena, admission/scheduling policies and (optionally) its own
+paged KV arena, scheduling policy and (optionally) its own
 seeded :class:`~repro.serve.faults.FaultInjector` stream -- behind a
 pluggable :class:`~repro.serve.policies.RoutingPolicy`:
 
@@ -15,8 +15,8 @@ pluggable :class:`~repro.serve.policies.RoutingPolicy`:
 
 Admission is two-level: submissions wait in one cluster-wide arrival queue
 (a min-heap on ``(arrival_step, submission order)``) and are routed to a
-replica *at their arrival step*; from there the replica's own admission
-policy (watermarks, arena budgets) takes over.  Because dispatch preserves
+replica *at their arrival step*; from there the replica's own scheduling
+policy (service order, arena budgets) takes over.  Because dispatch preserves
 the ``(arrival_step, submission index)`` order and happens before the
 replica's step runs, a request observes the exact same admission schedule a
 bare engine would have given it.
@@ -49,13 +49,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .faults import FaultInjector, FaultPlan
-from .policies import (
-    AdmissionPolicy,
-    RoutingPolicy,
-    SchedulingPolicy,
-    make_policies,
-    make_routing,
-)
+from .policies import RoutingPolicy, SchedulingPolicy, make_policy, make_routing
 from .scheduler import RequestHandle, ServingEngine, ServingReport
 from .session import Request, RequestMetrics, SessionState
 
@@ -396,9 +390,10 @@ class ClusterEngine:
     * ``n_replicas`` -- D, the data-parallel width.
     * ``routing`` -- a policy name (``"rr"``, ``"least-loaded"``,
       ``"affinity"``) or a :class:`RoutingPolicy` instance.
-    * ``policies`` -- ``None`` (engine defaults), a ``make_policies`` name
-      applied to every replica, or a callable ``replica_index -> (admission,
-      scheduling)`` for heterogeneous fleets.
+    * ``scheduling`` -- ``None`` (the engine default, FCFS), a
+      ``make_policy`` name giving every replica its own instance, or a
+      callable ``replica_index -> SchedulingPolicy`` for heterogeneous
+      fleets.
     * ``faults`` -- one :class:`FaultPlan` template; each replica gets its
       own plan with a seed spawned from ``seed`` via ``SeedSequence``, so
       fault streams are independent across replicas yet fully reproducible.
@@ -420,11 +415,7 @@ class ClusterEngine:
         n_replicas: int = 2,
         routing: Union[str, RoutingPolicy] = "rr",
         max_active: int = 8,
-        policies: Union[
-            None,
-            str,
-            Callable[[int], Tuple[AdmissionPolicy, SchedulingPolicy]],
-        ] = None,
+        scheduling: Union[None, str, Callable[[int], SchedulingPolicy]] = None,
         seed: int = 0,
         faults: Optional[FaultPlan] = None,
         failover_threshold: Optional[int] = 4,
@@ -454,21 +445,19 @@ class ClusterEngine:
         children = np.random.SeedSequence(self.seed).spawn(n_replicas)
         self.replicas: List[Replica] = []
         for index, child in enumerate(children):
-            if policies is None:
-                admission: Optional[AdmissionPolicy] = None
-                scheduling: Optional[SchedulingPolicy] = None
-            elif isinstance(policies, str):
-                admission, scheduling = make_policies(policies)
+            if scheduling is None:
+                policy: Optional[SchedulingPolicy] = None
+            elif isinstance(scheduling, str):
+                policy = make_policy(scheduling)
             else:
-                admission, scheduling = policies(index)
+                policy = scheduling(index)
             plan = None
             if faults is not None:
                 plan = replace(faults, seed=int(child.generate_state(1)[0]))
             engine = ServingEngine(
                 model,
                 max_active=max_active,
-                admission=admission,
-                scheduling=scheduling,
+                scheduling=policy,
                 faults=plan,
                 **engine_kwargs,
             )
@@ -551,10 +540,6 @@ class ClusterEngine:
     @property
     def n_replicas(self) -> int:
         return len(self.replicas)
-
-    @property
-    def n_healthy(self) -> int:
-        return sum(1 for r in self.replicas if r.up)
 
     @property
     def n_pending(self) -> int:

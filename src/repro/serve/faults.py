@@ -54,11 +54,12 @@ __all__ = [
 #: The named injection points the engine threads an injector through.
 #:
 #: ``arena.alloc``
-#:     Transient page-allocation failure, raised by
-#:     :meth:`~repro.serve.kv_arena.PagedKVArena.check_alloc` at *schedule
-#:     time* -- before the step's fused forward runs -- for any session about
-#:     to append KV rows this step (mirroring real engines, which check
-#:     allocatability when scheduling, not mid-kernel).
+#:     Transient page-allocation failure, raised by the engine's
+#:     schedule-time arena probe -- before the step's fused forward runs --
+#:     for any session about to append KV rows this step (mirroring real
+#:     engines, which check allocatability when scheduling, not mid-kernel).
+#:     Copy-on-write and mid-forward page allocations are deliberately not
+#:     injection points: a fault there could not be isolated to one row.
 #: ``session.compute``
 #:     Per-row compute fault: the faulted session's step result is declared
 #:     bad just before its token would commit; sibling rows of the same fused

@@ -376,9 +376,6 @@ class PagedKVArena:
             n_pages=initial_pages,
             kv_dtype=self.kv_dtype.value,
         )
-        # fault-injection hook (see check_alloc); None keeps every allocation
-        # path untouched -- the serving engine installs its injector here
-        self.fault_injector = None
         # per-layer batch views (see gather_batch).  Invariant: for every
         # stream of a view, view.cached[b] <= the session's length in that
         # layer, and rows below it equal the pool's rows.  Shrinking events
@@ -494,7 +491,7 @@ class PagedKVArena:
 
         ``n_pages`` should be the caller's *reservation total* (e.g. the sum
         of every admitted session's full-lifetime page count, as
-        :class:`~repro.serve.policies.ArenaBudgetAdmission` tracks) -- not
+        :class:`~repro.serve.policies.ArenaBudgetPolicy` tracks) -- not
         current occupancy, which lags reality because pages only materialise
         as prefill/decode appends rows.  ``watermark`` is a fraction of the
         ``max_pages`` budget; unbounded arenas always fit (growth is their
@@ -503,33 +500,6 @@ class PagedKVArena:
         if self.max_pages is None:
             return True
         return int(n_pages) <= int(self.max_pages * watermark)
-
-    # -- fault injection -------------------------------------------------------
-
-    def check_alloc(self, request_id: Optional[str], step: int) -> None:
-        """Schedule-time allocation probe for the fault-injection harness.
-
-        The serving engine calls this for every session about to append KV
-        rows in the coming fused pass (prefill chunks and decode rows alike),
-        *before* any forward runs -- the step-scheduling moment real engines
-        use to check allocatability.  When an installed
-        :class:`~repro.serve.faults.FaultInjector` arms the ``arena.alloc``
-        site for this ``(request, step)``, the probe raises
-        :class:`~repro.serve.faults.TransientArenaFault` and the engine
-        quarantines just that session (no page was touched, no row appended,
-        so the arena books stay balanced).  Copy-on-write and mid-forward
-        page allocations are deliberately *not* injection points: a fault
-        there could not be isolated to one batch row.  With no injector the
-        probe is never called, so the allocation fast path pays nothing.
-        """
-        injector = self.fault_injector
-        if injector is not None and injector.fires("arena.alloc", request_id, step):
-            from .faults import TransientArenaFault
-
-            raise TransientArenaFault(
-                f"injected transient page-allocation failure for request "
-                f"{request_id!r} at step {step}"
-            )
 
     # -- prefix cache ----------------------------------------------------------
 

@@ -1,41 +1,48 @@
-"""Pluggable admission and scheduling policies for the serving engine.
+"""Pluggable scheduling and routing policies for the serving engine.
 
-The serving control plane is split into two small interfaces so that
-request-lifecycle mechanics (owned by
-:class:`~repro.serve.scheduler.ServingEngine`) stay separate from *decisions*:
+The serving control plane keeps request-lifecycle mechanics (owned by
+:class:`~repro.serve.scheduler.ServingEngine`) separate from *decisions*,
+and one :class:`SchedulingPolicy` makes every service decision of an engine:
 
-* :class:`AdmissionPolicy` -- orders the ready queue (requests that have
-  arrived but hold no slot) and gates whether its head may take a free slot
-  right now.  Shipped: :class:`FIFOAdmission`, :class:`PriorityAdmission`,
-  :class:`DeadlineAdmission`, and :class:`ArenaBudgetAdmission`, which queues
-  requests instead of letting the paged KV arena grow past a configurable
-  watermark of its ``max_pages`` budget.
-* :class:`SchedulingPolicy` -- decides which active sessions to *preempt*
-  when more urgent work is waiting.  Shipped: :class:`FCFSPolicy` (never
-  preempts; with :class:`FIFOAdmission` it reproduces the pre-policy
-  scheduler bit-exactly), :class:`PriorityPolicy` (higher ``priority`` evicts
-  lower) and :class:`DeadlinePolicy` (earliest absolute deadline first).
+* its ``urgency_key(handle, step)`` orders the ready queue (requests that
+  have arrived but hold no slot) *and* ranks preemption victims, so the
+  order requests take free slots in and the order they are evicted in can
+  never disagree;
+* its admission hooks (``may_admit``, ``prefill_token_budget``,
+  ``check_submit``, ``on_admit``, ``on_release``) gate admissions on engine
+  state and keep per-handle resource reservations.
 
-Both interfaces see :class:`~repro.serve.scheduler.RequestHandle` objects,
-which expose the immutable :class:`~repro.serve.session.Request`, the live
+Shipped disciplines: :class:`FCFSPolicy` (arrival order, never preempts --
+the engine default, which the golden and fuzz suites pin),
+:class:`PriorityPolicy` (higher ``priority`` first, evicts lower),
+:class:`DeadlinePolicy` (earliest absolute deadline first) and
+:class:`AgingPriorityPolicy` (priority with anti-starvation aging, never
+preempts).  Two wrappers add one resource rule to any of them:
+:class:`ArenaBudgetPolicy` queues requests instead of letting the paged KV
+arena grow past a watermark of its ``max_pages`` budget, and
+:class:`AdaptivePrefillPolicy` throttles chunked prefill while the batch is
+decode-heavy.
+
+Policies see :class:`~repro.serve.scheduler.RequestHandle` objects, which
+expose the immutable :class:`~repro.serve.session.Request`, the live
 session, and a monotonically increasing ``index`` (submission order) for
-deterministic tie-breaking.  All shipped policies derive their ordering keys
-from *static* request attributes only; combined with strict-inequality
+deterministic tie-breaking.  The preemptive shipped policies derive their
+keys from *static* request attributes only; combined with strict-inequality
 preemption this guarantees the engine cannot livelock -- the most urgent
 unfinished request is never preempted, so every step makes progress.
 
 Writing a custom policy
 -----------------------
 
-Subclass one of the two ABCs.  An admission policy needs
-``admission_key(handle)`` (smaller tuples admit first) and may override
+Subclass :class:`SchedulingPolicy` and implement ``urgency_key(handle,
+step)`` (smaller tuples are served first and evicted last).  Set
+``preemptive = True`` to let strictly more urgent waiting requests evict
+active ones (``preempts(waiting, active, step)`` tunes the comparison), set
+``dynamic = True`` when the key depends on ``step``, and override
 ``may_admit(handle, engine)`` to gate on engine state (queue depths, arena
-occupancy via ``engine.arena``).  A scheduling policy needs
-``urgency_key(handle, step)`` and, if ``preemptive``, may tune
-``preempts(waiting, active, step)``; the default base-class
-``select_preemptions`` then evicts the least urgent active sessions for
-strictly more urgent waiting ones.  Keep keys static per request unless you
-also re-verify drain behaviour -- see ``src/repro/serve/README.md``.
+occupancy via ``engine.arena``).  An ordering without preemption is a
+subclass with ``preemptive = False``.  Keep keys static per request unless
+you also re-verify drain behaviour -- see ``src/repro/serve/README.md``.
 """
 
 from __future__ import annotations
@@ -52,18 +59,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .session import Request
 
 __all__ = [
-    "AdmissionPolicy",
-    "FIFOAdmission",
-    "PriorityAdmission",
-    "DeadlineAdmission",
-    "ArenaBudgetAdmission",
-    "AgingPriorityAdmission",
-    "AdaptivePrefillAdmission",
     "SchedulingPolicy",
     "FCFSPolicy",
     "PriorityPolicy",
     "DeadlinePolicy",
-    "make_policies",
+    "AgingPriorityPolicy",
+    "ArenaBudgetPolicy",
+    "AdaptivePrefillPolicy",
+    "make_policy",
     "RoutingPolicy",
     "RoundRobinRouting",
     "LeastLoadedRouting",
@@ -78,64 +81,96 @@ def _deadline_value(handle: "RequestHandle") -> float:
     return math.inf if deadline is None else float(deadline)
 
 
-# Shared ordering keys.  Each discipline's admission policy and scheduling
-# policy MUST sort by the same key -- the engine's preemption bookkeeping
-# (victims paired against the most urgent waiting requests, which then take
-# the freed slots in admission order) relies on that alignment -- so both
-# hierarchies reference these functions instead of re-implementing tuples.
-
-
 def _arrival_key(handle: "RequestHandle") -> Tuple:
     return (handle.request.arrival_step, handle.index)
 
 
-def _priority_key(handle: "RequestHandle") -> Tuple:
-    return (-handle.request.priority,) + _arrival_key(handle)
-
-
-def _edf_key(handle: "RequestHandle") -> Tuple:
-    return (_deadline_value(handle),) + _arrival_key(handle)
-
-
-# -- admission ----------------------------------------------------------------
-
-
-# one-shot process-wide latch: pairing ArenaBudgetAdmission with an engine
-# that has no arena is legal (the gate just admits everything) but almost
-# certainly a misconfiguration, so the first such submit warns once
+# one-shot process-wide latch: wrapping a policy in ArenaBudgetPolicy on an
+# engine that has no arena is legal (the gate just admits everything) but
+# almost certainly a misconfiguration, so the first such submit warns once
 _arena_budget_warned = False
 
 
-class AdmissionPolicy(ABC):
-    """Orders the ready queue and gates admissions into free batch slots.
+class SchedulingPolicy(ABC):
+    """Orders, admits and preempts the requests of one engine.
 
-    The engine keeps its ready queue as a heap keyed by
-    :meth:`admission_key`; each step it pops eligible handles in key order
-    into free slots, asking :meth:`may_admit` before each pop.  Admission is
-    head-of-line: when the best-ranked handle is refused, the engine stops
-    admitting for this step rather than skipping ahead (no starvation of the
-    queue head by smaller requests behind it).
+    The engine keeps its ready queue as a heap keyed by :meth:`urgency_key`;
+    each step it pops handles in key order into free slots, asking
+    :meth:`may_admit` before each pop.  Admission is head-of-line: when the
+    best-ranked handle is refused, the engine stops admitting for this step
+    rather than skipping ahead (no starvation of the queue head by smaller
+    requests behind it).
+
+    Every active session decodes each step (continuous batching); the other
+    lever a policy holds is *eviction*: when :attr:`preemptive` is true,
+    :meth:`select_preemptions` names active sessions to preempt so that
+    strictly more urgent waiting requests can take their slots (and their
+    arena pages) this very step.  The engine treats the selection as
+    *tentative*: a victim is preempted for real only if the admission pass
+    that follows actually uses its evicted capacity; otherwise it keeps its
+    slot and KV untouched (so a selection wasted on a refused candidate
+    costs nothing).
     """
 
-    name = "admission"
-    #: When true the engine re-keys the whole ready queue every step via
-    #: :meth:`admission_key_at` (keys may depend on the current step, e.g.
-    #: aging).  Static-key policies keep the cheap push-once heap.
+    name = "scheduling"
+    preemptive = False
+    #: When true the engine re-keys the whole ready queue every step (keys
+    #: may depend on the current step, e.g. aging).  Static-key policies
+    #: keep the cheap push-once heap.
     dynamic = False
 
     @abstractmethod
-    def admission_key(self, handle: "RequestHandle") -> Tuple:
-        """Sort key of one ready handle; the smallest key admits first."""
+    def urgency_key(self, handle: "RequestHandle", step: int) -> Tuple:
+        """Service-urgency key (smaller = served first, preempted last).
 
-    def admission_key_at(self, handle: "RequestHandle", step: int) -> Tuple:
-        """Step-aware ordering key; defaults to the static ``admission_key``.
-
-        Only consulted when :attr:`dynamic` is true -- the engine then
-        recomputes every queued handle's key each step, so time-varying
-        orderings (anti-starvation aging, wait-time boosts) stay correct.
-        Must remain deterministic for a given ``(handle, step)``.
+        Must be deterministic for a given ``(handle, step)``, and may depend
+        on ``step`` only when :attr:`dynamic` is true.
         """
-        return self.admission_key(handle)
+
+    def preempts(
+        self, waiting: "RequestHandle", active: "RequestHandle", step: int
+    ) -> bool:
+        """Whether ``waiting`` is urgent enough to evict ``active``.
+
+        The default is a strict key comparison; policies may loosen it (e.g.
+        compare only the priority class) to avoid churn between requests that
+        tie on the attribute that matters.
+        """
+        return self.urgency_key(waiting, step) < self.urgency_key(active, step)
+
+    def select_preemptions(
+        self,
+        ready: Sequence["RequestHandle"],
+        active: Sequence["RequestHandle"],
+        free_slots: int,
+        step: int,
+    ) -> List["RequestHandle"]:
+        """Pick the active sessions to evict for this step's admissions.
+
+        The most urgent waiting handles first absorb any free slots; each
+        one beyond that evicts the least urgent remaining active session iff
+        :meth:`preempts` holds strictly.  Victims are returned most-evictable
+        first; the engine releases their pages before running admission, so
+        the freed slots (and KV budget) are taken in the same step.
+        """
+        if not self.preemptive or not ready or not active:
+            return []
+        waiting = sorted(ready, key=lambda h: self.urgency_key(h, step))
+        survivors = sorted(active, key=lambda h: self.urgency_key(h, step))
+        victims: List["RequestHandle"] = []
+        spare = free_slots
+        for candidate in waiting:
+            if spare > 0:
+                spare -= 1  # a free slot serves this arrival without eviction
+                continue
+            if not survivors:
+                break
+            if self.preempts(candidate, survivors[-1], step):
+                victims.append(survivors.pop())
+                # the freed slot is consumed by ``candidate`` itself
+            else:
+                break
+        return victims
 
     def may_admit(self, handle: "RequestHandle", engine: "ServingEngine") -> bool:
         """Resource gate consulted right before ``handle`` takes a slot."""
@@ -146,12 +181,11 @@ class AdmissionPolicy(ABC):
 
         The TTFT-vs-decode-throughput knob of the chunked prefill pipeline:
         each step the engine feeds at most this many prompt rows (summed over
-        every ``PREFILLING`` session, head of the admission order first) into
+        every ``PREFILLING`` session, head of the service order first) into
         the fused pass alongside the decode tokens.  The default defers to
         the engine's ``prefill_token_budget`` constructor knob; policies can
         override it to spend the step budget adaptively (e.g. throttle
-        prefill while many sessions are decoding, or open the floodgates
-        when the ready queue is deep).
+        prefill while many sessions are decoding).
         """
         return engine.prefill_token_budget
 
@@ -185,46 +219,168 @@ class AdmissionPolicy(ABC):
         """
 
 
-class FIFOAdmission(AdmissionPolicy):
-    """Earliest arrival first, submission order on ties (the classic queue)."""
+class FCFSPolicy(SchedulingPolicy):
+    """First come, first served; never preempts.
 
-    name = "fifo"
+    The :class:`ServingEngine` default: it reproduces the pre-policy
+    scheduler bit-exactly (tokens, metrics and arena counters), which the
+    golden and fuzz suites pin.
+    """
 
-    def admission_key(self, handle: "RequestHandle") -> Tuple:
+    name = "fcfs"
+
+    def urgency_key(self, handle: "RequestHandle", step: int) -> Tuple:
         return _arrival_key(handle)
 
 
-class PriorityAdmission(AdmissionPolicy):
-    """Highest ``Request.priority`` first; FIFO within a priority class."""
+class PriorityPolicy(SchedulingPolicy):
+    """Strict priority service: higher ``Request.priority`` evicts lower.
+
+    Preemption compares *priority classes only* -- a waiting request must
+    carry strictly higher priority than the victim, so equal-priority
+    requests never churn each other's KV.  Within a class, service order is
+    FIFO via the urgency key.
+    """
 
     name = "priority"
+    preemptive = True
 
-    def admission_key(self, handle: "RequestHandle") -> Tuple:
-        return _priority_key(handle)
+    def urgency_key(self, handle: "RequestHandle", step: int) -> Tuple:
+        return (-handle.request.priority,) + _arrival_key(handle)
+
+    def preempts(
+        self, waiting: "RequestHandle", active: "RequestHandle", step: int
+    ) -> bool:
+        return waiting.request.priority > active.request.priority
 
 
-class DeadlineAdmission(AdmissionPolicy):
-    """Earliest absolute deadline first; deadline-free requests go last."""
+class DeadlinePolicy(SchedulingPolicy):
+    """Earliest-deadline-first service with deadline-driven preemption.
+
+    Requests without a deadline are served last and preempted first.  A
+    waiting request evicts an active one only when its absolute deadline is
+    strictly earlier, so identical deadlines never ping-pong.
+    """
 
     name = "deadline"
+    preemptive = True
 
-    def admission_key(self, handle: "RequestHandle") -> Tuple:
-        return _edf_key(handle)
+    def urgency_key(self, handle: "RequestHandle", step: int) -> Tuple:
+        return (_deadline_value(handle),) + _arrival_key(handle)
+
+    def preempts(
+        self, waiting: "RequestHandle", active: "RequestHandle", step: int
+    ) -> bool:
+        return _deadline_value(waiting) < _deadline_value(active)
 
 
-class ArenaBudgetAdmission(AdmissionPolicy):
+class AgingPriorityPolicy(SchedulingPolicy):
+    """Priority service with anti-starvation aging of queued requests.
+
+    A request's *effective* priority is its static class boosted by one for
+    every ``aging_steps`` engine steps it has waited since arrival::
+
+        effective(h, step) = h.priority + (step - h.arrival_step) // aging_steps
+
+    so a low-priority request stuck behind a stream of urgent arrivals
+    eventually out-ranks them and cannot starve (the ROADMAP's
+    "aging/anti-starvation priorities" item).  Ordering within an effective
+    class stays FIFO and ties break on the submission index, so runs are
+    deterministic.  The policy is :attr:`dynamic`: the engine re-keys its
+    ready queue every step.
+
+    It never preempts: preemption driven by *static* priority would evict
+    exactly the aged sessions this policy fought to admit, reintroducing the
+    starvation loop.
+    """
+
+    name = "aging-priority"
+    dynamic = True
+
+    def __init__(self, aging_steps: int = 16) -> None:
+        if aging_steps < 1:
+            raise ValueError("aging_steps must be >= 1")
+        self.aging_steps = aging_steps
+
+    def effective_priority(self, handle: "RequestHandle", step: int) -> int:
+        waited = max(0, step - handle.request.arrival_step)
+        return handle.request.priority + waited // self.aging_steps
+
+    def urgency_key(self, handle: "RequestHandle", step: int) -> Tuple:
+        return (-self.effective_priority(handle, step),) + _arrival_key(handle)
+
+
+class _DelegatingPolicy(SchedulingPolicy):
+    """Forwards every decision to ``inner`` (FCFS by default).
+
+    The base of the wrapper policies: each subclass overrides only the hooks
+    whose rule it adds, calling ``super()`` to keep the inner policy's.
+    """
+
+    label = "delegating"
+
+    def __init__(self, inner: Optional[SchedulingPolicy] = None) -> None:
+        self.inner = inner if inner is not None else FCFSPolicy()
+
+    @property
+    def name(self) -> str:
+        return f"{self.label}({self.inner.name})"
+
+    @property
+    def preemptive(self) -> bool:
+        return self.inner.preemptive
+
+    @property
+    def dynamic(self) -> bool:
+        return self.inner.dynamic
+
+    def urgency_key(self, handle: "RequestHandle", step: int) -> Tuple:
+        return self.inner.urgency_key(handle, step)
+
+    def preempts(
+        self, waiting: "RequestHandle", active: "RequestHandle", step: int
+    ) -> bool:
+        return self.inner.preempts(waiting, active, step)
+
+    def select_preemptions(
+        self,
+        ready: Sequence["RequestHandle"],
+        active: Sequence["RequestHandle"],
+        free_slots: int,
+        step: int,
+    ) -> List["RequestHandle"]:
+        return self.inner.select_preemptions(ready, active, free_slots, step)
+
+    def may_admit(self, handle: "RequestHandle", engine: "ServingEngine") -> bool:
+        return self.inner.may_admit(handle, engine)
+
+    def prefill_token_budget(self, engine: "ServingEngine") -> Optional[int]:
+        return self.inner.prefill_token_budget(engine)
+
+    def check_submit(self, request, engine: "ServingEngine") -> None:
+        self.inner.check_submit(request, engine)
+
+    def on_admit(self, handle: "RequestHandle", engine: "ServingEngine") -> None:
+        self.inner.on_admit(handle, engine)
+
+    def on_release(self, handle: "RequestHandle", engine: "ServingEngine") -> None:
+        self.inner.on_release(handle, engine)
+
+
+class ArenaBudgetPolicy(_DelegatingPolicy):
     """Queue requests instead of growing the KV arena past a watermark.
 
-    Wraps an ``inner`` ordering policy (FIFO by default) and reserves, for
-    every admitted request, its *whole lifetime* of KV rows -- ``prompt +
-    max_new_tokens - 1`` tokens, the exact row count an unpreempted run
-    appends.  A candidate is admitted only while the sum of all active
-    reservations plus its own stays within ``watermark * max_pages``.
-    Reserving lifetimes (rather than reading current occupancy, which lags:
-    pages materialise at prefill and grow every decode step) means admitted
-    requests can never exhaust the pool mid-decode, so the engine trades
-    queueing delay for a hard occupancy bound (the ROADMAP's "reject/queue
-    when the pool is near ``max_pages`` instead of growing or raising").
+    Wraps an ``inner`` policy (FCFS by default), which keeps the service
+    order and preemption rule, and reserves, for every admitted request, its
+    *whole lifetime* of KV rows -- ``prompt + max_new_tokens - 1`` tokens,
+    the exact row count an unpreempted run appends.  A candidate is admitted
+    only while the sum of all active reservations plus its own stays within
+    ``watermark * max_pages``.  Reserving lifetimes (rather than reading
+    current occupancy, which lags: pages materialise at prefill and grow
+    every decode step) means admitted requests can never exhaust the pool
+    mid-decode, so the engine trades queueing delay for a hard occupancy
+    bound (the ROADMAP's "reject/queue when the pool is near ``max_pages``
+    instead of growing or raising").
 
     Engines without an arena (a one-shot ``RuntimeWarning`` flags the inert
     pairing), arenas without a ``max_pages`` budget, and an idle engine
@@ -239,43 +395,24 @@ class ArenaBudgetAdmission(AdmissionPolicy):
     *novel suffix*: pages fully covered by the arena's prefix index are
     shared mappings, not new allocations (see :meth:`_charged_pages`).
 
-    Combined with a *preemptive* scheduling policy (not one of the shipped
-    pairs), the watermark can transiently overshoot: admissions are gated
-    while evictions are still tentative, and an eviction rolled back after a
-    partial admission restores its reservation.  The ``max_pages`` hard
-    bound itself is never at stake -- reservations are bookkeeping, and the
-    pool still grows page by page only as rows are appended.
+    Wrapping a *preemptive* policy (:class:`PriorityPolicy`,
+    :class:`DeadlinePolicy`), the watermark can overshoot: admissions are
+    gated while evictions are still tentative, and an eviction rolled back
+    after a partial admission keeps its pages and reservation, so a tight
+    ``max_pages`` pool can then run out.
     """
+
+    label = "arena-budget"
 
     def __init__(
         self,
-        inner: Optional[AdmissionPolicy] = None,
+        inner: Optional[SchedulingPolicy] = None,
         watermark: float = 1.0,
     ) -> None:
         if not 0.0 < watermark <= 1.0:
             raise ValueError("watermark must be in (0, 1]")
-        self.inner = inner if inner is not None else FIFOAdmission()
+        super().__init__(inner)
         self.watermark = watermark
-
-    @property
-    def name(self) -> str:
-        return f"arena-budget({self.inner.name})"
-
-    @property
-    def dynamic(self) -> bool:
-        # the wrapper only gates resources; ordering -- including dynamic
-        # re-keying (e.g. a wrapped AgingPriorityAdmission) -- is the inner
-        # policy's, so every ordering hook delegates
-        return self.inner.dynamic
-
-    def admission_key(self, handle: "RequestHandle") -> Tuple:
-        return self.inner.admission_key(handle)
-
-    def admission_key_at(self, handle: "RequestHandle", step: int) -> Tuple:
-        return self.inner.admission_key_at(handle, step)
-
-    def prefill_token_budget(self, engine: "ServingEngine") -> Optional[int]:
-        return self.inner.prefill_token_budget(engine)
 
     @staticmethod
     def _request_pages(arena, request) -> int:
@@ -329,7 +466,7 @@ class ArenaBudgetAdmission(AdmissionPolicy):
         the suffix discount reflects the prefix index as the gate saw it;
         later candidates in the same step already count this reservation.
         """
-        self.inner.on_admit(handle, engine)
+        super().on_admit(handle, engine)
         arena = engine.arena
         if arena is None or arena.max_pages is None:
             return
@@ -344,7 +481,7 @@ class ArenaBudgetAdmission(AdmissionPolicy):
         stops being charged immediately rather than haunting the watermark
         until the step it would have retired.
         """
-        self.inner.on_release(handle, engine)
+        super().on_release(handle, engine)
         handle.reserved_pages = None
 
     def check_submit(self, request, engine: "ServingEngine") -> None:
@@ -355,15 +492,15 @@ class ArenaBudgetAdmission(AdmissionPolicy):
         mid-prefill -- rejecting it up front with a clear error keeps the
         queue serviceable.
         """
-        self.inner.check_submit(request, engine)
+        super().check_submit(request, engine)
         arena = engine.arena
         if arena is None:
             global _arena_budget_warned
             if not _arena_budget_warned:
                 _arena_budget_warned = True
                 warnings.warn(
-                    "ArenaBudgetAdmission is paired with an engine that has "
-                    "no KV arena; the page-budget gate is inert and every "
+                    "ArenaBudgetPolicy runs on an engine that has no KV "
+                    "arena; the page-budget gate is inert and every "
                     "request admits unconditionally",
                     RuntimeWarning,
                     stacklevel=2,
@@ -384,7 +521,7 @@ class ArenaBudgetAdmission(AdmissionPolicy):
         arena = engine.arena
         if arena is None or arena.max_pages is None:
             return True
-        if not self.inner.may_admit(handle, engine):
+        if not super().may_admit(handle, engine):
             return False
         if engine.n_active == 0:
             return True  # forced progress: an empty engine must not starve
@@ -400,70 +537,26 @@ class ArenaBudgetAdmission(AdmissionPolicy):
         )
 
 
-class AgingPriorityAdmission(AdmissionPolicy):
-    """Priority admission with anti-starvation aging of queued requests.
-
-    A request's *effective* priority is its static class boosted by one for
-    every ``aging_steps`` engine steps it has waited since arrival::
-
-        effective(h, step) = h.priority + (step - h.arrival_step) // aging_steps
-
-    so a low-priority request stuck behind a stream of urgent arrivals
-    eventually out-ranks them and cannot starve (the ROADMAP's
-    "aging/anti-starvation priorities" item).  Ordering within an effective
-    class stays FIFO and ties break on the submission index, so runs are
-    deterministic.  The policy is :attr:`dynamic`: the engine re-keys its
-    ready queue every step through :meth:`admission_key_at`.
-
-    Pair it with the non-preemptive :class:`FCFSPolicy` (what
-    ``make_policies("aging")`` returns): preemption driven by *static*
-    priority would evict exactly the aged sessions this policy fought to
-    admit, reintroducing the starvation loop.
-    """
-
-    name = "aging-priority"
-    dynamic = True
-
-    def __init__(self, aging_steps: int = 16) -> None:
-        if aging_steps < 1:
-            raise ValueError("aging_steps must be >= 1")
-        self.aging_steps = aging_steps
-
-    def effective_priority(self, handle: "RequestHandle", step: int) -> int:
-        waited = max(0, step - handle.request.arrival_step)
-        return handle.request.priority + waited // self.aging_steps
-
-    def admission_key(self, handle: "RequestHandle") -> Tuple:
-        # static fallback (push-time ordering before the first re-key)
-        return _priority_key(handle)
-
-    def admission_key_at(self, handle: "RequestHandle", step: int) -> Tuple:
-        return (-self.effective_priority(handle, step),) + _arrival_key(handle)
-
-
-class AdaptivePrefillAdmission(AdmissionPolicy):
+class AdaptivePrefillPolicy(_DelegatingPolicy):
     """Throttle chunked prefill while the fleet is decode-heavy.
 
-    Wraps an ``inner`` ordering policy (FIFO by default) and overrides only
+    Wraps an ``inner`` policy (FCFS by default) and overrides only
     :meth:`prefill_token_budget`: while at least ``decode_threshold`` of the
     active handles are decoding (state ``ACTIVE``, past their prefill), the
     step's prefill-row budget is clamped to ``throttled_budget`` rows, so
     incoming prompts trickle in instead of stealing a decode-heavy step's
     fused pass -- the inter-token latency of the established streams stays
     flat and admissions still progress (the engine clamps the head's chunk
-    to >= 1 row, so no livelock).  Below the threshold the engine's own
-    ``prefill_token_budget`` knob applies unchanged; an engine whose active
-    set never crosses the threshold behaves bit-identically to the bare
-    ``inner`` policy.
-
-    Ordering, gating and lifecycle hooks all delegate to ``inner``
-    (mirroring :class:`ArenaBudgetAdmission`), so the throttle composes
-    with any ordering discipline -- including a dynamic one.
+    to >= 1 row, so no livelock).  Below the threshold the inner policy's
+    budget applies unchanged; an engine whose active set never crosses the
+    threshold behaves bit-identically to the bare ``inner`` policy.
     """
+
+    label = "adaptive-prefill"
 
     def __init__(
         self,
-        inner: Optional[AdmissionPolicy] = None,
+        inner: Optional[SchedulingPolicy] = None,
         throttled_budget: int = 4,
         decode_threshold: float = 0.75,
     ) -> None:
@@ -475,40 +568,14 @@ class AdaptivePrefillAdmission(AdmissionPolicy):
             raise ValueError(
                 f"decode_threshold must be in (0, 1], got {decode_threshold}"
             )
-        self.inner = inner if inner is not None else FIFOAdmission()
+        super().__init__(inner)
         self.throttled_budget = int(throttled_budget)
         self.decode_threshold = float(decode_threshold)
-
-    @property
-    def name(self) -> str:
-        return f"adaptive-prefill({self.inner.name})"
-
-    @property
-    def dynamic(self) -> bool:
-        return self.inner.dynamic
-
-    def admission_key(self, handle: "RequestHandle") -> Tuple:
-        return self.inner.admission_key(handle)
-
-    def admission_key_at(self, handle: "RequestHandle", step: int) -> Tuple:
-        return self.inner.admission_key_at(handle, step)
-
-    def may_admit(self, handle: "RequestHandle", engine: "ServingEngine") -> bool:
-        return self.inner.may_admit(handle, engine)
-
-    def check_submit(self, request, engine: "ServingEngine") -> None:
-        self.inner.check_submit(request, engine)
-
-    def on_admit(self, handle: "RequestHandle", engine: "ServingEngine") -> None:
-        self.inner.on_admit(handle, engine)
-
-    def on_release(self, handle: "RequestHandle", engine: "ServingEngine") -> None:
-        self.inner.on_release(handle, engine)
 
     def prefill_token_budget(self, engine: "ServingEngine") -> Optional[int]:
         from .session import SessionState
 
-        base = self.inner.prefill_token_budget(engine)
+        base = super().prefill_token_budget(engine)
         active = engine.active_handles
         if not active:
             return base
@@ -522,157 +589,24 @@ class AdaptivePrefillAdmission(AdmissionPolicy):
         return min(base, self.throttled_budget)
 
 
-# -- scheduling ---------------------------------------------------------------
+def make_policy(name: str) -> SchedulingPolicy:
+    """Scheduling policy for a named serving discipline.
 
-
-class SchedulingPolicy(ABC):
-    """Decides service urgency and preemption among admitted sessions.
-
-    Every active session decodes each step (continuous batching); the lever a
-    scheduling policy holds is *eviction*: :meth:`select_preemptions` names
-    active sessions to preempt so that strictly more urgent waiting requests
-    can take their slots (and their arena pages) this very step.
-
-    The engine consults :meth:`select_preemptions` only when
-    :attr:`preemptive` is true, and treats the selection as *tentative*: a
-    victim is preempted for real only if the subsequent admission pass
-    actually uses its evicted capacity; otherwise it keeps its slot and KV
-    untouched (so a selection wasted on an admission-gated candidate costs
-    nothing).
+    ``"fcfs"`` -> :class:`FCFSPolicy`; ``"priority"`` ->
+    :class:`PriorityPolicy`; ``"deadline"`` -> :class:`DeadlinePolicy`;
+    ``"aging"`` -> :class:`AgingPriorityPolicy` (default 16-step aging).
+    These are the names ``examples/serving_simulation.py --policy``, the
+    serving benchmark and ``ClusterEngine(scheduling=...)`` accept.
     """
-
-    name = "scheduling"
-    preemptive = False
-
-    @abstractmethod
-    def urgency_key(self, handle: "RequestHandle", step: int) -> Tuple:
-        """Service-urgency key (smaller = more urgent, never preempted first)."""
-
-    def preempts(
-        self, waiting: "RequestHandle", active: "RequestHandle", step: int
-    ) -> bool:
-        """Whether ``waiting`` is urgent enough to evict ``active``.
-
-        The default is a strict key comparison; policies may loosen it (e.g.
-        compare only the priority class) to avoid churn between requests that
-        tie on the attribute that matters.
-        """
-        return self.urgency_key(waiting, step) < self.urgency_key(active, step)
-
-    def select_preemptions(
-        self,
-        ready: Sequence["RequestHandle"],
-        active: Sequence["RequestHandle"],
-        free_slots: int,
-        step: int,
-    ) -> List["RequestHandle"]:
-        """Pick the active sessions to evict for this step's admissions.
-
-        The most urgent waiting handles first absorb any free slots; each
-        one beyond that evicts the least urgent remaining active session iff
-        :meth:`preempts` holds strictly.  Victims are returned most-evictable
-        first; the engine releases their pages before running admission, so
-        the freed slots (and KV budget) are taken in the same step.
-        """
-        if not self.preemptive or not ready or not active:
-            return []
-        waiting = sorted(ready, key=lambda h: self.urgency_key(h, step))
-        survivors = sorted(active, key=lambda h: self.urgency_key(h, step))
-        victims: List["RequestHandle"] = []
-        spare = free_slots
-        for candidate in waiting:
-            if spare > 0:
-                spare -= 1  # a free slot serves this arrival without eviction
-                continue
-            if not survivors:
-                break
-            if self.preempts(candidate, survivors[-1], step):
-                victims.append(survivors.pop())
-                # the freed slot is consumed by ``candidate`` itself
-            else:
-                break
-        return victims
-
-
-class FCFSPolicy(SchedulingPolicy):
-    """First come, first served; never preempts.
-
-    With :class:`FIFOAdmission` (the :class:`ServingEngine` defaults) this
-    reproduces the pre-policy scheduler bit-exactly (tokens, metrics and
-    arena counters), which the golden and fuzz suites pin.
-    """
-
-    name = "fcfs"
-    preemptive = False
-
-    def urgency_key(self, handle: "RequestHandle", step: int) -> Tuple:
-        return _arrival_key(handle)
-
-
-class PriorityPolicy(SchedulingPolicy):
-    """Strict priority service: higher ``Request.priority`` evicts lower.
-
-    Preemption compares *priority classes only* -- a waiting request must
-    carry strictly higher priority than the victim, so equal-priority
-    requests never churn each other's KV.  Within a class, service order is
-    FIFO via the urgency key.
-    """
-
-    name = "priority"
-    preemptive = True
-
-    def urgency_key(self, handle: "RequestHandle", step: int) -> Tuple:
-        return _priority_key(handle)
-
-    def preempts(
-        self, waiting: "RequestHandle", active: "RequestHandle", step: int
-    ) -> bool:
-        return waiting.request.priority > active.request.priority
-
-
-class DeadlinePolicy(SchedulingPolicy):
-    """Earliest-deadline-first service with deadline-driven preemption.
-
-    Requests without a deadline are served last and preempted first.  A
-    waiting request evicts an active one only when its absolute deadline is
-    strictly earlier, so identical deadlines never ping-pong.
-    """
-
-    name = "deadline"
-    preemptive = True
-
-    def urgency_key(self, handle: "RequestHandle", step: int) -> Tuple:
-        return _edf_key(handle)
-
-    def preempts(
-        self, waiting: "RequestHandle", active: "RequestHandle", step: int
-    ) -> bool:
-        return _deadline_value(waiting) < _deadline_value(active)
-
-
-def make_policies(name: str) -> Tuple[AdmissionPolicy, SchedulingPolicy]:
-    """Admission/scheduling pair for a named serving discipline.
-
-    ``"fcfs"`` -> (:class:`FIFOAdmission`, :class:`FCFSPolicy`);
-    ``"priority"`` -> (:class:`PriorityAdmission`, :class:`PriorityPolicy`);
-    ``"deadline"`` -> (:class:`DeadlineAdmission`, :class:`DeadlinePolicy`);
-    ``"aging"`` -> (:class:`AgingPriorityAdmission`, :class:`FCFSPolicy`) --
-    aged effective priorities order admission while service stays
-    non-preemptive, so waiting always pays off (see the class docstring).
-    The pairs keep the admission order aligned with the service order, which
-    is what ``examples/serving_simulation.py --policy`` and the serving
-    benchmark use.
-    """
-    pairs = {
-        "fcfs": (FIFOAdmission, FCFSPolicy),
-        "priority": (PriorityAdmission, PriorityPolicy),
-        "deadline": (DeadlineAdmission, DeadlinePolicy),
-        "aging": (AgingPriorityAdmission, FCFSPolicy),
+    policies = {
+        "fcfs": FCFSPolicy,
+        "priority": PriorityPolicy,
+        "deadline": DeadlinePolicy,
+        "aging": AgingPriorityPolicy,
     }
-    if name not in pairs:
-        raise KeyError(f"unknown policy {name!r}; available: {sorted(pairs)}")
-    admission_cls, scheduling_cls = pairs[name]
-    return admission_cls(), scheduling_cls()
+    if name not in policies:
+        raise KeyError(f"unknown policy {name!r}; available: {sorted(policies)}")
+    return policies[name]()
 
 
 # -- cluster routing ----------------------------------------------------------
@@ -681,7 +615,7 @@ def make_policies(name: str) -> Tuple[AdmissionPolicy, SchedulingPolicy]:
 class RoutingPolicy(ABC):
     """Chooses the replica a cluster-level request lands on.
 
-    The third policy interface, mirroring :class:`AdmissionPolicy`: the
+    The cluster's policy interface, mirroring :class:`SchedulingPolicy`: the
     cluster control plane (:class:`~repro.serve.cluster.ClusterEngine`) owns
     the mechanics -- dispatch timing, session affinity, failover re-routing --
     and delegates only the *placement decision* here.  ``route`` sees the

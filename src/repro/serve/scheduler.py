@@ -3,31 +3,30 @@
 :class:`ServingEngine` owns the request lifecycle -- ``submit() ->``
 :class:`RequestHandle` (with per-request streaming/completion callbacks),
 ``cancel()``, ``step()``/``run()`` -- and the batched execution core, while
-delegating every *decision* to two pluggable interfaces from
-:mod:`repro.serve.policies`: an
-:class:`~repro.serve.policies.AdmissionPolicy` (which arrived request takes a
-free slot, and whether the KV arena can afford it) and a
-:class:`~repro.serve.policies.SchedulingPolicy` (which active sessions to
-preempt for more urgent work).
+delegating every *decision* to one pluggable
+:class:`~repro.serve.policies.SchedulingPolicy` from
+:mod:`repro.serve.policies`: its urgency key orders the ready queue and
+ranks preemption victims, and its admission hooks decide whether the KV
+arena can afford the queue head.
 
 Each engine step:
 
-1. moves arrived requests into the ready queue (ordered by the admission
-   policy's key; *dynamic* policies such as
-   :class:`~repro.serve.policies.AgingPriorityAdmission` are re-keyed every
+1. moves arrived requests into the ready queue (ordered by the policy's
+   urgency key; *dynamic* policies such as
+   :class:`~repro.serve.policies.AgingPriorityPolicy` are re-keyed every
    step);
 2. asks the scheduling policy for **preemptions**: each victim -- decoding
    *or* mid-prefill -- releases its arena pages immediately and re-enters
    the ready queue with only its generated-token snapshot (resume
    re-prefills through the same chunked pipeline, bit-identical to an
    unpreempted run);
-3. admits ready requests into free slots, earliest admission-key first,
-   gated per-handle by the admission policy -- an admission enters the
+3. admits ready requests into free slots, most urgent first, gated
+   per-handle by the policy's ``may_admit`` -- an admission enters the
    **chunked prefill pipeline** (state ``PREFILLING``) rather than running
    its whole prompt serially;
 4. builds one **mixed batch**: every decoding session's current token plus
    up to ``prefill_token_budget`` prompt rows from the prefilling sessions
-   (head of the admission order first, long prompts split across steps), and
+   (head of the service order first, long prompts split across steps), and
    runs it as a **single fused forward** through
    :meth:`~repro.model.transformer.QuantizedTransformer.prefill_batch` --
    one GEMM per weight matrix for the whole step, one ragged chunked
@@ -60,27 +59,23 @@ from __future__ import annotations
 
 import heapq
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..model.generation import KeyPredictor, KVCorruptionError
+from ..model.generation import KeyPredictor
 from .faults import (
     FailureInfo,
-    FaultError,
     FaultInjector,
     FaultPlan,
     InjectedCallbackError,
     LoadShedWatchdog,
+    TransientArenaFault,
 )
 from .kv_arena import PagedKVArena
-from .policies import (
-    AdmissionPolicy,
-    FCFSPolicy,
-    FIFOAdmission,
-    SchedulingPolicy,
-)
+from .policies import FCFSPolicy, SchedulingPolicy
 from .session import GenerationSession, Request, RequestMetrics, SessionState
 from .speculative import NGramDrafter, _SessionThrottle, resolve_speculation
 
@@ -91,10 +86,10 @@ __all__ = [
     "ServingEngine",
 ]
 
-#: What the schedule-time arena probe quarantines: injected faults plus the
-#: real KV-integrity detector.  Anything else is a genuine bug and must crash
-#: loudly, never be quarantined into a retry.
-_FAULT_TYPES = (FaultError, KVCorruptionError)
+#: Retry backoff: the n-th retry of a request re-arrives
+#: ``min(RETRY_BACKOFF_CAP, RETRY_BACKOFF_STEPS * 2**(n-1))`` steps later.
+RETRY_BACKOFF_STEPS = 1
+RETRY_BACKOFF_CAP = 8
 
 TokenCallback = Callable[["RequestHandle", int, int], None]
 CompleteCallback = Callable[["RequestHandle", RequestMetrics], None]
@@ -107,7 +102,7 @@ class ServingReport:
     ``arena`` carries the KV arena's occupancy / paging / copy-traffic
     counters (:meth:`repro.serve.kv_arena.ArenaStats.to_json`) when the run
     used one, ``None`` otherwise.  ``policy`` is the per-policy metrics
-    block: which admission/scheduling policies ran plus their aggregate
+    block: which scheduling policy ran plus its aggregate
     preemption / deadline-miss / cancellation counts (and, since the failure
     model landed, failed / timed-out / shed / retry / callback-error counts).
 
@@ -271,8 +266,7 @@ class ServingReport:
             # writers, so summary() must not hard-require every key
             p = self.policy
             lines.append(
-                f"policy: admission={p.get('admission', '?')} "
-                f"scheduling={p.get('scheduling', '?')} "
+                f"policy: scheduling={p.get('scheduling', '?')} "
                 f"preemptions={p.get('preemptions', 0)} "
                 f"deadline_misses={p.get('deadline_misses', 0)} "
                 f"cancelled={p.get('cancelled', 0)} "
@@ -326,7 +320,7 @@ class RequestHandle:
         self.on_token = on_token
         self.on_complete = on_complete
         self.cancelled = False
-        # page reservation pinned by the admission policy while the handle
+        # page reservation pinned by the scheduling policy while the handle
         # is active (None when unadmitted, released, or policy-unmanaged)
         self.reserved_pages: Optional[int] = None
         # exactly-once terminal-callback latch: set the moment on_complete
@@ -402,8 +396,8 @@ class ServingEngine:
         Tokens per arena page when the engine builds the arena itself.
     max_pages:
         Hard page budget of the self-built arena (``None`` = unbounded,
-        geometric growth).  Set it when pairing the engine with
-        :class:`~repro.serve.policies.ArenaBudgetAdmission`, whose watermark
+        geometric growth).  Set it when running the engine with
+        :class:`~repro.serve.policies.ArenaBudgetPolicy`, whose watermark
         gate is relative to this bound -- with an unbounded arena the gate
         has nothing to enforce and admits everything.  Needs a self-built
         arena: ``ValueError`` on an engine without one (the budget would be
@@ -454,18 +448,17 @@ class ServingEngine:
         ``k``.  Requires a KV arena (``ValueError`` otherwise); ``None``
         (the default) keeps plain one-token decode, byte-identical to an
         engine without the knob.
-    admission:
-        :class:`~repro.serve.policies.AdmissionPolicy` ordering and gating
-        the ready queue; defaults to FIFO.
     scheduling:
-        :class:`~repro.serve.policies.SchedulingPolicy` deciding preemption;
-        defaults to FCFS (never preempts).
+        The :class:`~repro.serve.policies.SchedulingPolicy` that orders the
+        ready queue, gates admissions and picks preemption victims;
+        defaults to :class:`~repro.serve.policies.FCFSPolicy` (arrival
+        order, never preempts).
     prefill_token_budget:
         Maximum prompt rows the chunked prefill pipeline feeds into each
         step's fused pass, summed over every ``PREFILLING`` session (the
-        TTFT-vs-decode-throughput knob; the admission policy can override it
-        per step via
-        :meth:`~repro.serve.policies.AdmissionPolicy.prefill_token_budget`).
+        TTFT-vs-decode-throughput knob; the scheduling policy can override
+        it per step via
+        :meth:`~repro.serve.policies.SchedulingPolicy.prefill_token_budget`).
         ``None`` (the default) completes every admitted prompt in its
         admission step, preserving one-shot prefill's step-domain schedule
         exactly while still batching the work into one pass.
@@ -482,8 +475,8 @@ class ServingEngine:
         How many fault-recovery re-prefills a request gets before it
         resolves ``FAILED``.  Each retry releases the (untrusted) KV and
         requeues the request with capped exponential backoff --
-        ``retry_backoff_steps * 2**(retries-1)`` engine steps, capped at
-        ``retry_backoff_cap`` -- then resumes through the ordinary
+        ``RETRY_BACKOFF_STEPS * 2**(retries-1)`` engine steps, capped at
+        ``RETRY_BACKOFF_CAP`` -- then resumes through the ordinary
         preemption machinery, so a recovered request's token stream is
         bit-identical to a fault-free run.
     watchdog:
@@ -502,7 +495,6 @@ class ServingEngine:
         arena=None,
         page_size: int = 32,
         max_pages: Optional[int] = None,
-        admission: Optional[AdmissionPolicy] = None,
         scheduling: Optional[SchedulingPolicy] = None,
         prefill_token_budget: Optional[int] = None,
         prefix_cache: bool = False,
@@ -511,8 +503,6 @@ class ServingEngine:
         speculative=None,
         faults=None,
         max_retries: int = 2,
-        retry_backoff_steps: int = 1,
-        retry_backoff_cap: int = 8,
         watchdog: Optional[LoadShedWatchdog] = None,
     ) -> None:
         if max_active < 1:
@@ -521,17 +511,12 @@ class ServingEngine:
             raise ValueError("prefill_token_budget must be >= 1 when given")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if retry_backoff_steps < 1:
-            raise ValueError("retry_backoff_steps must be >= 1")
-        if retry_backoff_cap < retry_backoff_steps:
-            raise ValueError("retry_backoff_cap must be >= retry_backoff_steps")
         self.model = model
         self.max_active = max_active
         self.predictor = predictor
         self.prefill_token_budget = prefill_token_budget
         # forward-only models prefill each prompt in one chunk
         self._batched = hasattr(model, "prefill_batch")
-        self.admission = admission if admission is not None else FIFOAdmission()
         self.scheduling = scheduling if scheduling is not None else FCFSPolicy()
         self._speculative = resolve_speculation(speculative)
         # the options that act on the engine's arena, as given
@@ -597,11 +582,7 @@ class ServingEngine:
                 f"faults must be a FaultPlan or FaultInjector, "
                 f"got {type(faults).__name__}"
             )
-        if self._faults is not None and self.arena is not None:
-            self.arena.fault_injector = self._faults
         self.max_retries = max_retries
-        self.retry_backoff_steps = retry_backoff_steps
-        self.retry_backoff_cap = retry_backoff_cap
         self.watchdog = watchdog
         self.last_step_stats: Optional[Dict[str, int]] = None
         self.current_step = 0
@@ -609,8 +590,8 @@ class ServingEngine:
         # submission index) so each step drains exactly the arrived prefix
         # (retry backoff reuses it: a retried handle "re-arrives" later)
         self._pending: List[Tuple[int, int, RequestHandle]] = []
-        # arrived but unadmitted: min-heap keyed by the admission policy's
-        # key (submission index breaks exact ties deterministically)
+        # arrived but unadmitted: min-heap keyed by the policy's urgency key
+        # (submission index breaks exact ties deterministically)
         self._ready: List[Tuple[Tuple, int, RequestHandle]] = []
         # timeout reaper: min-heap keyed by (timeout_step, index); handles
         # are reaped at the start of the first step PAST their timeout_step
@@ -619,12 +600,8 @@ class ServingEngine:
         self._submitted = 0
         self._queued_count = 0  # live (non-terminal) handles across the heaps
         self._active: List[RequestHandle] = []
-        self._finished: List[RequestHandle] = []
-        self._cancelled: List[RequestHandle] = []
-        self._withdrawn = 0
-        self._failed: List[RequestHandle] = []
-        self._timed_out: List[RequestHandle] = []
-        self._shed: List[RequestHandle] = []
+        # terminal resolutions counted by outcome state
+        self._outcomes: Counter = Counter()
         # every non-cancelled terminal handle in resolution order -- the
         # report's per-request metrics walk this one list
         self._terminal: List[RequestHandle] = []
@@ -644,7 +621,7 @@ class ServingEngine:
         """Queue one request; returns its :class:`RequestHandle`.
 
         Raises ``ValueError`` for duplicate request ids and for requests the
-        admission policy rejects outright (``check_submit``), e.g. one whose
+        scheduling policy rejects outright (``check_submit``), e.g. one whose
         KV lifetime could never fit the arena's ``max_pages`` budget, and
         ``RuntimeError`` once the engine is closed (:meth:`drain` /
         :meth:`shutdown` was called).
@@ -658,7 +635,7 @@ class ServingEngine:
         # unique or one session's tokens would silently shadow another's
         if request.request_id in self._request_ids:
             raise ValueError(f"duplicate request_id {request.request_id!r}")
-        self.admission.check_submit(request, self)
+        self.scheduling.check_submit(request, self)
         self._request_ids.add(request.request_id)
         session = GenerationSession(
             request,
@@ -706,12 +683,12 @@ class ServingEngine:
         # cancellation is caller-initiated: no on_complete fires for it, and
         # the latch guarantees none ever will (exactly-once, including zero)
         handle._complete_fired = True
-        self._cancelled.append(handle)
+        self._outcomes[SessionState.CANCELLED] += 1
         self._spec_state.pop(handle.request_id, None)
         # whether it was active (holding a reservation) or still queued,
-        # the admission policy must drop any page reservation right now --
-        # a cancelled request can never consume the pages it was charged for
-        self.admission.on_release(handle, self)
+        # the policy must drop any page reservation right now -- a
+        # cancelled request can never consume the pages it was charged for
+        self.scheduling.on_release(handle, self)
         return True
 
     def withdraw(self, handle: RequestHandle) -> bool:
@@ -739,9 +716,8 @@ class ServingEngine:
         handle.cancelled = True
         handle._complete_fired = True
         self._queued_count -= 1
-        self._withdrawn += 1
         self._request_ids.discard(handle.request_id)
-        self.admission.on_release(handle, self)
+        self.scheduling.on_release(handle, self)
         return True
 
     def release_inflight(self) -> int:
@@ -766,7 +742,7 @@ class ServingEngine:
             handle.session.preempt(step, snapshot=self.kv_snapshots)
             self._push_ready(handle)
             self._queued_count += 1
-            self.admission.on_release(handle, self)
+            self.scheduling.on_release(handle, self)
         return len(released)
 
     @property
@@ -783,29 +759,8 @@ class ServingEngine:
         return tuple(self._active)
 
     @property
-    def n_finished(self) -> int:
-        return len(self._finished)
-
-    @property
-    def n_cancelled(self) -> int:
-        return len(self._cancelled)
-
-    @property
     def n_failed(self) -> int:
-        return len(self._failed)
-
-    @property
-    def n_timed_out(self) -> int:
-        return len(self._timed_out)
-
-    @property
-    def n_shed(self) -> int:
-        return len(self._shed)
-
-    @property
-    def n_withdrawn(self) -> int:
-        """Requests pulled back out via :meth:`withdraw` (cluster re-routes)."""
-        return self._withdrawn
+        return self._outcomes[SessionState.FAILED]
 
     @property
     def queued_handles(self) -> Tuple[RequestHandle, ...]:
@@ -837,7 +792,7 @@ class ServingEngine:
     # -- stepping --------------------------------------------------------------
 
     def _push_ready(self, handle: RequestHandle) -> None:
-        key = self.admission.admission_key_at(handle, self.current_step)
+        key = self.scheduling.urgency_key(handle, self.current_step)
         heapq.heappush(self._ready, (key, handle.index, handle))
 
     # -- failure model ---------------------------------------------------------
@@ -858,7 +813,7 @@ class ServingEngine:
 
         Handles every location the request may occupy -- a batch slot, the
         ready queue, or the pending/backoff heap -- releasing its KV pages
-        and admission reservation, recording it in the outcome buckets, and
+        and policy reservation, counting its outcome, and
         firing its ``on_complete`` exactly once.  Heap entries are dropped
         lazily (the heaps skip terminal handles on pop).
         """
@@ -872,14 +827,9 @@ class ServingEngine:
         if failure is not None:
             session.failure = failure.to_json()
         session.finalize(state, step)
-        bucket = {
-            SessionState.FAILED: self._failed,
-            SessionState.TIMED_OUT: self._timed_out,
-            SessionState.SHED: self._shed,
-        }[state]
-        bucket.append(handle)
+        self._outcomes[state] += 1
         self._terminal.append(handle)
-        self.admission.on_release(handle, self)
+        self.scheduling.on_release(handle, self)
         self._spec_state.pop(handle.request_id, None)
         self._fire_complete(handle, step)
 
@@ -923,10 +873,9 @@ class ServingEngine:
             # re-enters it below with its backoff arrival
             self._queued_count -= 1
         session.retry(step, snapshot=trusted)
-        self.admission.on_release(handle, self)
+        self.scheduling.on_release(handle, self)
         delay = min(
-            self.retry_backoff_cap,
-            self.retry_backoff_steps * (2 ** (session.retries - 1)),
+            RETRY_BACKOFF_CAP, RETRY_BACKOFF_STEPS * (2 ** (session.retries - 1))
         )
         heapq.heappush(self._pending, (step + delay, handle.index, handle))
         self._queued_count += 1
@@ -938,15 +887,21 @@ class ServingEngine:
 
         Mirrors real engines, which test allocatability when *scheduling* a
         sequence, not mid-kernel: every session about to append KV rows this
-        step is probed before the fused forward, and a faulted one is
-        quarantined (retry/FAILED) without ever entering the batch.
+        step is probed against this engine's own injector (``arena.alloc``
+        site) before the fused forward, and a faulted one is quarantined
+        (retry/FAILED) with a :class:`~repro.serve.faults.TransientArenaFault`
+        without ever entering the batch -- no page was touched, no row
+        appended, so the arena books stay balanced.  Engines sharing one
+        arena each consult only their own fault plan.
         """
         survivors: List[RequestHandle] = []
         for handle in handles:
-            try:
-                self.arena.check_alloc(handle.request_id, step)
-            except _FAULT_TYPES as exc:
-                self._quarantine(handle, exc, step)
+            if self._faults.fires("arena.alloc", handle.request_id, step):
+                fault = TransientArenaFault(
+                    f"injected transient page-allocation failure for request "
+                    f"{handle.request_id!r} at step {step}"
+                )
+                self._quarantine(handle, fault, step)
                 continue
             survivors.append(handle)
         return survivors
@@ -1087,18 +1042,18 @@ class ServingEngine:
         if self._timeouts:
             self._reap_timeouts(step)
 
-        # dynamic admission policies (aging) re-key the whole ready queue
-        # each step -- their ordering depends on how long requests waited
-        if self.admission.dynamic and self._ready:
+        # dynamic policies (aging) re-key the whole ready queue each step --
+        # their ordering depends on how long requests waited
+        if self.scheduling.dynamic and self._ready:
             self._ready = [
-                (self.admission.admission_key_at(handle, step), index, handle)
+                (self.scheduling.urgency_key(handle, step), index, handle)
                 for _, index, handle in self._ready
                 if self._live(handle)
             ]
             heapq.heapify(self._ready)
 
         # arrivals: everything due this step joins the ready queue in the
-        # admission policy's order (terminal handles are dropped lazily)
+        # policy's order (terminal handles are dropped lazily)
         while self._pending and self._pending[0][0] <= step:
             _, _, handle = heapq.heappop(self._pending)
             if not self._live(handle):
@@ -1130,7 +1085,7 @@ class ServingEngine:
             for victim in victims:
                 self._active.remove(victim)
 
-        # admission into free slots, best admission key first; head-of-line:
+        # admission into free slots, most urgent first; head-of-line:
         # a refused head (e.g. arena budget) stops admission for this step
         free = self.max_active - len(self._active)
         admitted: List[RequestHandle] = []
@@ -1139,7 +1094,7 @@ class ServingEngine:
             if not self._live(handle):
                 heapq.heappop(self._ready)  # counted out when it went terminal
                 continue
-            if not self.admission.may_admit(handle, self):
+            if not self.scheduling.may_admit(handle, self):
                 break
             heapq.heappop(self._ready)
             self._active.append(handle)
@@ -1148,7 +1103,7 @@ class ServingEngine:
             free -= 1
             # pin the reservation now so later candidates in this same loop
             # are gated against it (admissions are never rolled back)
-            self.admission.on_admit(handle, self)
+            self.scheduling.on_admit(handle, self)
 
         # commit or roll back the evictions: only as many victims stay
         # preempted as the admissions actually needed beyond the slots that
@@ -1170,7 +1125,7 @@ class ServingEngine:
                 self._queued_count += 1
                 # realized eviction: its KV is gone, so its reservation is
                 # too (restored victims above keep theirs untouched)
-                self.admission.on_release(victim, self)
+                self.scheduling.on_release(victim, self)
 
         # the sessions that kept their slots decode this step; prefilling
         # survivors rejoin the chunk budget below (continuous batching: old
@@ -1205,14 +1160,14 @@ class ServingEngine:
         if self._faults is not None and self.arena is not None:
             prefilling = self._check_arena_faults(prefilling, step)
             decoding = self._check_arena_faults(decoding, step)
-        # spend the step's prefill-row budget in admission order: the head
+        # spend the step's prefill-row budget in service order: the head
         # always progresses (its chunk is clamped to >= 1 row even under a
         # zero-returning policy override, so the engine cannot livelock),
         # long prompts split across steps, later sessions may wait a step
         # entirely.  A forward-only model takes whole prompts
         budget = None
         if self._batched:
-            budget = self.admission.prefill_token_budget(self)
+            budget = self.scheduling.prefill_token_budget(self)
             if self.watchdog is not None:
                 budget = self.watchdog.throttle(budget)
         chunked: List[RequestHandle] = []
@@ -1282,9 +1237,9 @@ class ServingEngine:
             if handle.session.is_finished:
                 self._active.remove(handle)
                 handle.session.release_kv()  # pages return to the pool now
-                self._finished.append(handle)
+                self._outcomes[SessionState.FINISHED] += 1
                 self._terminal.append(handle)
-                self.admission.on_release(handle, self)
+                self.scheduling.on_release(handle, self)
                 self._spec_state.pop(handle.request_id, None)
                 retired += 1
                 self._fire_complete(handle, step)
@@ -1368,14 +1323,13 @@ class ServingEngine:
         """
         metrics = [h.session.to_metrics() for h in self._terminal]
         policy = {
-            "admission": self.admission.name,
             "scheduling": self.scheduling.name,
             "preemptions": sum(m.preemptions for m in metrics),
             "deadline_misses": sum(m.deadline_misses for m in metrics),
-            "cancelled": len(self._cancelled),
-            "failed": len(self._failed),
-            "timed_out": len(self._timed_out),
-            "shed": len(self._shed),
+            "cancelled": self._outcomes[SessionState.CANCELLED],
+            "failed": self._outcomes[SessionState.FAILED],
+            "timed_out": self._outcomes[SessionState.TIMED_OUT],
+            "shed": self._outcomes[SessionState.SHED],
             "retries": sum(m.retries for m in metrics),
             "callback_errors": self._callback_errors,
         }

@@ -726,14 +726,6 @@ snapshot_session`) and keeps its decoder, so
         return self.state in TERMINAL_STATES
 
     @property
-    def is_prefilling(self) -> bool:
-        return self.state is SessionState.PREFILLING
-
-    @property
-    def is_cancelled(self) -> bool:
-        return self.state is SessionState.CANCELLED
-
-    @property
     def n_generated(self) -> int:
         return len(self.generated_tokens)
 

@@ -42,7 +42,7 @@ from repro.serve import (
     Request,
     ServingEngine,
     SessionState,
-    make_policies,
+    make_policy,
 )
 from doubles import SerialOnly
 
@@ -468,13 +468,11 @@ class TestGroupedDecodeRows:
 
 def _run_engine(model, requests, max_active=4, budget=None, serial=False,
                 policy="fcfs", predictor=None):
-    admission, scheduling = make_policies(policy)
     engine = ServingEngine(
         SerialOnly(model) if serial else model,
         max_active=max_active,
         predictor=predictor,
-        admission=admission,
-        scheduling=scheduling,
+        scheduling=make_policy(policy),
         page_size=4,
         prefill_token_budget=budget,
     )
@@ -596,15 +594,15 @@ class TestEngineBudgets:
 
     def test_zero_budget_policy_override_cannot_livelock(self, model):
         """The admission-order head is clamped to >= 1 row per step."""
-        from repro.serve.policies import FIFOAdmission
+        from repro.serve.policies import FCFSPolicy
 
-        class Starver(FIFOAdmission):
+        class Starver(FCFSPolicy):
             def prefill_token_budget(self, engine):
                 return 0  # a broken override must not stall the pipeline
 
         prompt = list(range(1, 10))
         engine = ServingEngine(
-            model, max_active=2, admission=Starver(), page_size=4
+            model, max_active=2, scheduling=Starver(), page_size=4
         )
         handle = engine.submit(Request("r0", prompt_tokens=prompt, max_new_tokens=2))
         report = engine.run(max_steps=50)
@@ -626,9 +624,8 @@ class TestMidPrefillLifecycle:
             "survivor", prompt_tokens=rng.integers(0, vocab, size=5).tolist(),
             max_new_tokens=3,
         )
-        admission, scheduling = make_policies("fcfs")
         engine = ServingEngine(
-            model, max_active=2, admission=admission, scheduling=scheduling,
+            model, max_active=2, scheduling=make_policy("fcfs"),
             page_size=4, prefill_token_budget=3,
         )
         handle_doomed = engine.submit(doomed)
@@ -659,9 +656,8 @@ class TestMidPrefillLifecycle:
             "urgent", prompt_tokens=rng.integers(0, vocab, size=4).tolist(),
             max_new_tokens=2, arrival_step=1, priority=3,
         )
-        admission, scheduling = make_policies("priority")
         engine = ServingEngine(
-            model, max_active=1, admission=admission, scheduling=scheduling,
+            model, max_active=1, scheduling=make_policy("priority"),
             page_size=4, prefill_token_budget=4,
         )
         handles = engine.submit_many([bulk, urgent])

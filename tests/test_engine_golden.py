@@ -216,7 +216,6 @@ LAST_STEP_GOLDEN = {
 # the failure-model counters -- failed/timed_out/shed/retries/callback_errors,
 # PR 7 -- are structurally zero on a fault-free run)
 POLICY_GOLDEN = {
-    "admission": "fifo",
     "scheduling": "fcfs",
     "preemptions": 0,
     "deadline_misses": 0,

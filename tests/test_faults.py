@@ -266,24 +266,48 @@ class TestRetryAndIsolation:
         ).generated_tokens
         assert report.arena["pages_in_use"] == 0
 
+    def test_shared_arena_engines_keep_their_own_alloc_faults(self, model):
+        """Each engine's schedule-time probe consults its own fault plan.
+
+        Two engines share one arena and only the first arms an
+        ``arena.alloc`` fault for its request; the second engine's empty
+        plan must not mask it, so the request retries exactly once, as it
+        does on an engine that shares its arena with nobody.
+        """
+        arena = PagedKVArena(
+            n_layers=model.config.n_layers,
+            hidden_size=model.config.hidden_size,
+            page_size=4,
+        )
+        plan = FaultPlan(
+            specs=(FaultSpec(site="arena.alloc", at_step=0, request_id="a"),)
+        )
+        first = ServingEngine(model, max_active=2, arena=arena, faults=plan)
+        ServingEngine(model, max_active=2, arena=arena, faults=FaultPlan())
+        handle = first.submit(Request("a", [4, 6], max_new_tokens=4))
+        first.run()
+        assert handle.session.retries == 1
+        assert handle.generated_tokens == generate(
+            model, [4, 6], max_new_tokens=4
+        ).generated_tokens
+        assert arena.stats.pages_in_use == 0
+
     def test_backoff_is_capped_exponential(self, model):
         engine = ServingEngine(
             model,
             max_active=2,
             faults=FaultPlan(),
             max_retries=10,
-            retry_backoff_steps=2,
-            retry_backoff_cap=8,
         )
         handle = engine.submit(Request("r", [1], max_new_tokens=2))
         engine.step()
         delays = []
-        for _ in range(4):
+        for _ in range(5):
             engine._quarantine(handle, RuntimeError("boom"), engine.current_step)
             delays.append(engine._pending[0][0] - engine.current_step)
             heapq_entry = engine._pending.pop(0)
             handle.session.state = SessionState.PREFILLING  # re-arm for next
-        assert delays == [2, 4, 8, 8]
+        assert delays == [1, 2, 4, 8, 8]
 
 
 # -- timeouts ------------------------------------------------------------------

@@ -21,7 +21,7 @@ Four layers of pinning for the PR-8 capacity levers:
   metrics, with strictly fewer KV appends than the re-prefill engine and
   fully drained books (random mid-trace cancels included).  int8 mode must
   be self-consistent (snapshots invisible) and its reservation books must
-  balance under ``ArenaBudgetAdmission`` with a tight ``max_pages``.
+  balance under ``ArenaBudgetPolicy`` with a tight ``max_pages``.
 * Satellite regressions -- ``cancel()`` stamps ``finished_step`` (cancelled
   requests have a defined latency), preempting a ``PREFILLING`` session
   holding ``acquire_prefix`` pages decrements shared refcounts instead of
@@ -43,7 +43,7 @@ from repro.model import (
     get_model_config,
 )
 from repro.serve import (
-    ArenaBudgetAdmission,
+    ArenaBudgetPolicy,
     FaultPlan,
     FaultSpec,
     KVDtype,
@@ -52,7 +52,7 @@ from repro.serve import (
     Request,
     ServingEngine,
     SessionState,
-    make_policies,
+    make_policy,
 )
 from repro.serve.session import GenerationSession
 from doubles import admit, decode, resume
@@ -541,16 +541,15 @@ class TestSnapshotEngineFuzz:
         kv_dtype=None,
         max_active=2,
         cancel_nth=None,
-        admission_wrap=None,
+        policy_wrap=None,
         max_pages=None,
     ):
-        admission, scheduling = make_policies(policy)
-        if admission_wrap is not None:
-            admission = admission_wrap(admission)
+        scheduling = make_policy(policy)
+        if policy_wrap is not None:
+            scheduling = policy_wrap(scheduling)
         engine = ServingEngine(
             model,
             max_active=max_active,
-            admission=admission,
             scheduling=scheduling,
             prefix_cache=prefix_cache,
             kv_snapshots=kv_snapshots,
@@ -682,7 +681,7 @@ class TestSnapshotEngineFuzz:
             "priority",
             kv_snapshots=True,
             prefix_cache=True,
-            admission_wrap=ArenaBudgetAdmission,
+            policy_wrap=ArenaBudgetPolicy,
             max_pages=64,
         )
         assert not report.truncated  # budget never deadlocks the queue
@@ -708,7 +707,7 @@ class TestSnapshotEngineFuzz:
             arena=arena,
             prefix_cache=True,
             kv_snapshots=True,
-            admission=ArenaBudgetAdmission(),
+            scheduling=ArenaBudgetPolicy(),
         )
         prompt = list(range(9))
         owner = engine.submit(Request("owner", prompt, max_new_tokens=2))
@@ -719,7 +718,7 @@ class TestSnapshotEngineFuzz:
         engine.step()
         session = victim.session
         session.preempt(engine.current_step, snapshot=True)
-        policy = engine.admission
+        policy = engine.scheduling
         lifetime = policy._lifetime_pages(arena, victim)
         charged = policy._charged_pages(arena, victim, engine)
         assert session.kv_snapshot.pages_referenced > 0

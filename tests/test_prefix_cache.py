@@ -14,14 +14,14 @@ Three layers of pinning for the arena's content-keyed prefix index (PR 6):
   pure execution detail.
 * ``TestPrefixLifecycleFuzz`` / ``TestReservationBooks`` -- preempt, cancel
   and resume over shared pages never corrupt the refcount books, and
-  :class:`ArenaBudgetAdmission` reservations (pinned per handle, charged
+  :class:`ArenaBudgetPolicy` reservations (pinned per handle, charged
   only for the novel suffix when the cache is on) are released the moment a
   request retires, is evicted for real, or is cancelled -- including a
   cancel while still queued.
 
 ``TestMaxPagesValidation`` pins the companion bugfix: an explicit
 ``max_pages`` on an engine that resolves to no arena now raises instead of
-being silently unenforced, and pairing ``ArenaBudgetAdmission`` with an
+being silently unenforced, and pairing ``ArenaBudgetPolicy`` with an
 arena-less engine warns exactly once per process.
 """
 
@@ -41,11 +41,11 @@ from repro.model import (
     get_model_config,
 )
 from repro.serve import (
-    ArenaBudgetAdmission,
+    ArenaBudgetPolicy,
     PagedKVArena,
     Request,
     ServingEngine,
-    make_policies,
+    make_policy,
 )
 from doubles import StubModel
 
@@ -446,12 +446,10 @@ class TestPrefixLifecycleFuzz:
     ):
         rng = np.random.default_rng(seed)
         requests = _priority_trace(rng, model.config.vocab_size)
-        admission, scheduling = make_policies("priority")
         engine = ServingEngine(
             model,
             max_active=int(rng.integers(1, 4)),
-            admission=admission,
-            scheduling=scheduling,
+            scheduling=make_policy("priority"),
             page_size=4,
             prefix_cache=True,
         )
@@ -494,7 +492,7 @@ class TestReservationBooks:
         engine = ServingEngine(
             model,
             max_active=1,
-            admission=ArenaBudgetAdmission(watermark=1.0),
+            scheduling=ArenaBudgetPolicy(watermark=1.0),
             page_size=4,
             max_pages=64,
         )
@@ -515,7 +513,7 @@ class TestReservationBooks:
         engine = ServingEngine(
             model,
             max_active=2,
-            admission=ArenaBudgetAdmission(watermark=1.0),
+            scheduling=ArenaBudgetPolicy(watermark=1.0),
             page_size=4,
             max_pages=64,
         )
@@ -535,7 +533,7 @@ class TestReservationBooks:
         engine = ServingEngine(
             model,
             max_active=2,
-            admission=ArenaBudgetAdmission(watermark=1.0),
+            scheduling=ArenaBudgetPolicy(watermark=1.0),
             page_size=4,
             max_pages=64,
             prefix_cache=True,
@@ -566,7 +564,7 @@ class TestReservationBooks:
         engine = ServingEngine(
             model,
             max_active=int(rng.integers(1, 4)),
-            admission=ArenaBudgetAdmission(
+            scheduling=ArenaBudgetPolicy(
                 watermark=float(rng.uniform(0.5, 1.0))
             ),
             page_size=4,
@@ -631,7 +629,7 @@ class TestMaxPagesValidation:
         self, model, monkeypatch
     ):
         monkeypatch.setattr(policies_module, "_arena_budget_warned", False)
-        engine = ServingEngine(StubModel(), admission=ArenaBudgetAdmission())
+        engine = ServingEngine(StubModel(), scheduling=ArenaBudgetPolicy())
         with pytest.warns(RuntimeWarning, match="no KV arena"):
             engine.submit(
                 Request("w0", prompt_tokens=[1, 2], max_new_tokens=2)
@@ -646,7 +644,7 @@ class TestMaxPagesValidation:
     def test_arena_backed_budget_admission_does_not_warn(self, model, monkeypatch):
         monkeypatch.setattr(policies_module, "_arena_budget_warned", False)
         engine = ServingEngine(
-            model, admission=ArenaBudgetAdmission(), max_pages=64, page_size=4
+            model, scheduling=ArenaBudgetPolicy(), max_pages=64, page_size=4
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")

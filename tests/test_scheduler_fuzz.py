@@ -13,7 +13,7 @@ Two fuzzed contracts:
   ``generate()`` too, and every arena must drain completely (every page
   freed) once the trace finishes.
 * ``TestPreemptionFuzz`` -- each example replays one prioritized bursty
-  trace under the preemptive priority/deadline policy pairs with tight slot
+  trace under the preemptive priority/deadline policies with tight slot
   counts.  Runs must be deterministic under a fixed seed, every request's
   tokens must equal unpreempted per-session decoding (preempt/resume is an
   execution detail), and the arena must drain to zero pages with balanced
@@ -35,7 +35,7 @@ from repro.serve import (
     PagedKVArena,
     Request,
     ServingEngine,
-    make_policies,
+    make_policy,
 )
 from doubles import SerialOnly, StubModel
 
@@ -165,12 +165,10 @@ def _sample_prioritized_trace(rng, vocab):
 
 
 def _run_policy(model, requests, max_active, policy_name):
-    admission, scheduling = make_policies(policy_name)
     engine = ServingEngine(
         model,
         max_active=max_active,
-        admission=admission,
-        scheduling=scheduling,
+        scheduling=make_policy(policy_name),
         page_size=4,
     )
     handles = engine.submit_many(requests)
@@ -184,7 +182,7 @@ class TestPreemptionFuzz:
     """Preemption-heavy traces: policies reorder *service*, never *content*.
 
     Each example replays one prioritized bursty trace under the priority and
-    deadline policy pairs with 1-3 batch slots (so eviction actually
+    deadline policies with 1-3 batch slots (so eviction actually
     happens), twice per policy.  Every request's token stream must equal its
     solo per-session decode -- resume's re-prefill is an execution detail --
     the two runs must agree exactly (policies are deterministic), and the

@@ -1,9 +1,9 @@
 """Tests for the policy-driven serving API (repro.serve.policies + engine).
 
 Covers the `ServingEngine` facade (handles, callbacks, cancellation), the
-shipped admission/scheduling policies (ordering, preemption, arena-budget
-queueing), the preempt/resume session state machine, the deprecation shim's
-bit-exact equivalence, and the new traffic generators.
+shipped scheduling policies (ordering, preemption, arena-budget queueing),
+per-request schedule pins of every shipped discipline, the preempt/resume
+session state machine, and the traffic generators.
 """
 
 import dataclasses
@@ -18,16 +18,17 @@ from repro.model import (
     get_model_config,
 )
 from repro.serve import (
-    ArenaBudgetAdmission,
-    DeadlineAdmission,
-    FIFOAdmission,
+    AdaptivePrefillPolicy,
+    AgingPriorityPolicy,
+    ArenaBudgetPolicy,
+    DeadlinePolicy,
     PagedKVArena,
-    PriorityAdmission,
+    PriorityPolicy,
     Request,
     ServingEngine,
     ServingReport,
     SessionState,
-    make_policies,
+    make_policy,
 )
 from repro.serve.session import GenerationSession
 from repro.workloads import (
@@ -163,9 +164,8 @@ class TestServingEngineFacade:
         assert engine.cancel(short) is False  # finished: nothing to cancel
 
     def test_cancel_preempted_request(self):
-        admission, scheduling = make_policies("priority")
         engine = ServingEngine(
-            StubModel(), max_active=1, admission=admission, scheduling=scheduling
+            StubModel(), max_active=1, scheduling=make_policy("priority")
         )
         low = engine.submit(Request("low", prompt_tokens=[0], max_new_tokens=9))
         high = engine.submit(
@@ -202,13 +202,25 @@ class TestServingEngineFacade:
         assert ServingReport.from_json(legacy).truncated is False
 
 
-# -- admission policies --------------------------------------------------------
+# -- admission order and gates -------------------------------------------------
+
+
+class _PriorityOrder(PriorityPolicy):
+    """Priority service order without preemption."""
+
+    preemptive = False
+
+
+class _DeadlineOrder(DeadlinePolicy):
+    """Earliest-deadline service order without preemption."""
+
+    preemptive = False
 
 
 class TestAdmissionPolicies:
     def test_priority_admission_reorders_queue(self):
         engine = ServingEngine(
-            StubModel(), max_active=1, admission=PriorityAdmission()
+            StubModel(), max_active=1, scheduling=_PriorityOrder()
         )
         blocker = engine.submit(
             Request("blocker", prompt_tokens=[0], max_new_tokens=4)
@@ -228,7 +240,7 @@ class TestAdmissionPolicies:
 
     def test_deadline_admission_orders_by_absolute_deadline(self):
         engine = ServingEngine(
-            StubModel(), max_active=1, admission=DeadlineAdmission()
+            StubModel(), max_active=1, scheduling=_DeadlineOrder()
         )
         engine.submit(Request("blocker", prompt_tokens=[0], max_new_tokens=4))
         engine.submit(
@@ -254,7 +266,7 @@ class TestAdmissionPolicies:
         )
         engine = ServingEngine(
             model, max_active=4, arena=arena,
-            admission=ArenaBudgetAdmission(),
+            scheduling=ArenaBudgetPolicy(),
         )
         # each request needs 3 pages for its lifetime (9+2=11 rows): only two
         # fit inside the 8-page budget concurrently, the rest must queue
@@ -285,7 +297,7 @@ class TestAdmissionPolicies:
         )
         engine = ServingEngine(
             model, max_active=4, arena=arena,
-            admission=ArenaBudgetAdmission(watermark=0.5),
+            scheduling=ArenaBudgetPolicy(watermark=0.5),
         )
         engine.submit_many(
             Request(f"w{i}", prompt_tokens=[i + 1] * 9, max_new_tokens=3)
@@ -303,7 +315,7 @@ class TestAdmissionPolicies:
         )
         engine = ServingEngine(
             model, max_active=2, arena=arena,
-            admission=ArenaBudgetAdmission(watermark=0.5),
+            scheduling=ArenaBudgetPolicy(watermark=0.5),
         )
         # needs 6 pages > the 4-page watermark; an idle engine admits it
         # anyway rather than deadlocking the queue (max_pages still holds it)
@@ -321,7 +333,7 @@ class TestAdmissionPolicies:
         """
         engine = ServingEngine(
             model, max_active=2, page_size=4, max_pages=8,
-            admission=ArenaBudgetAdmission(),
+            scheduling=ArenaBudgetPolicy(),
         )
         with pytest.raises(ValueError, match="can never be admitted"):
             engine.submit(
@@ -337,7 +349,7 @@ class TestAdmissionPolicies:
         """max_pages threads through to the self-built arena's budget."""
         engine = ServingEngine(
             model, max_active=4, page_size=4, max_pages=8,
-            admission=ArenaBudgetAdmission(),
+            scheduling=ArenaBudgetPolicy(),
         )
         assert engine.arena is not None and engine.arena.max_pages == 8
         assert engine.arena.n_pages <= 8  # initial allocation respects it
@@ -352,16 +364,14 @@ class TestAdmissionPolicies:
 
     def test_arena_budget_delegates_ordering_hooks_to_inner(self):
         """Wrapping a dynamic inner policy must keep it dynamic (and aged)."""
-        from repro.serve import AgingPriorityAdmission
-
-        inner = AgingPriorityAdmission(aging_steps=4)
-        wrapped = ArenaBudgetAdmission(inner=inner)
+        inner = AgingPriorityPolicy(aging_steps=4)
+        wrapped = ArenaBudgetPolicy(inner=inner)
         assert wrapped.dynamic
-        engine = ServingEngine(StubModel(), max_active=1, admission=wrapped)
+        engine = ServingEngine(StubModel(), max_active=1, scheduling=wrapped)
         handle = engine.submit(
             Request("r0", prompt_tokens=[0], max_new_tokens=1)
         )
-        assert wrapped.admission_key_at(handle, 16) == inner.admission_key_at(
+        assert wrapped.urgency_key(handle, 16) == inner.urgency_key(
             handle, 16
         )
         assert wrapped.prefill_token_budget(engine) == inner.prefill_token_budget(
@@ -370,29 +380,24 @@ class TestAdmissionPolicies:
 
     def test_arena_budget_validation_and_name(self):
         with pytest.raises(ValueError):
-            ArenaBudgetAdmission(watermark=0.0)
+            ArenaBudgetPolicy(watermark=0.0)
         with pytest.raises(ValueError):
-            ArenaBudgetAdmission(watermark=1.5)
-        assert ArenaBudgetAdmission().name == "arena-budget(fifo)"
-        inner = PriorityAdmission()
-        assert ArenaBudgetAdmission(inner=inner).name == "arena-budget(priority)"
+            ArenaBudgetPolicy(watermark=1.5)
+        assert ArenaBudgetPolicy().name == "arena-budget(fcfs)"
+        inner = PriorityPolicy()
+        assert ArenaBudgetPolicy(inner=inner).name == "arena-budget(priority)"
 
     def test_aging_priority_unstarves_the_patient(self):
         """A low-priority early arrival eventually out-ranks urgent traffic."""
-        from repro.serve import AgingPriorityAdmission
-        from repro.serve.policies import FCFSPolicy
-
         model = StubModel()
         engine = ServingEngine(
-            model, max_active=1,
-            admission=AgingPriorityAdmission(aging_steps=4),
-            scheduling=FCFSPolicy(),
+            model, max_active=1, scheduling=AgingPriorityPolicy(aging_steps=4)
         )
         patient = engine.submit(
             Request("patient", prompt_tokens=[0], max_new_tokens=2, priority=0)
         )
         # a steady stream of higher-priority arrivals behind it; with plain
-        # PriorityAdmission the patient would wait for every one of them
+        # priority order the patient would wait for every one of them
         vips = [
             engine.submit(
                 Request(
@@ -412,35 +417,29 @@ class TestAdmissionPolicies:
         assert all(h.done for h in [patient, *vips])
 
     def test_aging_policy_is_deterministic_and_orders_by_wait(self):
-        from repro.serve import AgingPriorityAdmission
-
-        policy = AgingPriorityAdmission(aging_steps=8)
+        policy = AgingPriorityPolicy(aging_steps=8)
         with pytest.raises(ValueError):
-            AgingPriorityAdmission(aging_steps=0)
+            AgingPriorityPolicy(aging_steps=0)
         assert policy.dynamic
         engine = ServingEngine(StubModel(), max_active=1,
-                               admission=AgingPriorityAdmission(aging_steps=8))
+                               scheduling=AgingPriorityPolicy(aging_steps=8))
         h0 = engine.submit(Request("a", prompt_tokens=[0], max_new_tokens=1))
         h1 = engine.submit(
             Request("b", prompt_tokens=[1], max_new_tokens=1, priority=2)
         )
         # static classes still rank first before anyone has waited
-        assert policy.admission_key_at(h1, 0) < policy.admission_key_at(h0, 0)
+        assert policy.urgency_key(h1, 0) < policy.urgency_key(h0, 0)
         # 16 waited steps boost the priority-0 request past the fresh class-2
-        assert policy.admission_key_at(h0, 16) < policy.admission_key_at(h1, 0)
+        assert policy.urgency_key(h0, 16) < policy.urgency_key(h1, 0)
 
-    def test_make_policies_aging_pair(self):
-        from repro.serve import AgingPriorityAdmission
-        from repro.serve.policies import FCFSPolicy
-
-        admission, scheduling = make_policies("aging")
-        assert isinstance(admission, AgingPriorityAdmission)
-        assert isinstance(scheduling, FCFSPolicy)
+    def test_make_policy_aging(self):
+        scheduling = make_policy("aging")
+        assert isinstance(scheduling, AgingPriorityPolicy)
         assert not scheduling.preemptive
 
-    def test_make_policies_rejects_unknown(self):
+    def test_make_policy_rejects_unknown(self):
         with pytest.raises(KeyError):
-            make_policies("round-robin")
+            make_policy("round-robin")
 
 
 # -- scheduling policies -------------------------------------------------------
@@ -448,9 +447,8 @@ class TestAdmissionPolicies:
 
 class TestSchedulingPolicies:
     def test_priority_preemption_schedule(self):
-        admission, scheduling = make_policies("priority")
         engine = ServingEngine(
-            StubModel(), max_active=1, admission=admission, scheduling=scheduling
+            StubModel(), max_active=1, scheduling=make_policy("priority")
         )
         low = engine.submit(Request("low", prompt_tokens=[0], max_new_tokens=10))
         high = engine.submit(
@@ -467,9 +465,8 @@ class TestSchedulingPolicies:
         assert report.total_preemptions == 1
 
     def test_equal_priority_never_preempts(self):
-        admission, scheduling = make_policies("priority")
         engine = ServingEngine(
-            StubModel(), max_active=1, admission=admission, scheduling=scheduling
+            StubModel(), max_active=1, scheduling=make_policy("priority")
         )
         engine.submit(Request("a", prompt_tokens=[0], max_new_tokens=6, priority=2))
         engine.submit(
@@ -496,9 +493,8 @@ class TestSchedulingPolicies:
         assert report.policy["deadline_misses"] == 1
 
     def test_deadline_preemption_prefers_no_deadline_victims(self):
-        admission, scheduling = make_policies("deadline")
         engine = ServingEngine(
-            StubModel(), max_active=2, admission=admission, scheduling=scheduling
+            StubModel(), max_active=2, scheduling=make_policy("deadline")
         )
         eng_none = engine.submit(
             Request("none", prompt_tokens=[0], max_new_tokens=12)
@@ -519,7 +515,7 @@ class TestSchedulingPolicies:
     def test_refused_admission_rolls_back_eviction(self, model):
         """A victim is only preempted if its evicted capacity is used.
 
-        ArenaBudgetAdmission + PriorityPolicy: the high-priority candidate's
+        ArenaBudgetPolicy(PriorityPolicy()): the high-priority candidate's
         lifetime reservation exceeds the arena budget even after eviction, so
         admission refuses it -- the selected victim must keep its slot and KV
         (no discarded work, no idle slot) until capacity genuinely frees up.
@@ -529,11 +525,9 @@ class TestSchedulingPolicies:
             config.n_layers, config.hidden_size, page_size=4,
             initial_pages=16, max_pages=16,
         )
-        admission = ArenaBudgetAdmission(inner=PriorityAdmission())
-        _, scheduling = make_policies("priority")
         engine = ServingEngine(
             model, max_active=2, arena=arena,
-            admission=admission, scheduling=scheduling,
+            scheduling=ArenaBudgetPolicy(inner=PriorityPolicy()),
         )
         # two low-priority sessions, 4 pages lifetime each (8 reserved)
         lows = engine.submit_many(
@@ -569,9 +563,8 @@ class TestSchedulingPolicies:
         )
         outcomes = {}
         for name in ("fcfs", "priority", "deadline"):
-            admission, scheduling = make_policies(name)
             engine = ServingEngine(
-                model, max_active=2, admission=admission, scheduling=scheduling
+                model, max_active=2, scheduling=make_policy(name)
             )
             handles = engine.submit_many(requests)
             engine.run()
@@ -582,6 +575,156 @@ class TestSchedulingPolicies:
             for r in requests
         ]
         assert outcomes["fcfs"] == [g.generated_tokens for g in solo]
+
+
+# -- per-discipline schedule pins ---------------------------------------------
+
+
+def _pin_trace(seed, n, vocab, span, max_prompt, max_new, deadlines=False):
+    """Seeded request stream with priorities and (optionally) deadlines."""
+    rng = np.random.default_rng(seed)
+    arrivals = np.sort(rng.integers(0, span, size=n))
+    requests = []
+    for i, arrival in enumerate(arrivals):
+        prompt = rng.integers(0, vocab, size=int(rng.integers(1, max_prompt + 1)))
+        new = int(rng.integers(2, max_new + 1))
+        slack = int(rng.integers(1, 8))
+        requests.append(
+            Request(
+                f"r{i}",
+                prompt_tokens=[int(t) for t in prompt],
+                max_new_tokens=new,
+                arrival_step=int(arrival),
+                priority=int(rng.integers(0, 3)),
+                deadline_steps=(
+                    new + slack if deadlines and rng.random() < 0.7 else None
+                ),
+            )
+        )
+    return requests
+
+
+#: Per request: (admitted, first token, finished step, preemptions, tokens),
+#: recorded from the two-policy engine (admission + scheduling pairs) on the
+#: same traces; one policy per engine must reproduce every schedule exactly.
+DISCIPLINE_PINS = {
+    "fcfs": {
+        "r0": (0, 0, 7, 0, [3, 4, 5, 6, 7, 8, 9, 10]),
+        "r1": (2, 2, 6, 0, [15, 0, 1, 2, 3]),
+        "r2": (7, 7, 16, 0, [10, 11, 12, 13, 14, 15, 0, 1, 2, 3]),
+        "r3": (8, 8, 17, 0, [7, 8, 9, 10, 11, 12, 13, 14, 15, 0]),
+        "r4": (17, 17, 25, 0, [8, 9, 10, 11, 12, 13, 14, 15, 0]),
+        "r5": (18, 18, 24, 0, [9, 10, 11, 12, 13, 14, 15]),
+        "r6": (25, 25, 26, 0, [15, 0]),
+        "r7": (26, 26, 33, 0, [13, 14, 15, 0, 1, 2, 3, 4]),
+        "r8": (27, 27, 36, 0, [6, 7, 8, 9, 10, 11, 12, 13, 14, 15]),
+        "r9": (34, 34, 42, 0, [3, 4, 5, 6, 7, 8, 9, 10, 11]),
+        "r10": (37, 37, 40, 0, [1, 2, 3, 4]),
+        "r11": (41, 41, 45, 0, [14, 15, 0, 1, 2]),
+    },
+    "priority": {
+        "r0": (0, 0, 37, 1, [3, 4, 5, 6, 7, 8, 9, 10]),
+        "r1": (2, 2, 6, 0, [15, 0, 1, 2, 3]),
+        "r2": (37, 37, 46, 0, [10, 11, 12, 13, 14, 15, 0, 1, 2, 3]),
+        "r3": (4, 4, 22, 2, [7, 8, 9, 10, 11, 12, 13, 14, 15, 0]),
+        "r4": (23, 23, 31, 0, [8, 9, 10, 11, 12, 13, 14, 15, 0]),
+        "r5": (6, 6, 12, 0, [9, 10, 11, 12, 13, 14, 15]),
+        "r6": (23, 23, 24, 0, [15, 0]),
+        "r7": (8, 8, 15, 0, [13, 14, 15, 0, 1, 2, 3, 4]),
+        "r8": (13, 13, 22, 0, [6, 7, 8, 9, 10, 11, 12, 13, 14, 15]),
+        "r9": (25, 25, 33, 0, [3, 4, 5, 6, 7, 8, 9, 10, 11]),
+        "r10": (38, 38, 41, 0, [1, 2, 3, 4]),
+        "r11": (32, 32, 36, 0, [14, 15, 0, 1, 2]),
+    },
+    "deadline": {
+        "r0": (0, 0, 26, 1, [3, 4, 5, 6, 7, 8, 9, 10]),
+        "r1": (2, 2, 30, 1, [15, 0, 1, 2, 3]),
+        "r2": (3, 3, 14, 1, [10, 11, 12, 13, 14, 15, 0, 1, 2, 3]),
+        "r3": (4, 4, 13, 0, [7, 8, 9, 10, 11, 12, 13, 14, 15, 0]),
+        "r4": (14, 14, 22, 0, [8, 9, 10, 11, 12, 13, 14, 15, 0]),
+        "r5": (15, 15, 21, 0, [9, 10, 11, 12, 13, 14, 15]),
+        "r6": (7, 7, 8, 0, [15, 0]),
+        "r7": (22, 22, 29, 0, [13, 14, 15, 0, 1, 2, 3, 4]),
+        "r8": (30, 30, 39, 0, [6, 7, 8, 9, 10, 11, 12, 13, 14, 15]),
+        "r9": (31, 31, 39, 0, [3, 4, 5, 6, 7, 8, 9, 10, 11]),
+        "r10": (40, 40, 43, 0, [1, 2, 3, 4]),
+        "r11": (40, 40, 44, 0, [14, 15, 0, 1, 2]),
+    },
+    "aging": {
+        "r0": (0, 0, 7, 0, [3, 4, 5, 6, 7, 8, 9, 10]),
+        "r1": (2, 2, 6, 0, [15, 0, 1, 2, 3]),
+        "r2": (37, 37, 46, 0, [10, 11, 12, 13, 14, 15, 0, 1, 2, 3]),
+        "r3": (16, 16, 25, 0, [7, 8, 9, 10, 11, 12, 13, 14, 15, 0]),
+        "r4": (24, 24, 32, 0, [8, 9, 10, 11, 12, 13, 14, 15, 0]),
+        "r5": (7, 7, 13, 0, [9, 10, 11, 12, 13, 14, 15]),
+        "r6": (26, 26, 27, 0, [15, 0]),
+        "r7": (8, 8, 15, 0, [13, 14, 15, 0, 1, 2, 3, 4]),
+        "r8": (14, 14, 23, 0, [6, 7, 8, 9, 10, 11, 12, 13, 14, 15]),
+        "r9": (28, 28, 36, 0, [3, 4, 5, 6, 7, 8, 9, 10, 11]),
+        "r10": (38, 38, 41, 0, [1, 2, 3, 4]),
+        "r11": (33, 33, 37, 0, [14, 15, 0, 1, 2]),
+    },
+    "arena-budget": {
+        "r0": (0, 0, 8, 1, [26, 125, 424, 321, 175]),
+        "r1": (0, 0, 2, 0, [504, 60, 220]),
+        "r2": (1, 1, 3, 0, [310, 66, 152]),
+        "r3": (7, 7, 8, 0, [455, 455]),
+        "r4": (3, 3, 7, 0, [415, 287, 270, 243, 454]),
+        "r5": (3, 3, 6, 0, [365, 382, 221, 11]),
+    },
+    "adaptive-prefill": {
+        "r0": (0, 0, 4, 0, [26, 125, 424, 321, 175]),
+        "r1": (0, 0, 2, 0, [504, 60, 220]),
+        "r2": (1, 1, 3, 0, [310, 66, 152]),
+        "r3": (2, 2, 3, 0, [455, 455]),
+        "r4": (3, 4, 8, 0, [415, 287, 270, 243, 454]),
+        "r5": (4, 4, 7, 0, [365, 382, 221, 11]),
+    },
+}
+
+
+class TestDisciplinePins:
+    @staticmethod
+    def _schedule(engine, requests):
+        handles = engine.submit_many(requests)
+        report = engine.run()
+        by_id = {m.request_id: m for m in report.requests}
+        return {
+            h.request_id: (
+                by_id[h.request_id].admitted_step,
+                by_id[h.request_id].first_token_step,
+                by_id[h.request_id].finished_step,
+                by_id[h.request_id].preemptions,
+                h.generated_tokens,
+            )
+            for h in handles
+        }
+
+    @pytest.mark.parametrize("name", ["fcfs", "priority", "deadline", "aging"])
+    def test_stub_discipline_schedule(self, name):
+        requests = _pin_trace(4, 12, 16, 10, 4, 10, deadlines=True)
+        engine = ServingEngine(
+            StubModel(), max_active=2, scheduling=make_policy(name)
+        )
+        assert self._schedule(engine, requests) == DISCIPLINE_PINS[name]
+
+    def test_arena_budget_priority_schedule(self, model):
+        requests = _pin_trace(1, 6, model.config.vocab_size, 4, 24, 6)
+        engine = ServingEngine(
+            model, max_active=3, page_size=4, max_pages=16,
+            scheduling=ArenaBudgetPolicy(PriorityPolicy()),
+        )
+        schedule = self._schedule(engine, requests)
+        assert schedule == DISCIPLINE_PINS["arena-budget"]
+        assert engine.arena.stats.pages_in_use == 0
+
+    def test_adaptive_prefill_schedule(self, model):
+        requests = _pin_trace(1, 6, model.config.vocab_size, 4, 24, 6)
+        engine = ServingEngine(
+            model, max_active=4, scheduling=AdaptivePrefillPolicy()
+        )
+        schedule = self._schedule(engine, requests)
+        assert schedule == DISCIPLINE_PINS["adaptive-prefill"]
 
 
 # -- traffic generators --------------------------------------------------------

@@ -16,7 +16,7 @@ plumbing (spec keys only when speculation is on; ``from_json`` tolerant
 both ways).  ``TestZeroDraftIsPlainDecode`` pins that a drafter which
 never proposes runs exactly the speculation-off engine, step by step, and
 that every step value is a token list.  ``TestAdaptivePrefillBudget``
-covers the satellite :class:`AdaptivePrefillAdmission` policy.
+covers the :class:`AdaptivePrefillPolicy` prefill throttle.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.model import QuantizedTransformer, TransformerModel, get_model_config
 from repro.serve import (
-    AdaptivePrefillAdmission,
+    AdaptivePrefillPolicy,
     Drafter,
     FaultPlan,
     NGramDrafter,
@@ -37,7 +37,7 @@ from repro.serve import (
     SessionState,
     SpeculationConfig,
     TruncatedBitDrafter,
-    make_policies,
+    make_policy,
 )
 from repro.serve.speculative import _SessionThrottle, resolve_speculation
 from doubles import SerialOnly
@@ -366,16 +366,13 @@ class TestSpeculativeBitIdentity:
             for i in range(int(rng.integers(3, 7)))
         ]
         discipline = ["priority", "deadline"][int(rng.integers(0, 2))]
-        admission, scheduling = make_policies(discipline)
         kwargs = {
             "max_active": int(rng.integers(1, 4)),
-            "admission": admission,
-            "scheduling": scheduling,
+            "scheduling": make_policy(discipline),
             "kv_snapshots": bool(rng.random() < 0.5),
         }
         base_tokens, base_states, _ = _run(model, requests, **kwargs)
-        admission, scheduling = make_policies(discipline)
-        kwargs["admission"], kwargs["scheduling"] = admission, scheduling
+        kwargs["scheduling"] = make_policy(discipline)
         cfg = SpeculationConfig(k=int(rng.integers(1, 5)))
         tokens, states, engine = _run(model, requests, speculative=cfg, **kwargs)
         assert tokens == base_tokens
@@ -560,10 +557,10 @@ class TestZeroDraftIsPlainDecode:
 class TestAdaptivePrefillBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdaptivePrefillAdmission(throttled_budget=0)
+            AdaptivePrefillPolicy(throttled_budget=0)
         with pytest.raises(ValueError):
-            AdaptivePrefillAdmission(decode_threshold=0.0)
-        assert AdaptivePrefillAdmission().name == "adaptive-prefill(fifo)"
+            AdaptivePrefillPolicy(decode_threshold=0.0)
+        assert AdaptivePrefillPolicy().name == "adaptive-prefill(fcfs)"
 
     def test_tokens_identical_under_throttle(self, model):
         """Chunked prefill is token-exact, so throttling only re-times."""
@@ -574,7 +571,7 @@ class TestAdaptivePrefillBudget:
             model,
             requests,
             max_active=4,
-            admission=AdaptivePrefillAdmission(
+            scheduling=AdaptivePrefillPolicy(
                 throttled_budget=1, decode_threshold=0.5
             ),
         )
@@ -583,8 +580,8 @@ class TestAdaptivePrefillBudget:
         _assert_books(engine)
 
     def test_budget_clamps_only_when_decode_heavy(self, model):
-        policy = AdaptivePrefillAdmission(throttled_budget=2, decode_threshold=0.5)
-        engine = ServingEngine(model, max_active=4, admission=policy)
+        policy = AdaptivePrefillPolicy(throttled_budget=2, decode_threshold=0.5)
+        engine = ServingEngine(model, max_active=4, scheduling=policy)
         # idle engine: no clamp (defers to the engine knob, None here)
         assert policy.prefill_token_budget(engine) is None
         engine.submit(Request("a0", [1, 2, 3, 4, 5, 6], max_new_tokens=6))
@@ -603,7 +600,7 @@ class TestAdaptivePrefillBudget:
             requests,
             max_active=2,
             speculative=SpeculationConfig(k=3),
-            admission=AdaptivePrefillAdmission(throttled_budget=1),
+            scheduling=AdaptivePrefillPolicy(throttled_budget=1),
         )
         assert tokens == base_tokens
         assert states == base_states
