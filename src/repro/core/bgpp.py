@@ -18,12 +18,32 @@ top ``r + 1`` magnitude bits, so the running partial sum after round ``r`` is
 ``psum_r = q_reduced @ (sign(k) * ((|k| >> s) << s)),  s = key_bits - 2 - r``.
 
 All rounds' partial sums for every key and query row therefore come from one
-float64 BLAS product over the stacked truncated keys.  The product is exact:
-the operands are integers, and for int8 keys and queries
-``|psum| <= 127 * 127 * d < 2**53``.  The filter then runs Eq. 1, the
-clock-gated clip and the ``min_keys`` guard as masked array ops, round by
-round.  A key pruned after round ``r`` keeps ``psum_r`` as its estimate,
-just as the bit-serial unit stops accumulating it.
+BLAS product over the stacked truncated keys ``sign(k) * (|k| >> s)``.  The
+product is exact: the operands are integers, and every partial sum is
+bounded by ``128 * max|plane| * d`` (the reduced INT8 query is at most 128 in
+magnitude), so it runs in the cheapest tier of
+:func:`repro.core.engine.exact_product_dtype` that holds that bound --
+float32 below ``2**24`` (``128 * 7 * 128`` for three rounds over 128-wide
+keys), float64 below ``2**53`` -- and returns the integer product in any
+summation order.  The filter then runs Eq. 1, the clock-gated clip and the
+``min_keys`` guard as masked array ops, round by round.  A key pruned after
+round ``r`` keeps ``psum_r`` as its estimate, just as the bit-serial unit
+stops accumulating it.
+
+**Write-once key planes.**  Like the hardware, which keeps keys in DRAM in
+bit-plane form, the serving predictor keeps each key stream's truncated
+planes (and each INT8 key row's norm) in a per-stream cache and writes a
+row's planes once.  A stream is quantised over its running ``max|k|``, which
+only grows: a new row that does not raise it is quantised alone, and a row
+that does re-quantises that one stream.  Callers hand the streams over as a
+:class:`StreamKeys` record (a gathered ``(B, L, d)`` view plus one opaque
+cache slot per stream); the owner of the rows -- the serving KV arena --
+drops a stream's slot whenever its rows can change below the cached length
+(free, truncate, layer clear, snapshot) and otherwise never looks inside.
+One pass then covers every query row of a layer: each row multiplies only
+its own stream's planes (a prompt-chunk row whose prefix maximum is below
+the stream's reads a block quantised over that prefix maximum, exactly as a
+call on the prefix alone would) and one Eq. 1 filter runs over all rows.
 
 The accounting still follows the hardware of Fig. 9/16, not the software:
 ``kv_bits_loaded`` charges the sign plane of every key plus one plane per
@@ -36,6 +56,8 @@ The module provides:
 * :func:`bgpp_select` -- the progressive filter for one query row, returning
   the selected key indices together with exact accounting of the KV bits
   loaded and the multiply-accumulate work performed;
+* :func:`make_bgpp_predictor` -- the float-in, indices-out predictor the
+  attention modules call, with its write-once plane cache;
 * :func:`value_topk_select` -- the conventional value-level top-k predictor
   used as a baseline (paper §2.2, Fig. 3);
 * :func:`exact_topk` / :func:`selection_recall` -- oracles for measuring how
@@ -45,13 +67,14 @@ The module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, MutableMapping, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "BGPPConfig",
     "BGPPResult",
+    "StreamKeys",
     "TopKResult",
     "bgpp_select",
     "bgpp_select_batch",
@@ -160,45 +183,41 @@ def _int8_rows(rows: np.ndarray) -> np.ndarray:
     return np.round(rows / scales[:, None])
 
 
-def _scaled_key_blocks(
-    keys: np.ndarray, lengths: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The keys each row of a ragged batch quantises, over their INT8 scale.
+def _round_steps(config: BGPPConfig) -> np.ndarray:
+    """``2**s`` for every round's shift ``s = key_bits - 2 - r``."""
+    rounds = min(config.rounds, config.key_bits - 1)
+    return 2.0 ** np.arange(config.key_bits - 2, config.key_bits - 2 - rounds, -1)
 
-    Returns ``(scaled, starts)``, unrounded: row ``i`` of the rows with
-    ``lengths[i] > 0`` (in order) finds its keys, scaled exactly as a
-    per-row predictor call scales them, at
-    ``scaled[starts[i] : starts[i] + lengths[i]]``.
 
-    * ``(L, d)`` keys: row ``i`` sees the prefix ``keys[:lengths[i]]``, whose
-      scale is the running maximum of ``|keys|`` along it; rows sharing a
-      scale share one block.
-    * ``(B, L, d)`` keys: row ``i`` sees its own stream ``keys[i, :lengths[i]]``
-      with that stream's own scale.  Only those rows are read: whatever a
-      gathered view holds past ``lengths[i]`` enters no scale and no block.
-    """
-    if keys.ndim not in (2, 3) or keys.shape[-2] < lengths.max():
+def _check_key_range(keys: np.ndarray, config: BGPPConfig) -> None:
+    """Raise ``ValueError`` for keys outside the ``key_bits`` sign-magnitude range."""
+    largest = 2 ** (config.key_bits - 1) - 1
+    if keys.size and max(keys.max(), -keys.min()) > largest:
         raise ValueError(
-            f"keys of shape {keys.shape} cannot hold key lengths up to {lengths.max()}"
+            f"keys outside representable range [{-largest}, {largest}] for "
+            f"{config.key_bits}-bit sign_magnitude"
         )
-    nonempty = lengths[lengths > 0]
-    if keys.ndim == 3:
-        if keys.shape[0] != lengths.size:
-            raise ValueError(f"expected {lengths.size} key streams, got {keys.shape[0]}")
-        blocks = keys[np.arange(keys.shape[1]) < lengths[:, None]]
-        starts = np.cumsum(nonempty) - nonempty
-        # max |x| per row without an |blocks| copy
-        row_max = np.maximum(blocks.max(axis=1), -blocks.min(axis=1))
-        scales = np.maximum(np.maximum.reduceat(row_max, starts), 1e-12) / 127.0
-        blocks /= np.repeat(scales, nonempty)[:, None]
-        return blocks, starts
-    key_cummax = np.maximum.accumulate(np.abs(keys).max(axis=1))
-    scales, group = np.unique(
-        np.maximum(key_cummax[nonempty - 1], 1e-12) / 127.0, return_inverse=True
-    )
-    block_lengths = [int(nonempty[group == g].max()) for g in range(scales.size)]
-    scaled = np.concatenate([keys[:n] / s for s, n in zip(scales, block_lengths)])
-    return scaled, (np.cumsum(block_lengths) - block_lengths)[group]
+
+
+def _key_planes(keys: np.ndarray, steps: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``(n, rounds, d)`` truncated planes ``sign(k) * (|k| >> s)`` of integer keys.
+
+    ``steps`` holds every round's ``2**s`` (:func:`_round_steps`).  Powers of
+    two scale exactly, so ``trunc(k / 2**s)`` is the shift, in float32 as in
+    float64 for keys that fit the sign-magnitude range.
+    """
+    work = np.float32 if dtype is np.float32 else np.float64
+    planes = keys.astype(work)[:, None, :] * (1.0 / steps).astype(work)[:, None]
+    np.trunc(planes, out=planes)
+    return planes.astype(dtype, copy=False)
+
+
+def _reduced_query(q_int: np.ndarray, config: BGPPConfig) -> np.ndarray:
+    """The query's ``query_bits`` MSBs (an arithmetic shift of the low bits)."""
+    if config.query_bits >= config.key_bits:
+        return q_int
+    step = 2.0 ** (config.key_bits - config.query_bits)
+    return np.floor(q_int / step) * step
 
 
 def _empty_result() -> BGPPResult:
@@ -214,52 +233,22 @@ def _empty_result() -> BGPPResult:
     )
 
 
-def _progressive_filter(
-    queries: np.ndarray,
-    keys: np.ndarray,
-    config: BGPPConfig,
-    alive: np.ndarray,
-    scales: np.ndarray,
-):
-    """Eq. 1 filter for a ``(B, d)`` query batch over ``(L, d)`` keys.
+def _eq1_filter(scores: np.ndarray, alive: np.ndarray, config: BGPPConfig):
+    """Eq. 1 over the ``(B, rounds, L)`` scaled partial sums ``scores``.
 
-    Row ``b`` filters the keys where the ``(B, L)`` mask ``alive`` is set,
-    with score scale ``scales[b]``; ``queries`` and ``keys`` hold integer
-    values of any dtype and ``L > 0``.  The partial sums of every round come
-    from one BLAS product against the stacked truncated keys (see the module
-    docstring); the threshold, the clock-gated clip and the ``min_keys``
-    guard are masked ops over ``(B, L)``.
+    Row ``b`` filters the keys where the ``(B, L)`` mask ``alive`` is set;
+    the threshold, the clock-gated clip and the ``min_keys`` guard are
+    masked ops over ``(B, L)``, and no row's result depends on another's.
 
-    Returns ``(alive, scores, history, active)``: the final keep mask, the
-    ``(B, rounds, L)`` scaled partial sums, the ``(alive, limit)`` state
-    at the start of every executed round (a row with ``limit == 0`` sat the
-    round out), and which rows were still filtering after the last one (the
-    others terminated early or had no keys).
+    Returns ``(alive, history, active)``: the final keep mask, the ``(alive,
+    limit)`` state at the start of every executed round (a row with ``limit
+    == 0`` sat the round out; otherwise ``limit`` is its alive count, the
+    keys it fetched a plane of), and which rows were still filtering after
+    the last one (the others terminated early or had no keys).
     """
-    keys = np.asarray(keys, dtype=np.float64)
-    largest = 2 ** (config.key_bits - 1) - 1
-    if keys.size and max(keys.max(), -keys.min()) > largest:
-        raise ValueError(
-            f"keys outside representable range [{-largest}, {largest}] for "
-            f"{config.key_bits}-bit sign_magnitude"
-        )
-    n_keys, d = keys.shape
-    rounds = min(config.rounds, config.key_bits - 1)
-    steps = 2.0 ** np.arange(config.key_bits - 2, config.key_bits - 2 - rounds, -1)
-    # sign(k) * (|k| >> s) per round; powers of two scale exactly.  In place:
-    # a second temporary this large re-faults its pages on every call
-    shifted = keys * (1.0 / steps)[:, None, None]
-    np.trunc(shifted, out=shifted)
-    q = np.asarray(queries, dtype=np.float64)
-    if config.query_bits < config.key_bits:
-        step = 2.0 ** (config.key_bits - config.query_bits)
-        q = np.floor(q / step) * step  # arithmetic shift of the MSBs
-    # + 0.0 turns a -0.0 sum into the int filter's 0.0; << s and the score
-    # scale then apply as one exact power-of-two-times-scale factor
-    scores = (q @ shifted.reshape(rounds * n_keys, d).T + 0.0).reshape(
-        -1, rounds, n_keys
-    ) * (steps[:, None] * scales[:, None, None])
-    margins = [config.alpha_for_round(r) * config.radius for r in range(rounds)]
+    margins = [
+        config.alpha_for_round(r) * config.radius for r in range(scores.shape[1])
+    ]
     # keys a row can still prune from; 0 once it stops filtering
     limit = alive.sum(axis=1)
     history = []
@@ -267,12 +256,16 @@ def _progressive_filter(
         if not limit.any():
             break
         history.append((alive, limit))
-        top = np.where(alive, scores[:, r], -np.inf).max(axis=1, keepdims=True)
-        keep = alive & (scores[:, r] >= top - margin)
+        # a row with keys has a finite maximum, so no dead key survives the
+        # threshold; a row without keys (all -inf) has limit 0 and no prune
+        masked = np.where(alive, scores[:, r], -np.inf)
+        keep = masked >= masked.max(axis=1, keepdims=True) - margin
         kept = keep.sum(axis=1)
         # clock-gated clipping: a row prunes only when Eq. 1 drops a key
         prune = kept < limit
-        if kept.min() < config.min_keys:
+        # a row's best key always passes a margin >= 0, so the guard can
+        # only fire below a negative margin or above one key
+        if (margin < 0 or config.min_keys > 1) and kept.min() < config.min_keys:
             # rare guard: keep the min_keys best, ties broken as argsort does
             # on the compacted survivor scores
             for b in np.flatnonzero(prune & (kept < config.min_keys)):
@@ -284,7 +277,7 @@ def _progressive_filter(
         alive = np.where(prune[:, None], keep, alive)
         # pruning down to min_keys terminates the row early
         limit = np.where(prune, kept * (kept > config.min_keys), limit)
-    return alive, scores, history, limit > 0
+    return alive, history, limit > 0
 
 
 def bgpp_select(
@@ -386,8 +379,16 @@ def bgpp_select_batch(
     if n_keys == 0:
         return [_empty_result() for _ in range(n_queries)]
 
-    alive, scores, history, active = _progressive_filter(
-        queries, keys, config, np.arange(n_keys) < lengths[:, None], scales
+    _check_key_range(keys, config)
+    steps = _round_steps(config)
+    planes = _key_planes(keys, steps)
+    q = _reduced_query(np.asarray(queries, dtype=np.float64), config)
+    # + 0.0 turns a -0.0 sum into the int filter's 0.0; << s and the score
+    # scale then apply as one exact power-of-two-times-scale factor
+    psums = (q @ planes.reshape(-1, d).T + 0.0).reshape(n_queries, n_keys, -1)
+    scores = psums.transpose(0, 2, 1) * (steps[:, None] * scales[:, None, None])
+    alive, history, active = _eq1_filter(
+        scores, np.arange(n_keys) < lengths[:, None], config
     )
     early = (lengths > 0) & ~active
     # keys each row fetched a bit plane of, per executed round: (rounds, B, L)
@@ -477,6 +478,92 @@ def selection_recall(selected: np.ndarray, reference: np.ndarray) -> float:
     return hits / reference.size
 
 
+@dataclass
+class StreamKeys:
+    """The keys of one layer's streams, handed to a predictor's ``select_ragged``.
+
+    ``view`` is a ``(B, L, d)`` array whose row ``b`` starts with stream
+    ``b``'s keys (a gathered batch view: rows past a query row's length are
+    never read, so stale padding cannot move a selection).  The query rows
+    come grouped by stream: the first ``row_counts[0]`` rank prefixes of
+    stream 0, the next ``row_counts[1]`` of stream 1, and so on.  ``slots``
+    maps ``ids[b]`` (``b`` itself when ``ids`` is ``None``) to stream
+    ``b``'s write-once BGPP plane cache: :func:`make_bgpp_predictor`'s pass
+    creates, extends and replaces the entries, and the owner of ``slots``
+    never looks inside them but must drop a stream's entry whenever that
+    stream's rows can change below the length the cache covers.
+    ``counters``, when given, is charged the pass's KV traffic in the
+    paper's units (any object with integer ``keys_selected``,
+    ``keys_total``, ``kv_bits_loaded`` and ``kv_bits_dense`` attributes,
+    e.g. :class:`repro.core.engine.EngineStats`).
+    """
+
+    view: np.ndarray
+    row_counts: Sequence[int]
+    ids: Optional[Sequence[Any]] = None
+    slots: MutableMapping[Any, Any] = field(default_factory=dict)
+    counters: Optional[Any] = None
+
+    @classmethod
+    def prefix(cls, keys: np.ndarray, n_rows: int, counters=None) -> "StreamKeys":
+        """``n_rows`` query rows ranking prefixes of one ``(L, d)`` key matrix.
+
+        The one stream's plane cache lives only as long as the record.
+        """
+        keys = np.asarray(keys, dtype=np.float64)
+        if keys.ndim != 2:
+            raise ValueError(f"prefix keys must be (L, d), got shape {keys.shape}")
+        return cls(keys[None], [n_rows], counters=counters)
+
+    def check(self, lengths: np.ndarray) -> None:
+        """Raise ``ValueError`` unless ``lengths`` holds one length per row."""
+        n_rows = int(sum(self.row_counts))
+        if len(self.row_counts) != self.view.shape[0] or n_rows != lengths.size:
+            raise ValueError(
+                f"{self.view.shape[0]} key streams with {n_rows} query rows "
+                f"cannot take {lengths.size} key lengths"
+            )
+        if lengths.size and lengths.max() > self.view.shape[1]:
+            raise ValueError(
+                f"keys of shape {self.view.shape} cannot hold key lengths "
+                f"up to {lengths.max()}"
+            )
+
+    def row_keys(self, lengths: np.ndarray) -> List[np.ndarray]:
+        """Each query row's own keys, its stream's first ``lengths[i]`` rows."""
+        streams = np.repeat(np.arange(len(self.row_counts)), self.row_counts)
+        return [self.view[b, :n] for b, n in zip(streams, lengths)]
+
+
+class _KeyPlanes:
+    """Write-once BGPP planes of one key stream (one session, one layer).
+
+    Rows ``[0, n)`` are held INT8-quantised over ``max_abs``, the running
+    maximum of ``|k|`` over them: ``planes[i]`` is row ``i``'s ``(rounds,
+    d)`` truncated planes and ``norms[i]`` its INT8 row norm.  ``tag``
+    names the plane layout, so a predictor never reads planes cut for
+    another configuration.  Buffers double as rows arrive.
+    """
+
+    __slots__ = ("tag", "n", "max_abs", "planes", "norms")
+
+    def __init__(self, tag: tuple, rounds: int, d: int, dtype) -> None:
+        self.tag = tag
+        self.n = 0
+        self.max_abs = 0.0
+        self.planes = np.empty((0, rounds, d), dtype=dtype)
+        self.norms = np.empty(0)
+
+    def reserve(self, n: int) -> None:
+        """Make room for ``n`` rows, keeping the first ``self.n``."""
+        cap = max(n, 2 * self.norms.size, 16)
+        for name in ("planes", "norms"):
+            old = getattr(self, name)
+            grown = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+            grown[: self.n] = old[: self.n]
+            setattr(self, name, grown)
+
+
 def make_bgpp_predictor(
     alpha: float | Sequence[float] = 0.55,
     rounds: int = 3,
@@ -500,19 +587,20 @@ def make_bgpp_predictor(
     have narrow ones).
 
     The returned callable also carries a ``select_ragged(queries, keys,
-    lengths)`` attribute, the batched form the attention modules use.  It
-    runs every query row through one shared filter pass, bit-exact against
-    calling the predictor row by row, in two forms:
+    lengths)`` attribute, the batched form the attention modules use.  Row
+    ``i`` selects among a prefix of ``lengths[i]`` keys, bit-identical to
+    ``predictor(queries[i], those keys)``, for either of two key forms:
 
-    * ``(L, d)`` keys: row ``i`` selects among the prefix
-      ``keys[:lengths[i]]`` (the query rows of one causal prefill chunk);
-    * ``(B, L, d)`` keys: row ``b`` selects among its own stream's
-      ``keys[b, :lengths[b]]``, quantised with that stream's own maximum,
-      as ``predictor(queries[b], keys[b, :lengths[b]])`` does (the decode
-      rows of one serving step, over a padded gathered view).  Rows past
-      ``lengths[b]`` are never read, so stale padding cannot move a
-      selection.
+    * ``(L, d)`` keys: row ``i`` ranks ``keys[:lengths[i]]`` (the rows of one
+      causal chunk);
+    * a :class:`StreamKeys` record: row ``i`` ranks the first ``lengths[i]``
+      keys of its own stream, read from the stream's write-once plane cache
+      (every row of one layer's serving step, decode and chunk rows alike).
+
+    Each row multiplies only its own stream's planes, and one Eq. 1 filter
+    runs over all rows (see the module docstring).
     """
+    from .engine import exact_product_dtype
 
     config = BGPPConfig(
         rounds=rounds,
@@ -521,76 +609,170 @@ def make_bgpp_predictor(
         key_bits=key_bits,
         query_bits=query_bits,
     )
+    steps = _round_steps(config)
+    n_rounds = steps.size
+    # the last round's plane is the widest: |k| >> s for the smallest shift
+    plane_max = int((2 ** (key_bits - 1) - 1) // steps[-1])
+    tag = (key_bits, n_rounds)
 
-    def predictor(query: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        query = np.asarray(query, dtype=np.float64)
-        keys = np.asarray(keys, dtype=np.float64)
-        n_keys = keys.shape[0]
-        if n_keys == 0:
-            return np.zeros(0, dtype=np.int64)
+    def planes_of(rows: np.ndarray, scales: np.ndarray, dtype):
+        """Planes and INT8 norms of float key rows over their scales.
+
+        Squares of integers sum exactly in any order, so the norms are the
+        per-row predictor's bit for bit.
+        """
+        k_int = np.round(rows / scales)
+        if key_bits < 8:  # INT8 keys always fit 8 bits
+            _check_key_range(k_int, config)
+        return (
+            _key_planes(k_int, steps, dtype),
+            np.sqrt(np.einsum("ij,ij->i", k_int, k_int)),
+        )
+
+    def scale_of(max_abs: float) -> float:
         # symmetric INT8: |x| / (max|x| / 127) never rounds past 127
-        q_int = np.round(query / (max(np.abs(query).max(), 1e-12) / 127.0))
-        k_int = np.round(keys / (max(np.abs(keys).max(), 1e-12) / 127.0))
-        # Estimated std of the integer dot products: ||q|| * mean ||k|| / sqrt(d).
-        # Squares of integers sum exactly in any order, so these norms are
-        # np.linalg.norm's bit for bit, and the mean is np.mean's.
-        q_norm = np.sqrt(q_int @ q_int)
-        k_norm = np.add.reduce(np.sqrt(np.add.reduce(k_int * k_int, axis=1))) / n_keys
-        score_std = max(q_norm * k_norm / np.sqrt(query.shape[0]), 1e-9)
-        alive = _progressive_filter(
-            q_int[None, :],
-            k_int,
-            config,
-            np.ones((1, n_keys), dtype=bool),
-            np.array([score_std_target / score_std]),
-        )[0]
-        return np.flatnonzero(alive[0])
+        return max(max_abs, 1e-12) / 127.0
+
+    def extend(keys: StreamKeys, spans, dtype) -> List[_KeyPlanes]:
+        """Bring each span's stream slot up to its longest row; returns the slots.
+
+        The new rows of every stream are gathered, quantised and cut into
+        planes together; a stream whose new rows raise its maximum is then
+        re-quantised on its own.
+        """
+        ids = keys.ids
+        slots, grow = [], []
+        for b, _, _, n_hi in spans:
+            key = b if ids is None else ids[b]
+            slot = keys.slots.get(key)
+            if slot is None or slot.tag != tag:
+                slot = keys.slots[key] = _KeyPlanes(tag, n_rounds, keys.view.shape[2], dtype)
+            slots.append(slot)
+            if slot.n < n_hi:
+                grow.append((slot, b, slot.n, n_hi, slot.max_abs))
+        if not grow:
+            return slots
+        bs, n0, n_hi, old_max = map(np.array, list(zip(*grow))[1:])
+        delta = n_hi - n0
+        if len(grow) == int(delta.sum()):  # one new row per stream: decode
+            new = keys.view[bs, n0]
+            top = np.maximum(old_max, np.abs(new).max(axis=1))
+            scales = np.maximum(top, 1e-12) / 127.0
+        else:
+            starts = np.cumsum(delta) - delta
+            new = keys.view[
+                np.repeat(bs, delta),
+                np.arange(int(delta.sum())) + np.repeat(n0 - starts, delta),
+            ]
+            row_max = np.abs(new).max(axis=1)
+            top = np.maximum(old_max, np.maximum.reduceat(row_max, starts))
+            scales = np.repeat(np.maximum(top, 1e-12) / 127.0, delta)
+        planes, norms = planes_of(new, scales[:, None], dtype)
+        end = 0
+        for (slot, b, lo, hi, old), m in zip(grow, top.tolist()):
+            start, end = end, end + hi - lo
+            if hi > slot.norms.size:
+                slot.reserve(hi)
+            slot.planes[lo:hi] = planes[start:end]
+            slot.norms[lo:hi] = norms[start:end]
+            if m > old and lo:
+                # the new rows raised the stream's maximum: re-quantise it
+                slot.planes[:lo], slot.norms[:lo] = planes_of(
+                    keys.view[b, :lo], scale_of(m), dtype
+                )
+            slot.max_abs = m
+            slot.n = hi
+        return slots
 
     def select_ragged(
-        queries: np.ndarray, keys: np.ndarray, lengths: Sequence[int]
+        queries: np.ndarray, keys, lengths: Sequence[int]
     ) -> List[np.ndarray]:
         """Ragged-batch selection, bit-identical to row-by-row predictor calls.
 
-        Row ``i`` filters ``keys[:lengths[i]]`` for ``(L, d)`` keys, or its
-        own stream's ``keys[i, :lengths[i]]`` for ``(B, L, d)`` keys (see
-        :func:`_scaled_key_blocks`).  Every row filters its own window of
-        the stacked quantised key blocks in a single filter pass.
+        ``keys`` is an ``(L, d)`` prefix matrix or a :class:`StreamKeys`
+        record (see :func:`make_bgpp_predictor`).
         """
         queries = np.asarray(queries, dtype=np.float64)
-        keys = np.asarray(keys, dtype=np.float64)
         lengths = np.asarray(lengths, dtype=np.int64)
-        out: List[np.ndarray] = [np.zeros(0, dtype=np.int64) for _ in lengths]
-        rows = np.flatnonzero(lengths > 0)
-        if rows.size == 0:
-            return out
-        if rows.size == 1 and keys.ndim == 3:
-            # one stream: the plain predictor is the cheaper pass
-            i = int(rows[0])
-            out[i] = predictor(queries[i], keys[i, : lengths[i]])
-            return out
-        scaled, starts = _scaled_key_blocks(keys, lengths)
-        k_int = np.round(scaled, out=scaled)
-        lengths = lengths[rows]
-        q_int = _int8_rows(queries[rows])
-        # the predictor's norms (integer squares sum exactly in any order);
-        # each mean must reduce its own block
+        if not isinstance(keys, StreamKeys):
+            keys = StreamKeys.prefix(keys, lengths.size)
+        keys.check(lengths)
+        lens = lengths.tolist()
+        width = max(lens, default=0)
+        if width == 0:
+            return [np.zeros(0, dtype=np.int64) for _ in lens]
+        d = keys.view.shape[2]
+        dtype = exact_product_dtype(128 * plane_max * d)
+        # (stream, first row, end row, longest row) of every stream with keys
+        spans, lo = [], 0
+        for b, count in enumerate(keys.row_counts):
+            n_hi = max(lens[lo : lo + count], default=0)
+            if n_hi:
+                spans.append((b, lo, lo + count, n_hi))
+            lo += count
+        slots = extend(keys, spans, dtype)
+
+        q_int = _int8_rows(queries)
+        q = _reduced_query(q_int, config).astype(dtype, copy=False)
+        # exact integer partial sums, (rows, width, rounds) flat per row
+        psums = np.zeros((len(lens), width * n_rounds), dtype)
+        k_norms = np.ones(len(lens))
+        for (b, lo, hi, n_hi), slot in zip(spans, slots):
+            if hi - lo == 1 and n_hi == slot.n:
+                # a decode row reads its whole cached stream
+                np.matmul(
+                    slot.planes[:n_hi].reshape(-1, d),
+                    q[lo],
+                    out=psums[lo, : n_hi * n_rounds],
+                )
+                # the predictor's mean of the row norms (a contiguous reduce
+                # sums in the same order)
+                k_norms[lo] = np.add.reduce(slot.norms[:n_hi]) / n_hi
+                continue
+            # a row whose prefix maximum is below the stream's reads the
+            # prefix quantised over that maximum, as a call on the prefix
+            # alone does
+            n_rows = lengths[lo:hi]
+            prefix_max = np.maximum.accumulate(np.abs(keys.view[b, :n_hi]).max(axis=1))
+            row_max = np.where(n_rows > 0, prefix_max[n_rows - 1], slot.max_abs)
+            for m in np.unique(row_max).tolist():
+                own = lo + np.flatnonzero(row_max == m)
+                n = int(lengths[own].max())
+                if m == slot.max_abs:
+                    planes, norms = slot.planes, slot.norms
+                else:
+                    planes, norms = planes_of(keys.view[b, :n], scale_of(m), dtype)
+                psums[own, : n * n_rounds] = q[own] @ planes[:n].reshape(-1, d).T
+                for i in own.tolist():
+                    if lens[i]:
+                        k_norms[i] = np.add.reduce(norms[: lens[i]]) / lens[i]
         q_norms = np.sqrt(np.einsum("ij,ij->i", q_int, q_int))
-        key_norms = np.sqrt(np.einsum("ij,ij->i", k_int, k_int))
-        k_norms = np.array(
-            [np.add.reduce(key_norms[s : s + n]) / n for s, n in zip(starts, lengths)]
+        score_std = np.maximum(q_norms * k_norms / np.sqrt(d), 1e-9)
+        # << s and the score scale apply as one exact factor per round
+        scores = psums.reshape(-1, width, n_rounds) * (
+            (score_std_target / score_std)[:, None, None] * steps
         )
-        score_std = np.maximum(q_norms * k_norms / np.sqrt(queries.shape[1]), 1e-9)
-        window = np.arange(k_int.shape[0]) - starts[:, None]
-        alive = _progressive_filter(
-            q_int,
-            k_int,
-            config,
-            (window >= 0) & (window < lengths[:, None]),
-            score_std_target / score_std,
-        )[0]
-        for i, row_alive, start in zip(rows, alive, starts):
-            out[i] = np.flatnonzero(row_alive) - start
-        return out
+        alive, history, _ = _eq1_filter(
+            scores.transpose(0, 2, 1), np.arange(width) < lengths[:, None], config
+        )
+        kept = alive.sum(axis=1)
+        if keys.counters is not None:
+            # the sign plane of every key, then one plane per key per round
+            # it is alive in: what bgpp_select_batch charges each row
+            c = keys.counters
+            total = int(lengths.sum())
+            fetched = sum(int(limit.sum()) for _, limit in history)
+            c.keys_selected += int(kept.sum())
+            c.keys_total += total
+            c.kv_bits_loaded += d * (total + fetched)
+            c.kv_bits_dense += total * d * config.key_bits
+        cols = np.nonzero(alive)[1]
+        ends = np.cumsum(kept).tolist()
+        return [cols[a:z] for a, z in zip([0] + ends[:-1], ends)]
+
+    def predictor(query: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        keys = np.asarray(keys, dtype=np.float64)
+        return select_ragged(np.asarray(query)[None], keys, [keys.shape[0]])[0]
 
     predictor.select_ragged = select_ragged
     return predictor
@@ -600,10 +782,8 @@ def make_value_topk_predictor(keep_fraction: float = 0.3, prediction_bits: int =
     """Build a value-level top-k key predictor (the conventional baseline).
 
     Like :func:`make_bgpp_predictor`, the callable carries a
-    ``select_ragged`` attribute taking ``(L, d)`` prefix keys or
-    ``(B, L, d)`` per-stream keys.  It quantises the whole ragged batch's
-    key blocks at once and runs one score product plus top-k per row,
-    bit-exact against row-by-row calls.
+    ``select_ragged`` attribute taking ``(L, d)`` prefix keys or a
+    :class:`StreamKeys` record; it ranks each row's own keys row by row.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
@@ -621,32 +801,14 @@ def make_value_topk_predictor(keep_fraction: float = 0.3, prediction_bits: int =
         return value_topk_select(q_int, k_int, k, prediction_bits=prediction_bits).selected
 
     def select_ragged(
-        queries: np.ndarray, keys: np.ndarray, lengths: Sequence[int]
+        queries: np.ndarray, keys, lengths: Sequence[int]
     ) -> List[np.ndarray]:
-        """Ragged-batch top-k over the stacked quantised key blocks.
-
-        Takes ``(L, d)`` prefix keys or ``(B, L, d)`` per-stream keys, as
-        :func:`make_bgpp_predictor`'s ``select_ragged`` does.
-        """
-        queries = np.asarray(queries, dtype=np.float64)
-        keys = np.asarray(keys, dtype=np.float64)
+        """Row ``i`` ranks its own keys, as ``predictor`` does."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        out: List[np.ndarray] = [np.zeros(0, dtype=np.int64) for _ in lengths]
-        rows = np.flatnonzero(lengths > 0)
-        if rows.size == 0:
-            return out
-        scaled, starts = _scaled_key_blocks(keys, lengths)
-        k_int = np.clip(np.round(scaled), -127, 127).astype(np.int64)
-        q_int = np.clip(_int8_rows(queries[rows]), -127, 127).astype(np.int64)
-        reduced_q = _reduced_precision_query(q_int, prediction_bits, full_bits=8)
-        shift = 8 - prediction_bits
-        reduced_keys = (k_int >> shift) << shift if shift > 0 else k_int
-        for i, q_row, start in zip(rows, reduced_q, starts):
-            length = int(lengths[i])
-            scores = reduced_keys[start : start + length] @ q_row
-            k = min(max(1, int(round(keep_fraction * length))), length)
-            out[i] = np.sort(np.argsort(scores)[::-1][:k])
-        return out
+        if not isinstance(keys, StreamKeys):
+            keys = StreamKeys.prefix(keys, lengths.size)
+        keys.check(lengths)
+        return [predictor(q, k) for q, k in zip(queries, keys.row_keys(lengths))]
 
     predictor.select_ragged = select_ragged
     return predictor

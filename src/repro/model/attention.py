@@ -22,6 +22,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.bgpp import StreamKeys
 from .layers import Linear, softmax
 
 __all__ = [
@@ -39,9 +40,9 @@ __all__ = [
 # A predictor maps (query_row, keys) -> selected key indices.  Predictors may
 # additionally expose a ``select_ragged(queries, keys, lengths)`` attribute
 # (see repro.core.bgpp.make_bgpp_predictor) that runs a whole ragged query
-# batch in one pass: over (L, d) keys row i ranks the prefix keys[:lengths[i]]
-# (one prompt chunk), over (B, L, d) keys row b ranks its own stream's
-# keys[b, :lengths[b]] (all decode rows of a layer in one call).
+# batch in one pass: row i ranks the first lengths[i] keys of (L, d) prefix
+# keys, or of its own stream in a StreamKeys record (every row of one layer's
+# serving step in one call, over the arena's write-once plane cache).
 # ragged_selection_mask() serves both and falls back to per-row calls.
 KeyPredictor = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -143,34 +144,35 @@ def causal_context(
 def ragged_selection_mask(
     predictor: KeyPredictor,
     q_rows: np.ndarray,
-    keys: np.ndarray,
+    keys,
     lengths: np.ndarray,
 ) -> np.ndarray:
     """Boolean ``(n_queries, L)`` predictor selection over causal key prefixes.
 
-    Row ``i`` ranks the prefix ``keys[:lengths[i]]`` of ``(L, d)`` keys (one
-    prompt or verify chunk), or its own stream's ``keys[i, :lengths[i]]`` of
-    ``(B, L, d)`` keys (one layer's decode rows).  Picks at or past
-    ``lengths[i]`` are dropped, and a row with a key but no pick keeps its
-    most recent one.  A predictor with ``select_ragged`` runs every row in
-    one pass; any other runs once per row, with the same result.
+    ``keys`` is a :class:`~repro.core.bgpp.StreamKeys` record, whose query
+    row ``i`` ranks the first ``lengths[i]`` keys of its own stream (every
+    row of one layer's serving step), or ``(L, d)`` keys whose row ``i``
+    ranks the prefix ``keys[:lengths[i]]`` (one prompt or verify chunk).
+    Picks at or past ``lengths[i]`` are dropped, and a row with a key but no
+    pick keeps its most recent one.  A predictor with ``select_ragged`` runs
+    every row in one pass; any other runs once per row, with the same result.
+    The mask is built from the picks in one scatter.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
+    if not isinstance(keys, StreamKeys):
+        keys = StreamKeys.prefix(keys, lengths.size)
     select_ragged = getattr(predictor, "select_ragged", None)
     if select_ragged is not None:
         picks = select_ragged(q_rows, keys, lengths)
     else:
-        per_row = keys if keys.ndim == 3 else [keys] * len(lengths)
-        picks = [predictor(q, k[:n]) for q, k, n in zip(q_rows, per_row, lengths)]
-    selection = np.zeros((len(lengths), keys.shape[-2]), dtype=bool)
-    for i, selected in enumerate(picks):
-        if lengths[i] == 0:
-            continue
-        selected = np.asarray(selected, dtype=np.int64)
-        selected = selected[selected < lengths[i]]
-        if selected.size == 0:
-            selected = np.array([lengths[i] - 1], dtype=np.int64)
-        selection[i, selected] = True
+        picks = [predictor(q, k) for q, k in zip(q_rows, keys.row_keys(lengths))]
+    cols = np.concatenate([np.zeros(0, dtype=np.int64), *picks]).astype(np.int64)
+    rows = np.repeat(np.arange(lengths.size), [len(p) for p in picks])
+    valid = cols < lengths[rows]
+    selection = np.zeros((lengths.size, keys.view.shape[1]), dtype=bool)
+    selection[rows[valid], cols[valid]] = True
+    bare = np.flatnonzero((lengths > 0) & ~selection.any(axis=1))
+    selection[bare, lengths[bare] - 1] = True
     return selection
 
 
@@ -452,6 +454,7 @@ class MultiHeadAttention:
         v_new: np.ndarray,
         cache: Optional[KVCache] = None,
         predictor: Optional[KeyPredictor] = None,
+        counters=None,
     ) -> AttentionOutput:
         """Causal attention on pre-projected ``(seq, hidden)`` Q/K/V rows.
 
@@ -460,7 +463,8 @@ class MultiHeadAttention:
         appended to ``cache`` first when one is given.  A single query row
         runs the decode rows' grouped einsum (:meth:`_attend_decode_rows`),
         so a serial one-token step matches a batched decode row in float;
-        more rows run :func:`causal_context`.
+        more rows run :func:`causal_context`.  ``counters`` (e.g. a bound
+        engine's ``EngineStats``) is charged the BGPP pass's KV traffic.
         """
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
         k_all = np.atleast_2d(np.asarray(k_new, dtype=np.float64))
@@ -471,18 +475,21 @@ class MultiHeadAttention:
 
         n_queries, n_keys = q.shape[0], k_all.shape[0]
         mask = causal_mask(n_queries, n_keys)
+        full_mask = mask
+        if predictor is not None:
+            # Predictors operate on the full (head-concatenated) Q/K rows,
+            # the same granularity the BGPP unit sees (Q x K^T per row).
+            full_mask = mask & ragged_selection_mask(
+                predictor,
+                q,
+                StreamKeys.prefix(k_all, n_queries, counters),
+                mask.sum(axis=1),
+            )
         if n_queries == 1:
             merged, row_attended = self._attend_decode_rows(
-                q, k_all[None], v_all[None], np.array([n_keys]), predictor
+                q, k_all[None], v_all[None], np.array([n_keys]), full_mask
             )
         else:
-            full_mask = mask
-            if predictor is not None:
-                # Predictors operate on the full (head-concatenated) Q/K rows,
-                # the same granularity the BGPP unit sees (Q x K^T per row).
-                full_mask = mask & ragged_selection_mask(
-                    predictor, q, k_all, mask.sum(axis=1)
-                )
             merged = causal_context(
                 q, k_all, v_all, self.n_heads, full_mask, n_keys,
                 1.0 / np.sqrt(self.head_dim),
@@ -523,19 +530,19 @@ class MultiHeadAttention:
         keys: np.ndarray,
         values: np.ndarray,
         lengths: np.ndarray,
-        predictor: Optional[KeyPredictor],
+        selection: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One batched contraction for ``B1`` plain decode rows.
 
         ``q`` is ``(B1, hidden)``; ``keys``/``values`` are ``(B1, L, hidden)``
-        padded past each stream's ``lengths[b]``.  A predictor with
-        ``select_ragged`` filters every row's own valid keys in one call
-        over the padded view (one BGPP pass per layer per step); any other
-        predictor runs once per stream.  Scores and context are one einsum
-        each, and each softmax reduces over exactly ``lengths[b]`` keys
-        (padding gets exactly-zero probability), so every row is
-        bit-identical to stepping its stream alone.  Returns the merged-head
-        context ``(B1, hidden)`` and per-row attended key counts.
+        padded past each stream's ``lengths[b]``.  ``selection``, when given,
+        is the ``(B1, L)`` predictor mask (see :func:`ragged_selection_mask`);
+        only selected keys below each stream's length are attended.  Scores
+        and context are one einsum each, and each softmax reduces over
+        exactly ``lengths[b]`` keys (padding gets exactly-zero probability),
+        so every row is bit-identical to stepping its stream alone.  Returns
+        the merged-head context ``(B1, hidden)`` and per-row attended key
+        counts.
 
         Decode rows stay on einsum rather than :func:`causal_context`: a
         one-query row there would pay a whole ``TILE_ROWS``-row product,
@@ -546,8 +553,8 @@ class MultiHeadAttention:
         """
         n_streams, max_len = keys.shape[:2]
         full_mask = np.arange(max_len)[None, :] < lengths[:, None]
-        if predictor is not None:
-            full_mask &= ragged_selection_mask(predictor, q, keys, lengths)
+        if selection is not None:
+            full_mask &= selection
 
         qh = q.reshape(n_streams, self.n_heads, self.head_dim)
         kh = keys.reshape(n_streams, max_len, self.n_heads, self.head_dim)
@@ -582,6 +589,7 @@ class MultiHeadAttention:
         caches: List[KVCache],
         total_lens: Optional[np.ndarray] = None,
         predictor: Optional[KeyPredictor] = None,
+        counters=None,
     ) -> ChunkedAttentionOutput:
         """Causal prefill attention for ``B`` ragged prompt chunks at once.
 
@@ -620,6 +628,13 @@ class MultiHeadAttention:
         ragged: one-row decode streams next to whole-prompt admission
         chunks).  The projection and FFN GEMMs still run once for the whole
         stacked batch.
+
+        A predictor selects keys for every row of every stream in **one**
+        call per layer: each row ranks its own causal prefix, read from the
+        session's write-once BGPP planes, which the arena keeps per session
+        and layer (:meth:`~repro.serve.kv_arena.PagedKVArena.predictor_slots`)
+        and drops whenever the session's rows shrink.  ``counters`` (e.g. a
+        bound engine's ``EngineStats``) is charged that pass's KV traffic.
 
         Returns the merged-head context rows (flattened back to
         ``(total_rows, hidden)``, before the output projection) plus
@@ -667,12 +682,31 @@ class MultiHeadAttention:
             if (total_lens < lengths).any():
                 raise ValueError("total_lens must be >= each stream's length")
         keys, values, _ = arena.gather_batch(layer, sessions)
+        # row i of stream b (absolute position start + i) may attend keys
+        # 0..start+i: its causal prefix length
+        first = np.repeat(lengths - row_counts - offsets[:-1] + 1, row_counts)
+        row_lens = first + np.arange(int(offsets[-1]))
+        selection = None
+        if predictor is not None:
+            # one selection for every row of the layer, each row over its own
+            # stream's prefix, fed the same key values the serial pass would
+            # (cache rows are exact copies)
+            selection = ragged_selection_mask(
+                predictor,
+                q,
+                StreamKeys(
+                    keys,
+                    row_counts.tolist(),
+                    sessions,
+                    arena.predictor_slots(layer),
+                    counters,
+                ),
+                row_lens,
+            )
 
         scale = 1.0 / np.sqrt(self.head_dim)
-        n_rows_total = int(offsets[-1])
-        flat = np.empty((n_rows_total, self.hidden_size))
-        row_attended = np.empty(n_rows_total, dtype=np.int64)
-        row_total = np.empty(n_rows_total, dtype=np.int64)
+        flat = np.empty((int(offsets[-1]), self.hidden_size))
+        row_attended = np.empty(int(offsets[-1]), dtype=np.int64)
         # plain decode rows -- one query whose softmax width is its whole
         # context -- share one batched contraction.  They are the contiguous
         # tail of an engine step's batch, so their key/value block is a basic
@@ -692,35 +726,27 @@ class MultiHeadAttention:
                 keys[pick, :width],
                 values[pick, :width],
                 lengths[decode],
-                predictor,
+                None if selection is None else selection[rows, :width],
             )
-            row_total[rows] = lengths[decode]
         for b in np.flatnonzero(~plain):
             n_rows, n_keys, w = int(row_counts[b]), int(lengths[b]), int(total_lens[b])
-            q_rows = q[offsets[b] : offsets[b + 1]]
-            # causal chunk mask: row i (absolute position start + i) may
-            # attend keys 0..start+i -- causal_mask right-aligns it
-            mask = causal_mask(n_rows, n_keys)
-            full_mask = mask
-            if predictor is not None:
-                # each chunk row ranks its own prefix, fed the same key
-                # values the serial pass would (cache rows are exact copies)
-                full_mask = mask & ragged_selection_mask(
-                    predictor, q_rows, keys[b, :n_keys], mask.sum(axis=1)
-                )
+            rows = slice(offsets[b], offsets[b + 1])
+            # causal chunk mask: causal_mask right-aligns the chunk's rows
+            full_mask = causal_mask(n_rows, n_keys)
+            if selection is not None:
+                full_mask &= selection[rows, :n_keys]
             # each row's softmax reduces over exactly the serial pass's key
             # width (total_lens[b]); keys past the materialised prefix are
             # -inf like any other masked position, probability exactly 0
-            flat[offsets[b] : offsets[b + 1]] = causal_context(
-                q_rows, keys[b, :n_keys], values[b, :n_keys], self.n_heads,
+            flat[rows] = causal_context(
+                q[rows], keys[b, :n_keys], values[b, :n_keys], self.n_heads,
                 full_mask, w, scale,
             )
-            row_attended[offsets[b] : offsets[b + 1]] = full_mask.sum(axis=1)
-            row_total[offsets[b] : offsets[b + 1]] = mask.sum(axis=1)
+            row_attended[rows] = full_mask.sum(axis=1)
         return ChunkedAttentionOutput(
             output=flat,
             keys_attended=np.add.reduceat(row_attended, offsets[:-1]),
-            keys_total=np.add.reduceat(row_total, offsets[:-1]),
+            keys_total=np.add.reduceat(row_lens, offsets[:-1]),
             row_keys_attended=row_attended,
-            row_keys_total=row_total,
+            row_keys_total=row_lens,
         )

@@ -316,13 +316,14 @@ class QuantizedTransformer:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         hidden = self.model.embedding(token_ids)
         stats = ForwardStats(tokens_processed=int(token_ids.size))
+        counters = None if self.engine is None else self.engine.stats
         for i, (layer, qentry) in enumerate(zip(self.model.layers, self.quant_layers)):
             normed = layer.norm_fn(hidden)
             q, k, v = self._qkv(qentry, i, normed)
 
             attn_out = layer.attention.attend(
                 q, k, v, cache=None if caches is None else caches[i],
-                predictor=predictor,
+                predictor=predictor, counters=counters,
             )
             proj = self._qlin_forward(qentry["wo"], f"layer{i}.wo", attn_out.output)
             hidden = hidden + proj
@@ -406,6 +407,7 @@ class QuantizedTransformer:
         # per-row attended/total key counts, summed over layers
         row_attended = np.zeros(int(offsets[-1]), dtype=np.int64)
         row_total = np.zeros(int(offsets[-1]), dtype=np.int64)
+        counters = None if self.engine is None else self.engine.stats
         for i, (layer, qentry) in enumerate(zip(self.model.layers, self.quant_layers)):
             normed = layer.norm_fn(hidden)
             q, k, v = self._qkv(qentry, i, normed)
@@ -418,6 +420,7 @@ class QuantizedTransformer:
                 [caches[i] for caches in caches_list],
                 total_lens=total_lens,
                 predictor=predictor,
+                counters=counters,
             )
             proj = self._qlin_forward(qentry["wo"], f"layer{i}.wo", attn.output)
             hidden = hidden + proj

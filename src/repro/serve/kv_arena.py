@@ -62,6 +62,7 @@ traffic, prefix-cache hits, snapshot/dequant traffic) lives in
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import zip_longest
@@ -70,6 +71,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["ArenaStats", "KVDtype", "KVSnapshot", "PagedKVArena"]
+
+
+def _lazy_zeros(shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """A zero array whose pages become resident only when written.
+
+    For the page pools, which are sized ahead of use.  ``np.zeros`` keeps
+    untouched pages unresident only while the C allocator serves the block
+    from a fresh ``mmap``; freeing a pool that ``np.zeros`` mapped raises
+    glibc's dynamic mmap threshold to the pool's size, after which other
+    large buffers come from the heap, zero-filled page by page, and the
+    process's resident set swings by tens of MB with the allocation history
+    (rag's peak RSS read 289 or 319 MB for identical work).  An anonymous
+    mapping is lazily backed and its release leaves the threshold alone.
+    """
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
 class KVDtype(Enum):
@@ -355,15 +373,12 @@ class PagedKVArena:
         # pools store it directly in fp mode, int8 + per-row scales otherwise
         self._fp_dtype = np.dtype(dtype)
         pool_dtype = np.int8 if self.kv_dtype is KVDtype.INT8 else self._fp_dtype
-        self._k = np.zeros(
-            (n_layers, initial_pages, page_size, hidden_size), pool_dtype
-        )
-        self._v = np.zeros_like(self._k)
+        shape = (n_layers, initial_pages, page_size, hidden_size)
+        self._k = _lazy_zeros(shape, pool_dtype)
+        self._v = _lazy_zeros(shape, pool_dtype)
         if self.kv_dtype is KVDtype.INT8:
-            self._k_scale = np.zeros(
-                (n_layers, initial_pages, page_size), self._fp_dtype
-            )
-            self._v_scale = np.zeros_like(self._k_scale)
+            self._k_scale = _lazy_zeros(shape[:3], self._fp_dtype)
+            self._v_scale = _lazy_zeros(shape[:3], self._fp_dtype)
         else:
             self._k_scale = None
             self._v_scale = None
@@ -390,6 +405,11 @@ class PagedKVArena:
         # Pages with a _ref entry are live; indexed pages without one are
         # idle-cached (materialised, off the free list, evictable LRU).
         self._prefix: Dict[Tuple[int, ...], _PrefixNode] = {}
+        # per layer, one opaque key-predictor slot per session (see
+        # predictor_slots); dropped with the rows it was computed from
+        self._predictor_slots: List[Dict[int, object]] = [
+            {} for _ in range(n_layers)
+        ]
         self._page_key: Dict[int, Tuple[int, ...]] = {}
         self._ref: Dict[int, int] = {}
         self._tick = 0
@@ -438,6 +458,7 @@ class PagedKVArena:
         """
         entry = self._sessions.pop(session_id)
         self._release_pages(entry)
+        self._drop_predictor_slots(session_id)
         self.stats.sessions_freed += 1
         if not self._sessions:
             self._gather = [None] * self.n_layers
@@ -465,13 +486,34 @@ class PagedKVArena:
             self._free.append(page)
             self.stats.pages_freed += 1
 
+    def predictor_slots(self, layer: int) -> Dict[int, object]:
+        """The key predictor's per-session slots for one layer.
+
+        A mapping from session id to whatever the predictor keeps about that
+        session's keys at this layer (BGPP's write-once key planes, see
+        :class:`repro.core.bgpp.StreamKeys`).  The arena never looks inside
+        a slot; it drops a session's slots on :meth:`free` and whenever the
+        session's rows shrink (:meth:`_clamp_views`), so a slot only ever
+        describes rows that are still there.  Appends, copy-on-write and
+        prefix sharing leave existing rows bit-identical and keep the slots.
+        Slots are per session, not per page: two sessions sharing prefix
+        pages may quantise them over different scales.
+        """
+        return self._predictor_slots[layer]
+
+    def _drop_predictor_slots(self, session_id: int) -> None:
+        for slots in self._predictor_slots:
+            slots.pop(session_id, None)
+
     def _clamp_views(self, session_id: int) -> None:
         """Clamp every batch view's cached length to the session's lengths.
 
         Called after a session shrinks (rollback, layer clear, snapshot): the
         kept rows below the new length are still exact copies, so the next
-        :meth:`gather_batch` only re-copies what is appended above it.
+        :meth:`gather_batch` only re-copies what is appended above it.  The
+        session's predictor slots are dropped: they may cover removed rows.
         """
+        self._drop_predictor_slots(session_id)
         lengths = self._sessions[session_id].lengths
         for layer, view in enumerate(self._gather):
             if view is not None and session_id in view.sids:
@@ -774,13 +816,13 @@ class PagedKVArena:
             return False
         shape = (self.n_layers, new_n, self.page_size, self.hidden_size)
         for attr in ("_k", "_v"):
-            grown = np.zeros(shape, dtype=self._k.dtype)
+            grown = _lazy_zeros(shape, self._k.dtype)
             grown[:, :old_n] = getattr(self, attr)
             setattr(self, attr, grown)
         if self._k_scale is not None:
             scale_shape = (self.n_layers, new_n, self.page_size)
             for attr in ("_k_scale", "_v_scale"):
-                grown = np.zeros(scale_shape, dtype=self._fp_dtype)
+                grown = _lazy_zeros(scale_shape, self._fp_dtype)
                 grown[:, :old_n] = getattr(self, attr)
                 setattr(self, attr, grown)
         self._free.extend(range(new_n - 1, old_n - 1, -1))

@@ -150,8 +150,8 @@ class SchedulingPolicy(ABC):
         The most urgent waiting handles first absorb any free slots; each
         one beyond that evicts the least urgent remaining active session iff
         :meth:`preempts` holds strictly.  Victims are returned most-evictable
-        first; the engine releases their pages before running admission, so
-        the freed slots (and KV budget) are taken in the same step.
+        first; the engine evicts each one only when an admission takes its
+        slot (gated against the batch without it), in the same step.
         """
         if not self.preemptive or not ready or not active:
             return []
@@ -396,10 +396,10 @@ class ArenaBudgetPolicy(_DelegatingPolicy):
     shared mappings, not new allocations (see :meth:`_charged_pages`).
 
     Wrapping a *preemptive* policy (:class:`PriorityPolicy`,
-    :class:`DeadlinePolicy`), the watermark can overshoot: admissions are
-    gated while evictions are still tentative, and an eviction rolled back
-    after a partial admission keeps its pages and reservation, so a tight
-    ``max_pages`` pool can then run out.
+    :class:`DeadlinePolicy`), the bound still holds: the engine removes a
+    victim from the batch only as the admission that takes its slot is
+    gated, so every candidate is gated against the reservations of exactly
+    the batch it joins, victims still waiting for their slot included.
     """
 
     label = "arena-budget"

@@ -16,12 +16,13 @@ Each engine step:
    :class:`~repro.serve.policies.AgingPriorityPolicy` are re-keyed every
    step);
 2. asks the scheduling policy for **preemptions**: each victim -- decoding
-   *or* mid-prefill -- releases its arena pages immediately and re-enters
-   the ready queue with only its generated-token snapshot (resume
-   re-prefills through the same chunked pipeline, bit-identical to an
-   unpreempted run);
-3. admits ready requests into free slots, most urgent first, gated
-   per-handle by the policy's ``may_admit`` -- an admission enters the
+   *or* mid-prefill -- that an admission below displaces releases its arena
+   pages and re-enters the ready queue with only its generated-token
+   snapshot (resume re-prefills through the same chunked pipeline,
+   bit-identical to an unpreempted run);
+3. admits ready requests into free slots, then into the victims' slots,
+   most urgent first, gated per-handle by the policy's ``may_admit``
+   against the batch the candidate would join -- an admission enters the
    **chunked prefill pipeline** (state ``PREFILLING``) rather than running
    its whole prompt serially;
 4. builds one **mixed batch**: every decoding session's current token plus
@@ -1069,12 +1070,11 @@ class ServingEngine:
                 self._shed_queued(excess, step)
 
         # preemption (tentative): the scheduling policy may evict active
-        # sessions for strictly more urgent ready requests.  Victims leave
-        # the batch *before* admission runs so the gate sees their slots and
-        # arena reservations as free, but they are only preempted for real
-        # (KV released, re-queued) once an admission actually consumes the
-        # evicted capacity -- a refused candidate must never cost a victim
-        # its prefill/decode progress
+        # sessions for strictly more urgent ready requests.  A victim leaves
+        # the batch only when an admission takes its slot -- the free slots
+        # are filled first, then victims are consumed in eviction order --
+        # so every candidate is gated against exactly the batch it would
+        # join, and an eviction no admission needs costs the victim nothing
         pre_active = list(self._active)
         victims: List[RequestHandle] = []
         if self.scheduling.preemptive and self._ready:
@@ -1082,50 +1082,50 @@ class ServingEngine:
             victims = self.scheduling.select_preemptions(
                 ready_handles, pre_active, self.max_active - len(pre_active), step
             )
-            for victim in victims:
-                self._active.remove(victim)
 
-        # admission into free slots, most urgent first; head-of-line:
-        # a refused head (e.g. arena budget) stops admission for this step
-        free = self.max_active - len(self._active)
+        # admission, most urgent first; head-of-line: a refused head (e.g.
+        # arena budget) stops admission for this step
+        free = self.max_active - len(pre_active)
         admitted: List[RequestHandle] = []
-        while free > 0 and self._ready:
+        used = 0  # victims whose slots admissions took
+        while (free > 0 or used < len(victims)) and self._ready:
             _, _, handle = self._ready[0]
             if not self._live(handle):
                 heapq.heappop(self._ready)  # counted out when it went terminal
                 continue
+            evict = free == 0
+            if evict:
+                self._active.remove(victims[used])
             if not self.scheduling.may_admit(handle, self):
+                if evict:
+                    self._active.append(victims[used])
                 break
             heapq.heappop(self._ready)
             self._active.append(handle)
             admitted.append(handle)
             self._queued_count -= 1
-            free -= 1
+            if evict:
+                used += 1
+            else:
+                free -= 1
             # pin the reservation now so later candidates in this same loop
             # are gated against it (admissions are never rolled back)
             self.scheduling.on_admit(handle, self)
 
-        # commit or roll back the evictions: only as many victims stay
-        # preempted as the admissions actually needed beyond the slots that
-        # were already free; the rest rejoin the batch untouched
-        if victims:
-            used = max(0, len(admitted) - (self.max_active - len(pre_active)))
-            restored, victims = victims[used:], victims[:used]
-            if restored:
-                victim_ids = set(map(id, victims))
-                self._active = [
-                    h for h in pre_active if id(h) not in victim_ids
-                ] + admitted
-            for victim in victims:
-                # a policy eviction leaves trusted KV behind: with snapshots
-                # on, the pages are copied off-arena instead of discarded and
-                # the eventual resume skips re-prefill entirely
-                victim.session.preempt(step, snapshot=self.kv_snapshots)
-                self._push_ready(victim)
-                self._queued_count += 1
-                # realized eviction: its KV is gone, so its reservation is
-                # too (restored victims above keep theirs untouched)
-                self.scheduling.on_release(victim, self)
+        # commit the evictions the admissions consumed; the rest of the
+        # victims keep their slots untouched
+        victims = victims[:used]
+        evicted_ids = set(map(id, victims))
+        self._active = [h for h in pre_active if id(h) not in evicted_ids] + admitted
+        for victim in victims:
+            # a policy eviction leaves trusted KV behind: with snapshots
+            # on, the pages are copied off-arena instead of discarded and
+            # the eventual resume skips re-prefill entirely
+            victim.session.preempt(step, snapshot=self.kv_snapshots)
+            self._push_ready(victim)
+            self._queued_count += 1
+            # realized eviction: its KV is gone, so its reservation is too
+            self.scheduling.on_release(victim, self)
 
         # the sessions that kept their slots decode this step; prefilling
         # survivors rejoin the chunk budget below (continuous batching: old

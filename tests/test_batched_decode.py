@@ -245,16 +245,18 @@ class TestDecodeRowsOneSelectionCall:
         assert any(s.keys_attended < s.keys_total for s in decode_stats)
 
     def test_pure_decode_step_calls_select_ragged_once_per_layer(self, tiny_quantized):
+        """A decode step, then a mixed step (a prompt chunk next to decode
+        rows), each make exactly one ``select_ragged`` call per layer."""
         model = tiny_quantized
         base = make_bgpp_predictor(alpha=0.7, rounds=3)
-        row_calls, ragged_shapes = [], []
+        row_calls, ragged_calls = [], []
 
         def predictor(q, keys):
             row_calls.append(np.shape(keys))
             return base(q, keys)
 
         def select_ragged(queries, keys, lengths):
-            ragged_shapes.append(np.shape(keys))
+            ragged_calls.append((keys.view.shape, len(lengths)))
             return base.select_ragged(queries, keys, lengths)
 
         predictor.select_ragged = select_ragged
@@ -263,11 +265,24 @@ class TestDecodeRowsOneSelectionCall:
         caches = [model.new_cache(arena=arena) for _ in prompts]
         model.prefill_batch(prompts, caches, predictor)
         row_calls.clear()
-        ragged_shapes.clear()
+        ragged_calls.clear()
         model.prefill_batch([[1], [2], [3], [4]], caches, predictor)
         assert row_calls == []
         hidden = model.config.hidden_size
-        assert ragged_shapes == [(4, 6, hidden)] * model.config.n_layers
+        n_layers = model.config.n_layers
+        assert ragged_calls == [((4, 6, hidden), 4)] * n_layers
+        # a 5-row prompt chunk of a new stream plus three decode rows: one
+        # call per layer covers all eight rows
+        ragged_calls.clear()
+        caches.append(model.new_cache(arena=arena))
+        model.prefill_batch(
+            [[20, 21, 22, 23, 24], [5], [6], [7]],
+            [caches[4], caches[1], caches[2], caches[3]],
+            predictor,
+            total_lens=[9, 7, 4, 6],
+        )
+        assert row_calls == []
+        assert ragged_calls == [((4, 7, hidden), 8)] * n_layers
 
 
 class TestKVCache:
@@ -486,6 +501,56 @@ class TestFusedScheduler:
         assert engine.codec.decode_calls == n_matrices
         assert engine.stats.cache_misses == n_matrices
         assert engine.stats.cache_hits > 0
+
+    def test_bgpp_kv_counters_equal_per_row_results(self):
+        """A bound engine's BGPP counters, over a served trace with prompt
+        chunks and decode rows, equal the sum of the per-row
+        ``BGPPResult``s of the same quantised rows, replayed one by one."""
+        model = QuantizedTransformer(
+            TransformerModel(get_model_config("tiny"), seed=0), seed=1
+        )
+        engine = MCBPEngine(group_size=4, weight_bits=8)
+        model.bind_engine(engine)
+        base = make_bgpp_predictor(alpha=0.7, rounds=3)
+        seen = []
+
+        def predictor(q, keys):
+            return base(q, keys)
+
+        def select_ragged(queries, keys, lengths):
+            picks = base.select_ragged(queries, keys, lengths)
+            rows = zip(queries, keys.row_keys(lengths), picks)
+            seen.extend((q.copy(), k.copy(), p) for q, k, p in rows)
+            return picks
+
+        predictor.select_ragged = select_ragged
+        sched = ServingEngine(
+            model, max_active=3, predictor=predictor, prefill_token_budget=6
+        )
+        sched.submit_many(
+            sample_requests(6, vocab_size=model.config.vocab_size, seed=2)
+        )
+        sched.run()
+        config = BGPPConfig(rounds=3, alpha=0.7, query_bits=4)
+        totals = dict.fromkeys(
+            ("keys_selected", "keys_total", "kv_bits_loaded", "kv_bits_dense"), 0
+        )
+        for q, k, picks in seen:
+            d = q.size
+            q_int = np.round(q / (np.abs(q).max() / 127.0))
+            k_int = np.round(k / (np.abs(k).max() / 127.0))
+            k_norm = np.mean(np.linalg.norm(k_int, axis=1))
+            score_std = max(np.linalg.norm(q_int) * k_norm / np.sqrt(d), 1e-9)
+            config.score_scale = 0.8 / score_std
+            result = bgpp_select_batch(q_int[None], k_int, config)[0]
+            assert np.array_equal(result.selected, picks)
+            totals["keys_selected"] += result.selected.size
+            totals["keys_total"] += k.shape[0]
+            totals["kv_bits_loaded"] += result.kv_bits_loaded
+            totals["kv_bits_dense"] += k.size * config.key_bits
+        assert {name: getattr(engine.stats, name) for name in totals} == totals
+        assert engine.stats.kv_bits_loaded < engine.stats.kv_bits_dense
+        assert engine.stats.keys_selected < engine.stats.keys_total
 
 
 class TestEngineMatmul:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.bgpp import (
     BGPPConfig,
     BGPPResult,
+    StreamKeys,
     attention_sparsity,
     bgpp_select,
     bgpp_select_batch,
@@ -18,6 +19,8 @@ from repro.core.bgpp import (
     value_topk_select,
 )
 from repro.core.bitslice import to_bitslices
+from repro.core.engine import EngineStats
+from repro.serve.kv_arena import PagedKVArena
 from repro.workloads.profile import synthetic_attention_tensors
 
 EQUIV = settings(max_examples=150, deadline=None, derandomize=True)
@@ -421,7 +424,7 @@ class TestTruncatedKernelEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# select_ragged over per-stream (B, L, d) key blocks
+# select_ragged over per-stream key records and the write-once plane cache
 # ---------------------------------------------------------------------------
 
 
@@ -462,8 +465,14 @@ def _stream_cases(draw):
     return queries, keys, dirty, lengths
 
 
+def _streams(view):
+    """One query row per stream of a ``(B, L, d)`` view, with a fresh cache."""
+    return StreamKeys(view, [1] * view.shape[0])
+
+
 class TestStreamBlockSelection:
-    """The 3-D ``select_ragged`` equals one predictor call per stream."""
+    """``select_ragged`` over a :class:`StreamKeys` record equals one
+    predictor call per stream, through every plane-cache lifecycle event."""
 
     @EQUIV
     @given(
@@ -481,9 +490,9 @@ class TestStreamBlockSelection:
         queries, keys, dirty, lengths = case
         predictor = make_bgpp_predictor(alpha=alpha, rounds=rounds, query_bits=query_bits)
         reference = _reference_predictor(alpha, rounds, query_bits=query_bits)
-        clean = predictor.select_ragged(queries, keys, lengths)
+        clean = predictor.select_ragged(queries, _streams(keys), lengths)
         with np.errstate(all="raise"):  # garbage rows must never be read
-            batched = predictor.select_ragged(queries, dirty, lengths)
+            batched = predictor.select_ragged(queries, _streams(dirty), lengths)
         assert len(batched) == len(clean) == lengths.size
         for b, n in enumerate(lengths):
             expected = reference(queries[b], keys[b, :n])
@@ -498,18 +507,117 @@ class TestStreamBlockSelection:
     ):
         queries, keys, dirty, lengths = case
         predictor = make_value_topk_predictor(keep_fraction, prediction_bits)
-        clean = predictor.select_ragged(queries, keys, lengths)
+        clean = predictor.select_ragged(queries, _streams(keys), lengths)
         with np.errstate(all="raise"):
-            batched = predictor.select_ragged(queries, dirty, lengths)
+            batched = predictor.select_ragged(queries, _streams(dirty), lengths)
         for b, n in enumerate(lengths):
             expected = predictor(queries[b], keys[b, :n])
             assert np.array_equal(clean[b], expected), (b, lengths.tolist())
             assert np.array_equal(batched[b], expected), (b, lengths.tolist())
 
     def test_rejects_mismatched_stream_shapes(self):
-        keys = np.ones((2, 3, 4))
+        keys = _streams(np.ones((2, 3, 4)))
         for predictor in (make_bgpp_predictor(), make_value_topk_predictor()):
             with pytest.raises(ValueError, match="key streams"):
                 predictor.select_ragged(np.ones((3, 4)), keys, [1, 2, 3])
             with pytest.raises(ValueError, match="cannot hold"):
                 predictor.select_ragged(np.ones((2, 4)), keys, [1, 4])
+
+    @EQUIV
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["fp", "int8"]),
+        st.integers(1, 4),
+    )
+    def test_plane_cache_lifecycle_matches_per_stream_calls(
+        self, seed, kv_dtype, rounds
+    ):
+        """Arena sessions through appends, spikes, rollbacks, layer clears,
+        snapshots and shared prefixes: every row of every selection equals
+        ``predictor(q, keys[:n])`` over the session's current keys."""
+        rng = np.random.default_rng(seed)
+        d, n_layers, ps = int(rng.integers(1, 9)), 2, 4
+        arena = PagedKVArena(n_layers, d, page_size=ps, kv_dtype=kv_dtype)
+        predictor = make_bgpp_predictor(alpha=0.5, rounds=rounds)
+        counters = EngineStats()
+        expected_total = 0
+        live = []
+
+        def rows(n):
+            # a quarter of the rows spike past the stream's running maximum
+            spike = rng.choice([0.5, 1.0, 8.0], size=(n, 1), p=[0.4, 0.35, 0.25])
+            return rng.normal(size=(n, d)) * spike
+
+        def append(sid, n):
+            block = rows(n)
+            for layer in range(n_layers):
+                arena.append(sid, layer, block, block)
+
+        def select(layer):
+            nonlocal expected_total
+            sids = [s for s in live if arena.seq_len(s, layer) > 0]
+            if not sids:
+                return
+            view, _, lengths = arena.gather_batch(layer, sids)
+            # each stream: a decode row, or a chunk of its last few rows
+            per_stream = [int(rng.integers(1, min(4, n) + 1)) for n in lengths]
+            streams = np.repeat(np.arange(len(sids)), per_stream)
+            row_lens = np.concatenate(
+                [np.arange(n - k + 1, n + 1) for n, k in zip(lengths, per_stream)]
+            )
+            queries = rng.normal(size=(streams.size, d))
+            record = StreamKeys(
+                view, per_stream, sids, arena.predictor_slots(layer), counters
+            )
+            picks = predictor.select_ragged(queries, record, row_lens)
+            expected_total += int(row_lens.sum())
+            for i, (b, n) in enumerate(zip(streams, row_lens)):
+                keys = arena.session_keys(sids[b], layer)[:n]
+                assert np.array_equal(picks[i], predictor(queries[i], keys)), (
+                    i, sids[b], n,
+                )
+
+        shared = rng.integers(0, 50, size=3 * ps).tolist()
+        for _ in range(14):
+            op = rng.choice(
+                ["new", "append", "append", "truncate", "clear", "snapshot",
+                 "prefix", "free"]
+            )
+            if op == "new" or not live:
+                sid = arena.create_session()
+                append(sid, int(rng.integers(1, 10)))
+                live.append(sid)
+            elif op == "append":
+                append(live[int(rng.integers(len(live)))], int(rng.integers(1, 3)))
+            elif op == "truncate":
+                sid = live[int(rng.integers(len(live)))]
+                cut = int(rng.integers(0, arena.seq_len(sid, 0) + 1))
+                if cut < int(min(arena.seq_len(sid, l) for l in range(n_layers))):
+                    arena.truncate_session(sid, cut)
+            elif op == "clear":
+                sid = live[int(rng.integers(len(live)))]
+                arena.clear_layer(sid, int(rng.integers(n_layers)))
+                append(sid, int(rng.integers(1, 4)))
+            elif op == "snapshot":
+                sid = live[int(rng.integers(len(live)))]
+                snapshot = arena.snapshot_session(sid)
+                arena.restore_session(sid, snapshot)
+            elif op == "prefix":
+                # a prefix owner, then a sharer mapping 7 of its rows: the
+                # sharer's first append copies the half-used page on write
+                owner = arena.create_session()
+                block = rows(len(shared))
+                for layer in range(n_layers):
+                    arena.append(owner, layer, block, block)
+                ones = np.ones(len(shared), dtype=np.int64)
+                arena.register_prefix(owner, shared, ones, ones)
+                sharer = arena.create_session()
+                arena.acquire_prefix(sharer, shared[: 2 * ps])
+                append(sharer, 2)
+                live += [owner, sharer]
+            else:
+                arena.free(live.pop(int(rng.integers(len(live)))))
+            for layer in range(n_layers):
+                select(layer)
+        assert counters.keys_total == expected_total
+        assert 0 < counters.kv_bits_loaded <= counters.kv_bits_dense

@@ -718,6 +718,24 @@ class TestDisciplinePins:
         assert schedule == DISCIPLINE_PINS["arena-budget"]
         assert engine.arena.stats.pages_in_use == 0
 
+    def test_arena_budget_priority_never_exhausts_a_tight_pool(self, model):
+        """Admissions are gated against the batch they actually join: a
+        candidate taking a free slot still counts the tentative victims'
+        reservations, so a rolled-back eviction cannot overfill the pool."""
+        requests = _pin_trace(1, 6, model.config.vocab_size, 4, 24, 6)
+        policy = ArenaBudgetPolicy(PriorityPolicy())
+        engine = ServingEngine(
+            model, max_active=3, page_size=4, max_pages=12, scheduling=policy
+        )
+        handles = engine.submit_many(requests)
+        while engine.has_work:
+            engine.step()
+            reserved = [h.reserved_pages for h in engine.active_handles]
+            # forced progress: an engine with one active request admits it
+            assert len(reserved) == 1 or sum(reserved) <= 12, reserved
+        assert all(h.state is SessionState.FINISHED for h in handles)
+        assert engine.arena.stats.peak_pages_in_use <= 12
+
     def test_adaptive_prefill_schedule(self, model):
         requests = _pin_trace(1, 6, model.config.vocab_size, 4, 24, 6)
         engine = ServingEngine(
