@@ -63,7 +63,6 @@ from repro.core.engine import MCBPEngine
 from repro.model import QuantizedTransformer, TransformerModel, generate, get_model_config
 from repro.model.generation import IncrementalDecoder
 from repro.serve import (
-    ClusterEngine,
     FaultPlan,
     FaultSpec,
     PagedKVArena,
@@ -136,18 +135,6 @@ FAULT_SEED = 23
 SNAPSHOT_INT8_BYTES_GATE = 0.2
 SNAPSHOT_LONG_PROMPT = 480
 SNAPSHOT_LONG_DECODE = 32  # prompt + decode = a 512-token context at resume
-
-# cluster grid (PR 9): the bursty policy trace fanned over D data-parallel
-# ServingEngine replicas behind the cluster router.  Step-domain metrics
-# (steps, tokens/step, load-imbalance CV, prefix hits) are deterministic, so
-# the routing gates never ride a timer; wall tokens/sec is recorded for the
-# trajectory only.  D=1 round-robin must reproduce the bare engine's report
-# bit-for-bit -- the anchor that makes every fleet number trustworthy.
-CLUSTER_SIZES = (1, 2, 4)
-BALANCE_REQUESTS = 24
-BALANCE_SEED = 37
-LOCALITY_GROUPS = 4
-LOCALITY_SEED = 41
 
 # speculative grid (PR 10): the fused draft-then-verify decode path.  The
 # friendly trace uses cyclic motif prompts the (self-extending) n-gram
@@ -910,165 +897,6 @@ def _snapshot_block(model):
     }
 
 
-def _cluster_block(model):
-    """Fleet scaling + routing comparison over D ServingEngine replicas.
-
-    Three legs, all sharing the bursty policy trace unless noted:
-
-    * scaling -- round-robin fleets at D in CLUSTER_SIZES over the bursty
-      policy trace: steps shrink and tokens/step grow with D (each replica
-      runs its own fused batch), with wall tokens/sec recorded for the
-      trajectory;
-    * balance -- least-loaded vs round-robin load-imbalance CV at D >= 2 on
-      a bimodal trace (alternating long/short requests, spaced arrivals).
-      Round-robin parity-partitions every long request onto the same
-      replicas; least-loaded routes to whichever replica drained, so its CV
-      must not exceed round-robin's;
-    * locality -- affinity vs round-robin prefix hits with per-replica
-      prefix caches at D=2 on a four-group shared-prefix trace (hashing the
-      prompt head keeps each prefix group on one replica, so the fleet pays
-      each group's prefix miss once; round-robin splits every group across
-      both replicas and registers every prefix twice).
-
-    The D=1 anchor asserts here (cluster report vs bare-engine report, whole
-    JSON: tokens, metrics, arena counters) so the routing gates in the main
-    test never ride on a timer.
-    """
-    config = model.config
-    requests = _policy_trace(config)
-
-    def timed(make_cluster):
-        best, report = float("inf"), None
-        for _ in range(REPEATS):
-            cluster = make_cluster()
-            cluster.submit_many(requests)
-            start = time.perf_counter()
-            report = cluster.run()
-            best = min(best, time.perf_counter() - start)
-        return report, report.total_tokens / best
-
-    bare = ServingEngine(model, max_active=GATED_BATCH)
-    bare.submit_many(requests)
-    start = time.perf_counter()
-    bare_report = bare.run()
-    bare_elapsed = time.perf_counter() - start
-
-    scaling = {}
-    rr_reports = {}
-    for d in CLUSTER_SIZES:
-        report, wall_tps = timed(
-            lambda d=d: ClusterEngine(
-                model, n_replicas=d, routing="rr", max_active=GATED_BATCH
-            )
-        )
-        assert report.total_tokens == bare_report.total_tokens, (
-            f"rr fleet at D={d} served different token volume than the "
-            "single engine"
-        )
-        rr_reports[d] = report
-        if d == 1:
-            # D=1 anchor: the trivial fleet must *be* the bare engine --
-            # the entire per-replica report is bit-identical, so every
-            # fleet-level number below inherits the single-engine goldens
-            assert report.replicas[0].to_json() == bare_report.to_json(), (
-                "ClusterEngine(D=1, rr) diverged from the bare ServingEngine"
-            )
-            assert report.load_imbalance == 0.0
-        scaling[str(d)] = {
-            "steps": report.steps,
-            "throughput_tokens_per_step": report.throughput_tokens_per_step,
-            "wall_tokens_per_sec": wall_tps,
-            "load_imbalance": report.load_imbalance,
-            "step_speedup_vs_single": bare_report.steps / report.steps,
-        }
-
-    # bimodal balance trace: even submissions are long (16 new tokens), odd
-    # ones short (2), two steps apart -- the adversarial-for-rr shape that
-    # motivates load-aware routing in the first place
-    rng = np.random.default_rng(BALANCE_SEED)
-    vocab = config.vocab_size
-    bimodal = [
-        Request(
-            f"b{i:02d}",
-            prompt_tokens=rng.integers(0, vocab, size=6).tolist(),
-            max_new_tokens=16 if i % 2 == 0 else 2,
-            arrival_step=2 * i,
-        )
-        for i in range(BALANCE_REQUESTS)
-    ]
-    balance = {}
-    for d in (2, 4):
-        reports = {}
-        for routing in ("rr", "least-loaded"):
-            cluster = ClusterEngine(
-                model, n_replicas=d, routing=routing, max_active=GATED_BATCH
-            )
-            cluster.submit_many(bimodal)
-            reports[routing] = cluster.run()
-        assert (
-            reports["rr"].total_tokens == reports["least-loaded"].total_tokens
-        ), f"routing changed the bimodal trace's token volume at D={d}"
-        balance[str(d)] = {
-            "rr_load_imbalance": reports["rr"].load_imbalance,
-            "least_loaded_imbalance": reports["least-loaded"].load_imbalance,
-        }
-
-    # four prefix groups arriving as consecutive tenant bursts: round-robin
-    # alternates inside each burst and lands every group on both replicas
-    # (registering every prefix twice), the multi-tenant shape where
-    # locality-aware routing actually pays off
-    rng = np.random.default_rng(LOCALITY_SEED)
-    group_size = PREFIX_REQUESTS // LOCALITY_GROUPS
-    heads = [
-        rng.integers(0, vocab, size=PREFIX_BASE_LEN).tolist()
-        for _ in range(LOCALITY_GROUPS)
-    ]
-    shared = [
-        Request(
-            f"g{i // group_size}r{i % group_size}",
-            prompt_tokens=heads[i // group_size]
-            + rng.integers(0, vocab, size=int(rng.integers(0, 9))).tolist(),
-            max_new_tokens=int(rng.integers(2, 7)),
-            arrival_step=i,
-        )
-        for i in range(PREFIX_REQUESTS)
-    ]
-    locality = {}
-    for routing in ("rr", "affinity"):
-        cluster = ClusterEngine(
-            model,
-            n_replicas=2,
-            routing=routing,
-            max_active=GATED_BATCH,
-            page_size=PREFIX_PAGE_SIZE,
-            prefix_cache=True,
-        )
-        cluster.submit_many(shared)
-        report = cluster.run()
-        for rep in report.replicas:
-            assert rep.arena["pages_in_use"] == 0, (
-                f"{routing} replica arena failed to drain on the shared trace"
-            )
-        locality[routing] = {
-            "prefix_hits": report.prefix_hits,
-            "prefix_hit_rate": report.prefix_hit_rate,
-            "tokens_by_replica": report.tokens_by_replica,
-        }
-
-    return {
-        "batch": GATED_BATCH,
-        "requests": POLICY_REQUESTS,
-        "single_engine": {
-            "steps": bare_report.steps,
-            "throughput_tokens_per_step": bare_report.throughput_tokens_per_step,
-            "wall_tokens_per_sec": bare_report.total_tokens / bare_elapsed,
-        },
-        "scaling": scaling,
-        "balance": balance,
-        "affinity_vs_rr": locality,
-    }
-
-
 def _speculative_block(model):
     """Spec-on vs spec-off over a friendly and an adversarial decode trace.
 
@@ -1227,9 +1055,6 @@ def test_batched_decode_throughput(benchmark):
     # snapshot grid: kv_snapshots on/off + int8 pool + 512-token resume leg
     snapshot_block = _snapshot_block(model)
 
-    # cluster grid: rr fleet scaling at D in CLUSTER_SIZES + routing duels
-    cluster_block = _cluster_block(model)
-
     # speculative grid: fused draft-then-verify decode, friendly + adversarial
     speculative_block = _speculative_block(model)
 
@@ -1251,7 +1076,6 @@ def test_batched_decode_throughput(benchmark):
         "prefix_cache": prefix_block,
         "faults": faults_block,
         "snapshot": snapshot_block,
-        "cluster": cluster_block,
         "speculative": speculative_block,
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -1322,19 +1146,6 @@ def test_batched_decode_throughput(benchmark):
         f"{snapshot_block['long_context']['snapshot_roundtrip']['fp']['roundtrip_ms']:.2f} ms"
         "   int8 "
         f"{snapshot_block['long_context']['snapshot_roundtrip']['int8']['roundtrip_ms']:.2f} ms"
-        + "\ncluster (rr fleet): "
-        + "   ".join(
-            f"D={d}: {cluster_block['scaling'][str(d)]['steps']} steps "
-            f"({cluster_block['scaling'][str(d)]['step_speedup_vs_single']:.2f}x) "
-            f"CV {cluster_block['scaling'][str(d)]['load_imbalance']:.3f}"
-            for d in CLUSTER_SIZES
-        )
-        + "\ncluster routing: least-loaded CV "
-        f"{cluster_block['balance']['2']['least_loaded_imbalance']:.3f} vs rr "
-        f"{cluster_block['balance']['2']['rr_load_imbalance']:.3f} @D=2   "
-        "affinity prefix hits "
-        f"{cluster_block['affinity_vs_rr']['affinity']['prefix_hits']} vs rr "
-        f"{cluster_block['affinity_vs_rr']['rr']['prefix_hits']}"
         + "\nspeculative (k=8 ngram): friendly "
         f"{speculative_block['friendly']['steps_off']} -> "
         f"{speculative_block['friendly']['steps_on']} steps "
@@ -1449,15 +1260,6 @@ def test_batched_decode_throughput(benchmark):
         f"{snapshot_block['int8']['peak_kv_bytes_ratio']:.3f}x of fp "
         f"(gate {SNAPSHOT_INT8_BYTES_GATE}x)"
     )
-    # CI gate: least-loaded routing must never balance the bursty trace
-    # worse than blind round-robin (step-domain CV of per-replica tokens;
-    # the D=1 report-equality anchor asserts inside _cluster_block)
-    for d, row in cluster_block["balance"].items():
-        assert row["least_loaded_imbalance"] <= row["rr_load_imbalance"], (
-            f"least-loaded routing balanced worse than rr at D={d}: CV "
-            f"{row['least_loaded_imbalance']:.3f} vs "
-            f"{row['rr_load_imbalance']:.3f}"
-        )
     # CI gate: speculative decode must multiply step-domain throughput on
     # the acceptance-friendly trace (same token volume in >= 1.3x fewer
     # steps; deterministic counters, never a timer) and must not take more
@@ -1475,16 +1277,4 @@ def test_batched_decode_throughput(benchmark):
         "adaptive speculation regressed the adversarial trace: "
         f"{speculative_block['adversarial']['steps_on']} vs "
         f"{speculative_block['adversarial']['steps_off']} steps"
-    )
-    # CI gate: prefix-affinity routing must land strictly more prefix-cache
-    # hits than round-robin on the shared-prefix trace -- hashing the prompt
-    # head keeps each prefix group on one replica, so the fleet pays the
-    # prefix miss once instead of once per replica (deterministic counters)
-    assert (
-        cluster_block["affinity_vs_rr"]["affinity"]["prefix_hits"]
-        > cluster_block["affinity_vs_rr"]["rr"]["prefix_hits"]
-    ), (
-        "affinity routing failed to beat rr on prefix hits: "
-        f"{cluster_block['affinity_vs_rr']['affinity']['prefix_hits']} vs "
-        f"{cluster_block['affinity_vs_rr']['rr']['prefix_hits']}"
     )

@@ -36,8 +36,6 @@ Usage::
     python examples/serving_simulation.py --snapshot         # KV snapshots
     python examples/serving_simulation.py --speculative 4    # draft + verify
     python examples/serving_simulation.py --json             # report JSON
-    python examples/serving_simulation.py --cluster 2 \
-        --routing affinity                                   # replica fleet
 
 ``--policy {fcfs,priority,deadline,aging}`` runs only the policy comparison
 and prints the chosen policy's full per-request report.  ``--chaos`` replays
@@ -50,11 +48,7 @@ so scripts can consume either artefact uniformly.  ``--speculative K``
 decodes one mixed (cyclic + random prompt) stream plainly and again with up
 to ``K`` drafted tokens verified per session per fused step, printing the
 step-count win, the draft acceptance rate and the arena rollback books --
-tokens stay bit-identical.  ``--cluster N`` runs one
-shared-prefix traffic stream over N data-parallel engine replicas behind the
-``--routing`` policy (round-robin / least-loaded / prefix-affinity), with
-seeded chaos driving replica failover -- queued work re-routes to healthy
-replicas and finished tokens stay bit-identical to a single engine.
+tokens stay bit-identical.
 """
 
 import argparse
@@ -65,7 +59,6 @@ import numpy as np
 from repro.core import BGPPConfig, MCBPEngine
 from repro.core.bgpp import make_bgpp_predictor
 from repro.eval import serving_breakdown_vs_sessions
-from repro.eval.reporting import format_table
 from repro.model import (
     QuantizedTransformer,
     TransformerModel,
@@ -73,7 +66,6 @@ from repro.model import (
     get_model_config,
 )
 from repro.serve import (
-    ClusterEngine,
     FaultPlan,
     Request,
     ServingEngine,
@@ -83,7 +75,6 @@ from repro.serve import (
 from repro.workloads import sample_requests
 
 POLICY_NAMES = ("fcfs", "priority", "deadline", "aging")
-ROUTING_NAMES = ("rr", "least-loaded", "affinity")
 
 
 def simulate_traffic(n_requests: int = 24, max_active: int = 8, quiet: bool = False):
@@ -432,89 +423,6 @@ def speculative_demo(k: int = 4, n_requests: int = 6, decode_len: int = 32) -> N
           "emits the corrected token and truncates the rejected KV rows)")
 
 
-def cluster_demo(
-    n_replicas: int = 2, routing: str = "affinity", n_requests: int = 24
-) -> None:
-    """One traffic stream over a D-replica fleet: routing, affinity, failover."""
-    config = get_model_config("tiny")
-    model = QuantizedTransformer(TransformerModel(config, seed=0), seed=1)
-    rng = np.random.default_rng(13)
-    # four shared-prefix groups (think: four system prompts) so prefix-affinity
-    # routing has locality to exploit, plus per-request unique tails
-    heads = [rng.integers(0, config.vocab_size, size=12).tolist() for _ in range(4)]
-    requests = []
-    for i in range(n_requests):
-        head = heads[i % len(heads)]
-        tail = rng.integers(0, config.vocab_size, size=4).tolist()
-        requests.append(
-            Request(
-                request_id=f"c{i:02d}",
-                prompt_tokens=head + tail,
-                max_new_tokens=int(rng.integers(2, 7)),
-                arrival_step=i // 3,
-            )
-        )
-
-    bare = ServingEngine(model, max_active=4, page_size=8, prefix_cache=True)
-    bare_handles = bare.submit_many(requests)
-    bare_report = bare.run()
-
-    plan = FaultPlan.uniform(0.02, seed=23, sites=("session.compute",))
-    cluster = ClusterEngine(
-        model,
-        n_replicas=n_replicas,
-        routing=routing,
-        max_active=4,
-        page_size=8,
-        prefix_cache=True,
-        faults=plan,
-        seed=7,
-        failover_threshold=2,
-        failover_window=6,
-        failover_cooldown=8,
-    )
-    handles = cluster.submit_many(requests)
-    report = cluster.run()
-
-    print(f"\n--- cluster: {n_requests} shared-prefix requests over "
-          f"{n_replicas} replica(s), routing={routing}, seeded 2% chaos ---")
-    print(f"single engine       : {bare_report.total_tokens} tokens in "
-          f"{bare_report.steps} steps "
-          f"({bare_report.throughput_tokens_per_step:.2f} tok/step)")
-    print(f"fleet               : {report.total_tokens} tokens in "
-          f"{report.steps} steps "
-          f"({report.throughput_tokens_per_step:.2f} tok/step), "
-          f"imbalance CV {report.load_imbalance:.3f}")
-    rows = []
-    for idx, rep in enumerate(report.replicas):
-        arena = rep.arena or {}
-        rows.append({
-            "replica": idx,
-            "requests": len(rep.requests),
-            "tokens": rep.total_tokens,
-            "p95_lat": rep.latency_percentile(95),
-            "prefix_hits": arena.get("prefix_hits"),
-            "pages_in_use": arena.get("pages_in_use"),
-        })
-    print(format_table(rows, precision=1))
-    if report.failover_events:
-        downs = sum(1 for e in report.failover_events if e["event"] == "down")
-        print(f"failover            : {downs} down event(s), "
-              f"{report.rerouted} request(s) re-routed, history: "
-              + ", ".join(f"step {e['step']} r{e['replica']} {e['event']}"
-                          for e in report.failover_events))
-    # finished requests decode the same tokens the single engine produced
-    for bare_h, fleet_h in zip(bare_handles, handles):
-        if fleet_h.metrics().outcome == "finished":
-            assert fleet_h.generated_tokens == bare_h.generated_tokens, (
-                "fleet tokens must match the single-engine run"
-            )
-    for rep in report.replicas:
-        assert rep.arena["pages_in_use"] == 0, "every replica arena must drain"
-    print("(every finished request's tokens are bit-identical to the "
-          "single-engine run; D=1 round-robin reproduces it exactly)")
-
-
 def steady_state_cache_demo(n_layers: int = 6, decode_steps: int = 32) -> None:
     rng = np.random.default_rng(0)
     engine = MCBPEngine(group_size=4, weight_bits=8,
@@ -593,19 +501,6 @@ def main() -> None:
         help="run only the speculative-decode demo: draft up to K tokens "
         "per session, verify in the fused pass, bit-identical tokens",
     )
-    parser.add_argument(
-        "--cluster",
-        type=int,
-        metavar="N",
-        help="run only the multi-replica cluster demo with N ServingEngine "
-        "replicas behind the router (routing, affinity, failover)",
-    )
-    parser.add_argument(
-        "--routing",
-        choices=ROUTING_NAMES,
-        default="affinity",
-        help="routing policy for --cluster (default: affinity)",
-    )
     args = parser.parse_args()
     if args.json:
         report = simulate_traffic(quiet=True)
@@ -626,9 +521,6 @@ def main() -> None:
     if args.speculative is not None:
         speculative_demo(k=args.speculative)
         return
-    if args.cluster is not None:
-        cluster_demo(n_replicas=args.cluster, routing=args.routing)
-        return
     simulate_traffic()
     policy_comparison()
     fused_decode_demo()
@@ -636,7 +528,6 @@ def main() -> None:
     chaos_demo()
     snapshot_demo()
     speculative_demo()
-    cluster_demo()
     steady_state_cache_demo()
     analytical_breakdown()
 

@@ -18,7 +18,7 @@ def format_value(value: object, precision: int = 3) -> str:
     """Render a cell: floats with fixed precision, everything else via str().
 
     ``None`` renders as ``-`` (a milestone/metric that never materialised,
-    e.g. the prefix-hit rate of a cache-less replica in a cluster table),
+    e.g. the first-token step of a request that failed before decoding),
     matching the report summaries' convention.
     """
     if value is None:

@@ -68,22 +68,10 @@ and the greedy accept rule plus arena rollback
 bit-identical to one-token decode (``ServingEngine(speculative=...)``,
 adaptive per-session throttling via :class:`SpeculationConfig`).
 
-Above the single engine sits the fleet layer, :mod:`repro.serve.cluster`:
-a :class:`ClusterEngine` multiplexes one traffic stream across ``D``
-data-parallel :class:`ServingEngine` replicas behind a pluggable
-:class:`RoutingPolicy` (round-robin, least-loaded, prefix-affinity), with
-session affinity, deterministic replica failover (health-window tripping,
-queued-backlog re-routing, cooldown recovery) and per-replica fault streams
-split from one seed; :class:`ClusterReport` aggregates the per-replica
-reports into fleet-wide percentiles, a load-imbalance coefficient and
-prefix-hit locality.  ``D=1`` with round-robin is bit-identical to a bare
-engine.
-
 See ``src/repro/serve/README.md`` for the API guide, the failure model and
 how to write a custom policy.
 """
 
-from .cluster import ClusterEngine, ClusterHandle, ClusterReport, Replica
 from .faults import (
     FAULT_SITES,
     FailureInfo,
@@ -103,14 +91,9 @@ from .policies import (
     ArenaBudgetPolicy,
     DeadlinePolicy,
     FCFSPolicy,
-    LeastLoadedRouting,
-    PrefixAffinityRouting,
     PriorityPolicy,
-    RoundRobinRouting,
-    RoutingPolicy,
     SchedulingPolicy,
     make_policy,
-    make_routing,
 )
 from .scheduler import (
     RequestHandle,
@@ -131,9 +114,6 @@ __all__ = [
     "AgingPriorityPolicy",
     "ArenaBudgetPolicy",
     "ArenaStats",
-    "ClusterEngine",
-    "ClusterHandle",
-    "ClusterReport",
     "DeadlinePolicy",
     "Drafter",
     "FAULT_SITES",
@@ -147,18 +127,13 @@ __all__ = [
     "InjectedCallbackError",
     "KVDtype",
     "KVSnapshot",
-    "LeastLoadedRouting",
     "LoadShedWatchdog",
     "NGramDrafter",
     "PagedKVArena",
-    "PrefixAffinityRouting",
     "PriorityPolicy",
-    "Replica",
     "Request",
     "RequestHandle",
     "RequestMetrics",
-    "RoundRobinRouting",
-    "RoutingPolicy",
     "SchedulingPolicy",
     "ServingEngine",
     "ServingReport",
@@ -169,5 +144,4 @@ __all__ = [
     "TransientArenaFault",
     "TruncatedBitDrafter",
     "make_policy",
-    "make_routing",
 ]

@@ -1,4 +1,4 @@
-"""Pluggable scheduling and routing policies for the serving engine.
+"""Pluggable scheduling policies for the serving engine.
 
 The serving control plane keeps request-lifecycle mechanics (owned by
 :class:`~repro.serve.scheduler.ServingEngine`) separate from *decisions*,
@@ -49,14 +49,11 @@ from __future__ import annotations
 
 import math
 import warnings
-import zlib
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .cluster import Replica
     from .scheduler import RequestHandle, ServingEngine
-    from .session import Request
 
 __all__ = [
     "SchedulingPolicy",
@@ -67,11 +64,6 @@ __all__ = [
     "ArenaBudgetPolicy",
     "AdaptivePrefillPolicy",
     "make_policy",
-    "RoutingPolicy",
-    "RoundRobinRouting",
-    "LeastLoadedRouting",
-    "PrefixAffinityRouting",
-    "make_routing",
 ]
 
 
@@ -595,8 +587,8 @@ def make_policy(name: str) -> SchedulingPolicy:
     ``"fcfs"`` -> :class:`FCFSPolicy`; ``"priority"`` ->
     :class:`PriorityPolicy`; ``"deadline"`` -> :class:`DeadlinePolicy`;
     ``"aging"`` -> :class:`AgingPriorityPolicy` (default 16-step aging).
-    These are the names ``examples/serving_simulation.py --policy``, the
-    serving benchmark and ``ClusterEngine(scheduling=...)`` accept.
+    These are the names ``examples/serving_simulation.py --policy`` and the
+    serving benchmark accept.
     """
     policies = {
         "fcfs": FCFSPolicy,
@@ -608,136 +600,3 @@ def make_policy(name: str) -> SchedulingPolicy:
         raise KeyError(f"unknown policy {name!r}; available: {sorted(policies)}")
     return policies[name]()
 
-
-# -- cluster routing ----------------------------------------------------------
-
-
-class RoutingPolicy(ABC):
-    """Chooses the replica a cluster-level request lands on.
-
-    The cluster's policy interface, mirroring :class:`SchedulingPolicy`: the
-    cluster control plane (:class:`~repro.serve.cluster.ClusterEngine`) owns
-    the mechanics -- dispatch timing, session affinity, failover re-routing --
-    and delegates only the *placement decision* here.  ``route`` sees the
-    full replica tuple (including replicas currently marked down, so a
-    policy can keep stable positions) and must return a replica whose
-    ``up`` flag is true; the cluster raises if it does not.  Policies must
-    be deterministic functions of (request, replica state, own internal
-    state): no wall clock, no unseeded randomness -- that is what lets any
-    ``(routing policy, D)`` configuration replay bit-for-bit.
-    """
-
-    #: short name recorded in :class:`~repro.serve.cluster.ClusterReport`
-    name = "routing"
-
-    @abstractmethod
-    def route(
-        self, request: "Request", replicas: Sequence["Replica"], step: int
-    ) -> "Replica":
-        """Pick the replica for ``request`` at cluster step ``step``."""
-
-    @staticmethod
-    def healthy(replicas: Sequence["Replica"]) -> List["Replica"]:
-        """The routable (up) subset, in replica-index order."""
-        return [r for r in replicas if r.up]
-
-
-class RoundRobinRouting(RoutingPolicy):
-    """Cycle through replica indices, skipping ones that are down.
-
-    The cursor advances over *global* indices (not the healthy subset), so
-    the assignment pattern is stable while everything is up and degrades
-    gracefully around a down replica.  With D=1 every request lands on
-    replica 0, which is the cluster's bit-identity anchor against a bare
-    :class:`~repro.serve.scheduler.ServingEngine`.
-    """
-
-    name = "rr"
-
-    def __init__(self) -> None:
-        self._cursor = 0
-
-    def route(
-        self, request: "Request", replicas: Sequence["Replica"], step: int
-    ) -> "Replica":
-        n = len(replicas)
-        for _ in range(n):
-            replica = replicas[self._cursor % n]
-            self._cursor += 1
-            if replica.up:
-                return replica
-        raise RuntimeError("no healthy replica to route to")
-
-
-class LeastLoadedRouting(RoutingPolicy):
-    """Send each request to the emptiest replica.
-
-    Load is ``(queued + active requests, arena pages in use, index)`` --
-    queue depth dominates, KV occupancy breaks queue ties, and the replica
-    index makes the choice deterministic when replicas are truly identical.
-    """
-
-    name = "least-loaded"
-
-    def route(
-        self, request: "Request", replicas: Sequence["Replica"], step: int
-    ) -> "Replica":
-        up = self.healthy(replicas)
-        if not up:
-            raise RuntimeError("no healthy replica to route to")
-        return min(up, key=lambda r: (r.queue_load, r.pages_in_use, r.index))
-
-
-class PrefixAffinityRouting(RoutingPolicy):
-    """Hash the prompt head so shared-prefix requests share a replica.
-
-    Requests whose first ``head_tokens`` prompt tokens match hash to the
-    same *home* replica, which is where the prefix cache that can serve
-    them lives -- spreading a shared-prefix group round-robin would pay the
-    prefix miss once per replica instead of once per fleet.  The hash is
-    ``zlib.crc32`` over the token ids (Python's builtin ``hash`` is
-    per-process salted and would break replay).  A down home replica
-    linear-probes to the next healthy index, so the group re-homes
-    deterministically during failover and returns after recovery.
-    """
-
-    name = "affinity"
-
-    def __init__(self, head_tokens: int = 32) -> None:
-        if head_tokens < 1:
-            raise ValueError(f"head_tokens must be >= 1, got {head_tokens}")
-        self.head_tokens = head_tokens
-
-    def prompt_key(self, request: "Request") -> int:
-        head = request.prompt_tokens[: self.head_tokens]
-        return zlib.crc32(",".join(map(str, head)).encode("ascii"))
-
-    def route(
-        self, request: "Request", replicas: Sequence["Replica"], step: int
-    ) -> "Replica":
-        n = len(replicas)
-        home = self.prompt_key(request) % n
-        for offset in range(n):
-            replica = replicas[(home + offset) % n]
-            if replica.up:
-                return replica
-        raise RuntimeError("no healthy replica to route to")
-
-
-def make_routing(name: str) -> RoutingPolicy:
-    """Routing policy for a named strategy.
-
-    ``"rr"`` -> :class:`RoundRobinRouting`; ``"least-loaded"`` ->
-    :class:`LeastLoadedRouting`; ``"affinity"`` ->
-    :class:`PrefixAffinityRouting` (default prompt head of 32 tokens).
-    These are the names ``examples/serving_simulation.py --routing`` and the
-    cluster benchmark block accept.
-    """
-    factories = {
-        "rr": RoundRobinRouting,
-        "least-loaded": LeastLoadedRouting,
-        "affinity": PrefixAffinityRouting,
-    }
-    if name not in factories:
-        raise KeyError(f"unknown routing {name!r}; available: {sorted(factories)}")
-    return factories[name]()

@@ -692,60 +692,6 @@ class ServingEngine:
         self.scheduling.on_release(handle, self)
         return True
 
-    def withdraw(self, handle: RequestHandle) -> bool:
-        """Pull a never-admitted request back out of the queues.
-
-        Unlike :meth:`cancel` this is *not* a terminal resolution: the
-        request is simply no longer this engine's problem -- its session
-        stays untouched, no callback ever fires for the handle, it appears
-        in neither the per-request metrics nor the ``cancelled`` count, and
-        its id is free to be resubmitted (here or on another engine).  This
-        is the primitive cluster failover uses to re-route the queued
-        backlog of a replica that was marked down.
-
-        Only requests that were never admitted qualify -- ``QUEUED`` state,
-        no slot, no KV, no generated tokens -- so withdrawal cannot lose
-        work.  Returns ``False`` for anything else (active, preempted,
-        cancelled or terminal handles).
-        """
-        if handle.cancelled or handle.session.is_terminal:
-            return False
-        if handle.session.state is not SessionState.QUEUED:
-            return False
-        # the heap entries drop lazily on pop, exactly like a cancel --
-        # the cancelled flag is handle-level and never touched the session
-        handle.cancelled = True
-        handle._complete_fired = True
-        self._queued_count -= 1
-        self._request_ids.discard(handle.request_id)
-        self.scheduling.on_release(handle, self)
-        return True
-
-    def release_inflight(self) -> int:
-        """Preempt every admitted session, releasing its arena pages.
-
-        ``run(max_steps)`` that truncates leaves the in-flight batch holding
-        KV pages, and before this method the only public reclaim was
-        :meth:`shutdown` -- which terminally sheds the work.  Each in-flight
-        session (decoding *or* mid-prefill) is instead preempted exactly as
-        a policy eviction would: with ``kv_snapshots`` its pages are copied
-        off-arena and the resume replays no prefill, otherwise the pages are
-        freed and the session re-prefills.  Either way it re-enters the
-        ready queue, so a follow-up :meth:`run` resumes and finishes with
-        bit-identical tokens -- the pages are merely returned to the pool in
-        the meantime (an engine without a prefix cache drains to zero pages
-        in use).  Returns the number of sessions released.
-        """
-        step = self.current_step
-        released = list(self._active)
-        self._active.clear()
-        for handle in released:
-            handle.session.preempt(step, snapshot=self.kv_snapshots)
-            self._push_ready(handle)
-            self._queued_count += 1
-            self.scheduling.on_release(handle, self)
-        return len(released)
-
     @property
     def n_queued(self) -> int:
         return self._queued_count
@@ -758,28 +704,6 @@ class ServingEngine:
     def active_handles(self) -> Tuple[RequestHandle, ...]:
         """The handles currently holding batch slots (policies read this)."""
         return tuple(self._active)
-
-    @property
-    def n_failed(self) -> int:
-        return self._outcomes[SessionState.FAILED]
-
-    @property
-    def queued_handles(self) -> Tuple[RequestHandle, ...]:
-        """Live handles waiting in the queues (no slot held), by submit order.
-
-        Covers both not-yet-arrived and arrived-but-unadmitted requests as
-        well as preempted/backoff re-entries; the cluster failover path
-        filters this for ``QUEUED`` sessions it may :meth:`withdraw`.
-        """
-        seen: set = set()
-        out: List[RequestHandle] = []
-        for heap in (self._ready, self._pending):
-            for entry in heap:
-                handle = entry[2]
-                if self._live(handle) and id(handle) not in seen:
-                    seen.add(id(handle))
-                    out.append(handle)
-        return tuple(sorted(out, key=lambda h: h.index))
 
     @property
     def fault_injector(self) -> Optional[FaultInjector]:

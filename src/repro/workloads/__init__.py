@@ -16,7 +16,6 @@ from .traffic import (
     poisson_arrival_steps,
     sample_priorities,
     sample_requests,
-    split_streams,
     trace_arrival_steps,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "poisson_arrival_steps",
     "sample_priorities",
     "sample_requests",
-    "split_streams",
     "trace_arrival_steps",
 ]

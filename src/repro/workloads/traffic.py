@@ -45,30 +45,7 @@ __all__ = [
     "arrival_steps",
     "sample_priorities",
     "sample_requests",
-    "split_streams",
 ]
-
-
-def split_streams(n: int, seed: int = 0) -> List[int]:
-    """Derive ``n`` independent trace seeds from one root seed.
-
-    Cluster experiments want one logical traffic source fanned out into
-    per-replica (or per-tenant) arrival streams that are statistically
-    independent yet reproducible from a single knob.  The root seed spawns
-    ``n`` children via ``numpy``'s :class:`~numpy.random.SeedSequence`
-    spawning protocol -- the supported way to split RNG streams without
-    correlation -- and each child is collapsed to a plain ``int`` usable
-    anywhere a ``seed=`` argument is (e.g. :func:`sample_requests` or
-    :func:`arrival_steps`).
-
-    Purely additive: a given ``seed`` passed straight to the existing
-    generators still produces byte-identical output -- the single-stream
-    path does not go through the spawn.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    children = np.random.SeedSequence(int(seed)).spawn(n)
-    return [int(child.generate_state(1)[0]) for child in children]
 
 
 def poisson_arrival_steps(

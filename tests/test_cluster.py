@@ -1,379 +1,34 @@
-"""Cluster serving contracts: routing, affinity, failover, determinism.
+"""Truncated-run resume contracts of a single :class:`ServingEngine`.
 
-Four pinned contracts:
-
-* ``TestRoutingPolicies`` -- unit behaviour of the three shipped
-  :class:`RoutingPolicy` implementations (round-robin cycling, least-loaded
-  selection, stable prompt-head affinity hashing) including down-replica
-  probing.
-* ``TestClusterGolden`` -- ``ClusterEngine(D=1, routing="rr")`` is
-  bit-identical to a bare :class:`ServingEngine` on the same trace: same
-  tokens, same per-request metrics, same :class:`ServingReport` JSON.  This
-  is the correctness anchor: the whole cluster layer is transparent at D=1.
-* ``TestClusterFuzz`` -- random traces x routing policies x D in {1, 2, 4},
-  with and without per-replica fault streams + failover: every request
-  reaches exactly one terminal state fleet-wide, finished token streams are
-  bit-identical to solo :func:`generate` references, every replica arena
-  drains to zero pages with balanced books, and a seeded configuration
-  replays bit-for-bit (including its failover event history).
-* ``TestReleaseInflight`` / ``TestSplitStreams`` -- the satellite APIs:
-  truncated-run page reclaim with bit-identical resume, and independent
-  ``SeedSequence``-spawned trace seeds.
-
-The hypothesis profile is derandomized like the other fuzz suites so CI
-runs are reproducible.
+The module once also held the multi-replica cluster suite; what stays is
+the behaviour that suite's ``TestReleaseInflight`` pinned on the bare
+engine, under the same test ids.  A run cut short by ``max_steps`` leaves
+its active sessions holding their arena pages; a plain follow-up ``run()``
+resumes them, finishes with exactly the tokens of an uninterrupted engine,
+and drains the arena with balanced books -- with and without KV snapshots.
 """
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.model import (
-    QuantizedTransformer,
-    TransformerModel,
-    generate,
-    get_model_config,
-)
-from repro.serve import (
-    ClusterEngine,
-    ClusterReport,
-    FaultPlan,
-    LeastLoadedRouting,
-    PrefixAffinityRouting,
-    Request,
-    RoundRobinRouting,
-    ServingEngine,
-    SessionState,
-    make_routing,
-)
-from repro.workloads import sample_requests, split_streams
-
-FUZZ = settings(max_examples=8, deadline=None, derandomize=True)
-
-ROUTINGS = ("rr", "least-loaded", "affinity")
+from repro.model import QuantizedTransformer, TransformerModel, get_model_config
+from repro.serve import ServingEngine
+from repro.workloads import sample_requests
 
 
 @pytest.fixture(scope="module")
 def model():
-    """One calibrated quantised model shared by every cluster trace."""
+    """One calibrated quantised model shared by every trace."""
     return QuantizedTransformer(
         TransformerModel(get_model_config("tiny"), seed=0), seed=1
     )
 
 
-def _sample_trace(rng, vocab, prefix=None):
-    """Random trace; with ``prefix`` tokens some requests share a prompt head."""
-    n_requests = int(rng.integers(3, 11))
-    gaps = rng.exponential(scale=float(rng.uniform(0.0, 2.0)), size=n_requests)
-    arrivals = np.floor(np.cumsum(gaps)).astype(int)
-    requests = []
-    for i in range(n_requests):
-        prompt = rng.integers(0, vocab, size=int(rng.integers(1, 12))).tolist()
-        if prefix is not None and rng.random() < 0.5:
-            prompt = list(prefix) + prompt
-        requests.append(
-            Request(
-                request_id=f"r{i:02d}",
-                prompt_tokens=prompt,
-                max_new_tokens=int(rng.integers(1, 7)),
-                arrival_step=int(arrivals[i]),
-            )
-        )
-    return requests
-
-
-def _solo_tokens(model, request):
-    result = generate(
-        model,
-        list(request.prompt_tokens),
-        max_new_tokens=request.max_new_tokens,
-        eos_token=request.eos_token,
-    )
-    return result.generated_tokens
-
-
-class _FakeReplica:
-    """Minimal stand-in exposing the fields routing policies read."""
-
-    def __init__(self, index, up=True, queue_load=0, pages_in_use=0):
-        self.index = index
-        self.up = up
-        self.queue_load = queue_load
-        self.pages_in_use = pages_in_use
-
-
-class TestRoutingPolicies:
-    def test_round_robin_cycles_and_skips_down(self):
-        policy = RoundRobinRouting()
-        replicas = [_FakeReplica(i) for i in range(3)]
-        req = Request("q", [1], max_new_tokens=1)
-        picks = [policy.route(req, replicas, 0).index for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-        replicas[1].up = False
-        picks = [policy.route(req, replicas, 0).index for _ in range(4)]
-        assert picks == [0, 2, 0, 2]
-        for r in replicas:
-            r.up = False
-        with pytest.raises(RuntimeError):
-            policy.route(req, replicas, 0)
-
-    def test_least_loaded_prefers_empty_then_pages_then_index(self):
-        policy = LeastLoadedRouting()
-        req = Request("q", [1], max_new_tokens=1)
-        replicas = [
-            _FakeReplica(0, queue_load=3, pages_in_use=1),
-            _FakeReplica(1, queue_load=1, pages_in_use=9),
-            _FakeReplica(2, queue_load=1, pages_in_use=2),
-        ]
-        assert policy.route(req, replicas, 0).index == 2
-        replicas[2].up = False
-        assert policy.route(req, replicas, 0).index == 1
-        # full tie: the lowest index wins (determinism)
-        even = [_FakeReplica(i, queue_load=2, pages_in_use=4) for i in range(3)]
-        assert policy.route(req, even, 0).index == 0
-
-    def test_affinity_is_stable_and_prefix_local(self):
-        policy = PrefixAffinityRouting(head_tokens=4)
-        replicas = [_FakeReplica(i) for i in range(4)]
-        shared = [7, 3, 9, 1]
-        a = Request("a", shared + [5, 5], max_new_tokens=1)
-        b = Request("b", shared + [8], max_new_tokens=1)
-        c = Request("c", [2, 2, 2, 2, 2], max_new_tokens=1)
-        home = policy.route(a, replicas, 0).index
-        # same head -> same home, across calls and request identities
-        assert policy.route(b, replicas, 0).index == home
-        assert policy.route(a, replicas, 5).index == home
-        # a down home linear-probes to the next healthy index
-        replicas[home].up = False
-        moved = policy.route(a, replicas, 0).index
-        assert moved == (home + 1) % 4 or replicas[moved].up
-        replicas[home].up = True
-        assert policy.route(c, replicas, 0).index == policy.route(
-            c, replicas, 0
-        ).index
-
-    def test_make_routing_names(self):
-        for name in ROUTINGS:
-            assert make_routing(name).name == name
-        with pytest.raises(KeyError):
-            make_routing("random")
-
-
-class TestClusterGolden:
-    def test_d1_round_robin_equals_bare_engine(self, model):
-        requests = sample_requests(
-            14, vocab_size=model.config.vocab_size, seed=9, mean_interarrival=1.5
-        )
-        bare = ServingEngine(model, max_active=4, page_size=4)
-        bare_handles = bare.submit_many(requests)
-        bare_report = bare.run()
-
-        cluster = ClusterEngine(
-            model, n_replicas=1, routing="rr", max_active=4, page_size=4
-        )
-        handles = cluster.submit_many(requests)
-        report = cluster.run()
-
-        assert cluster.current_step == bare.current_step
-        for bh, ch in zip(bare_handles, handles):
-            assert ch.generated_tokens == bh.generated_tokens
-            assert ch.metrics() == bh.metrics()
-        # the entire report -- arena counters, policy block, every request
-        # record -- is bit-identical: the cluster layer is transparent at D=1
-        assert report.replicas[0].to_json() == bare_report.to_json()
-        assert report.load_imbalance == 0.0
-        assert report.rerouted == 0 and not report.failover_events
-
-    def test_report_json_round_trip_is_tolerant(self, model):
-        requests = sample_requests(6, vocab_size=model.config.vocab_size, seed=2)
-        cluster = ClusterEngine(model, n_replicas=2, routing="affinity", page_size=4)
-        cluster.submit_many(requests)
-        report = cluster.run()
-        payload = report.to_json()
-        rebuilt = ClusterReport.from_json(payload)
-        assert rebuilt.to_json() == payload
-        # unknown keys are ignored, missing keys default
-        payload["mystery_field"] = {"x": 1}
-        payload["replicas"][0]["another_unknown"] = 3
-        tolerant = ClusterReport.from_json(payload)
-        assert tolerant.steps == report.steps
-        assert tolerant.routing == "affinity"
-        stripped = ClusterReport.from_json({"steps": 4})
-        assert stripped.n_replicas == 0 and stripped.routing == "rr"
-
-    def test_callbacks_receive_cluster_handles(self, model):
-        requests = sample_requests(5, vocab_size=model.config.vocab_size, seed=4)
-        cluster = ClusterEngine(model, n_replicas=2, routing="rr", page_size=4)
-        streamed, completed = {}, []
-        handles = [
-            cluster.submit(
-                r,
-                on_token=lambda h, tok, s: streamed.setdefault(
-                    h.request_id, []
-                ).append(tok),
-                on_complete=lambda h, m: completed.append((h.request_id, m.outcome)),
-            )
-            for r in requests
-        ]
-        cluster.run()
-        for h in handles:
-            assert streamed[h.request_id] == h.generated_tokens
-        assert sorted(rid for rid, _ in completed) == sorted(
-            r.request_id for r in requests
-        )
-        assert {outcome for _, outcome in completed} == {"finished"}
-
-    def test_affinity_key_pins_session_to_one_replica(self, model):
-        vocab = model.config.vocab_size
-        requests = [
-            Request(f"s{i}", [(i * 3) % vocab, 1, 2], max_new_tokens=2)
-            for i in range(8)
-        ]
-        cluster = ClusterEngine(model, n_replicas=4, routing="least-loaded", page_size=4)
-        handles = [
-            cluster.submit(r, affinity_key="tenant-a" if i % 2 else "tenant-b")
-            for i, r in enumerate(requests)
-        ]
-        report = cluster.run()
-        by_key = {}
-        for i, h in enumerate(handles):
-            key = "tenant-a" if i % 2 else "tenant-b"
-            by_key.setdefault(key, set()).add(h.replica_index)
-        assert all(len(replicas) == 1 for replicas in by_key.values())
-        assert report.affinity_hits == len(requests) - len(by_key)
-
-
-class TestClusterFuzz:
-    @FUZZ
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_every_config_matches_solo_reference(self, model, seed):
-        rng = np.random.default_rng(seed)
-        vocab = model.config.vocab_size
-        prefix = rng.integers(0, vocab, size=6).tolist()
-        requests = _sample_trace(rng, vocab, prefix=prefix)
-        reference = {r.request_id: _solo_tokens(model, r) for r in requests}
-
-        for n_replicas in (1, 2, 4):
-            for routing in ROUTINGS:
-                cluster = ClusterEngine(
-                    model,
-                    n_replicas=n_replicas,
-                    routing=routing,
-                    max_active=3,
-                    page_size=4,
-                    prefix_cache=True,
-                    seed=seed,
-                )
-                handles = cluster.submit_many(requests)
-                report = cluster.run()
-                label = f"D={n_replicas} routing={routing}"
-                # fleet tokens bit-identical to the solo reference
-                for h in handles:
-                    assert h.done, label
-                    assert h.state is SessionState.FINISHED, label
-                    assert (
-                        h.generated_tokens == reference[h.request_id]
-                    ), f"{label} {h.request_id}"
-                # exactly one terminal record per request across the fleet
-                ids = sorted(
-                    m.request_id for rep in report.replicas for m in rep.requests
-                )
-                assert ids == sorted(r.request_id for r in requests), label
-                # every replica arena drains with balanced books
-                for rep in report.replicas:
-                    assert rep.arena["pages_in_use"] == 0, label
-                    conserved = (
-                        rep.arena["page_faults"] - rep.arena["pages_freed"]
-                    )
-                    assert conserved == rep.arena["cached_idle_pages"], label
-
-    @FUZZ
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_faulted_fleet_is_deterministic_and_accounted(self, model, seed):
-        rng = np.random.default_rng(seed)
-        requests = _sample_trace(rng, model.config.vocab_size)
-        plan = FaultPlan.uniform(
-            0.04, seed=seed, sites=("session.compute", "arena.alloc")
-        )
-        routing = ROUTINGS[seed % len(ROUTINGS)]
-        n_replicas = (2, 4)[seed % 2]
-
-        def run_once():
-            cluster = ClusterEngine(
-                model,
-                n_replicas=n_replicas,
-                routing=routing,
-                max_active=2,
-                page_size=4,
-                faults=plan,
-                seed=seed,
-                failover_threshold=2,
-                failover_window=4,
-                failover_cooldown=6,
-            )
-            handles = cluster.submit_many(requests)
-            report = cluster.run()
-            return handles, report
-
-        handles, report = run_once()
-        _, replay = run_once()
-        # a seeded (routing, D, faults) configuration replays bit-for-bit:
-        # same routes, same failover history, same report
-        assert replay.to_json() == report.to_json()
-
-        solo = {r.request_id: _solo_tokens(model, r) for r in requests}
-        for h in handles:
-            assert h.done
-            metrics = h.metrics()
-            assert metrics.outcome in ("finished", "failed")
-            if metrics.outcome == "finished":
-                assert h.generated_tokens == solo[h.request_id]
-        ids = sorted(m.request_id for rep in report.replicas for m in rep.requests)
-        assert ids == sorted(r.request_id for r in requests)
-        for rep in report.replicas:
-            assert rep.arena["pages_in_use"] == 0
-            assert rep.arena["page_faults"] == rep.arena["pages_freed"]
-        for event in report.failover_events:
-            assert event["event"] in ("down", "up")
-            assert 0 <= event["replica"] < n_replicas
-
-    def test_forced_failover_reroutes_queued_backlog(self, model):
-        """A deterministically-downed replica re-routes its queue and recovers."""
-        vocab = model.config.vocab_size
-        # one long-running head request keeps replica 0 busy while the
-        # backlog queues behind it; compute faults then trip the health gate
-        requests = [
-            Request(f"q{i:02d}", [(7 * i) % vocab, 3], max_new_tokens=6, arrival_step=0)
-            for i in range(10)
-        ]
-        plan = FaultPlan.uniform(0.35, seed=1, sites=("session.compute",))
-        cluster = ClusterEngine(
-            model,
-            n_replicas=2,
-            routing="rr",
-            max_active=1,
-            page_size=4,
-            faults=plan,
-            seed=5,
-            failover_threshold=1,
-            failover_window=4,
-            failover_cooldown=4,
-        )
-        handles = cluster.submit_many(requests)
-        report = cluster.run()
-        downs = [e for e in report.failover_events if e["event"] == "down"]
-        ups = [e for e in report.failover_events if e["event"] == "up"]
-        assert downs, "fault pressure never tripped the health threshold"
-        assert ups, "downed replicas never recovered"
-        assert report.rerouted >= 1
-        assert any(h.rerouted for h in handles)
-        moved = next(h for h in handles if h.rerouted)
-        # the re-routed request kept its identity and terminal guarantees
-        assert moved.done
-        ids = [m.request_id for rep in report.replicas for m in rep.requests]
-        assert sorted(ids) == sorted(r.request_id for r in requests)
-        assert len(set(ids)) == len(ids)
+def _reference_tokens(model, requests):
+    """Token streams of an uninterrupted engine on ``requests``."""
+    reference = ServingEngine(model, max_active=4, page_size=8)
+    handles = reference.submit_many(requests)
+    reference.run()
+    return [h.generated_tokens for h in handles]
 
 
 class TestReleaseInflight:
@@ -381,86 +36,37 @@ class TestReleaseInflight:
         requests = sample_requests(
             8, vocab_size=model.config.vocab_size, seed=5
         )
-        reference = ServingEngine(model, max_active=4, page_size=8)
-        ref_handles = reference.submit_many(requests)
-        reference.run()
+        expected = _reference_tokens(model, requests)
 
         engine = ServingEngine(model, max_active=4, page_size=8)
         handles = engine.submit_many(requests)
         truncated = engine.run(max_steps=6)
         assert truncated.truncated and truncated.leftover_active > 0
         stats = engine.arena.stats
-        # the bug this pins: a truncated run used to strand these pages
-        # with shutdown() as the only (terminal) way out
+        # the interrupted sessions keep their pages until the next run
         assert stats.pages_in_use > 0
 
-        released = engine.release_inflight()
-        assert released == truncated.leftover_active
-        assert stats.pages_in_use == 0
-        assert stats.page_faults == stats.pages_freed
-        assert engine.n_active == 0
-        assert engine.n_queued == truncated.leftover_queued + released
-
-        # a follow-up run resumes and finishes bit-identically
+        # a follow-up run resumes, finishes bit-identically and releases
+        # every page it and the truncated run took
         final = engine.run()
         assert not final.truncated
-        for ref, h in zip(ref_handles, handles):
-            assert h.generated_tokens == ref.generated_tokens
+        assert [h.generated_tokens for h in handles] == expected
+        assert engine.n_active == 0 and engine.n_queued == 0
         assert stats.pages_in_use == 0
+        assert stats.page_faults == stats.pages_freed
 
     def test_release_inflight_with_snapshots_resumes_identically(self, model):
         requests = sample_requests(
             8, vocab_size=model.config.vocab_size, seed=5
         )
-        reference = ServingEngine(model, max_active=4, page_size=8)
-        ref_handles = reference.submit_many(requests)
-        reference.run()
+        expected = _reference_tokens(model, requests)
 
-        engine = ServingEngine(model, max_active=4, page_size=8, kv_snapshots=True)
+        engine = ServingEngine(
+            model, max_active=4, page_size=8, kv_snapshots=True
+        )
         handles = engine.submit_many(requests)
-        engine.run(max_steps=6)
-        engine.release_inflight()
+        assert engine.run(max_steps=6).truncated
+        engine.run()
+        assert [h.generated_tokens for h in handles] == expected
         assert engine.arena.stats.pages_in_use == 0
-        engine.run()
-        for ref, h in zip(ref_handles, handles):
-            assert h.generated_tokens == ref.generated_tokens
-
-    def test_release_inflight_on_idle_engine_is_a_noop(self, model):
-        engine = ServingEngine(model, max_active=2, page_size=8)
-        assert engine.release_inflight() == 0
-        requests = sample_requests(3, vocab_size=model.config.vocab_size, seed=1)
-        engine.submit_many(requests)
-        engine.run()
-        assert engine.release_inflight() == 0
-
-
-class TestSplitStreams:
-    def test_split_streams_is_deterministic_and_distinct(self):
-        seeds = split_streams(4, seed=42)
-        assert seeds == split_streams(4, seed=42)
-        assert len(seeds) == len(set(seeds)) == 4
-        assert all(isinstance(s, int) for s in seeds)
-        assert split_streams(4, seed=43) != seeds
-        with pytest.raises(ValueError):
-            split_streams(0)
-
-    def test_children_feed_sample_requests_independently(self, model):
-        vocab = model.config.vocab_size
-        a, b = split_streams(2, seed=7)
-        stream_a = sample_requests(6, vocab_size=vocab, seed=a)
-        stream_b = sample_requests(6, vocab_size=vocab, seed=b)
-        tokens_a = [r.prompt_tokens for r in stream_a]
-        tokens_b = [r.prompt_tokens for r in stream_b]
-        assert tokens_a != tokens_b
-        # replay: same root seed, same children, same streams
-        a2, b2 = split_streams(2, seed=7)
-        assert [r.prompt_tokens for r in sample_requests(6, vocab_size=vocab, seed=a2)] == tokens_a
-
-    def test_single_stream_seed_untouched(self, model):
-        """The additive helper does not perturb existing seed behaviour."""
-        vocab = model.config.vocab_size
-        before = sample_requests(5, vocab_size=vocab, seed=3)
-        split_streams(8, seed=3)  # spawning must not consume global state
-        after = sample_requests(5, vocab_size=vocab, seed=3)
-        assert [r.prompt_tokens for r in before] == [r.prompt_tokens for r in after]
-        assert [r.arrival_step for r in before] == [r.arrival_step for r in after]
+        assert engine.arena.stats.page_faults == engine.arena.stats.pages_freed
