@@ -131,17 +131,20 @@ def from_bitslices(
     if not slices:
         raise ValueError("need at least one bit slice")
     bits = len(slices)
-    arrays = [np.asarray(s, dtype=np.int64) for s in slices]
     if fmt == "twos_complement":
+        arrays = [np.asarray(s, dtype=np.int64) for s in slices]
         total = np.zeros_like(arrays[0])
         for i in range(bits - 1):
             total = total + (arrays[i] << i)
         total = total - (arrays[bits - 1] << (bits - 1))
         return total
-    magnitude = np.zeros_like(arrays[0])
+    # shift-or the magnitude in the narrowest unsigned dtype that holds its
+    # bits - 1 bits; sign_magnitude_combine widens it to int64 once.
+    mag_dtype = np.min_scalar_type((1 << (bits - 1)) - 1)
+    magnitude = np.zeros(np.shape(slices[0]), dtype=mag_dtype)
     for i in range(bits - 1):
-        magnitude = magnitude + (arrays[i] << i)
-    return sign_magnitude_combine(arrays[bits - 1], magnitude)
+        magnitude |= np.asarray(slices[i], dtype=mag_dtype) << mag_dtype.type(i)
+    return sign_magnitude_combine(slices[bits - 1], magnitude)
 
 
 def slice_sparsity(slices: Iterable[np.ndarray]) -> List[float]:

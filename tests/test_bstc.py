@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.bstc import (
     BSTCCodec,
     BSTCConfig,
+    EncodedPlane,
     analytic_compression_ratio,
     column_zero_probability,
     decode_plane,
@@ -16,6 +17,42 @@ from repro.core.bstc import (
     plane_compression_ratio,
 )
 from repro.sparsity.synthetic import gaussian_int_weights
+
+
+def _decode_plane_loop(encoded):
+    """Symbol-by-symbol reference decoder for compressed planes."""
+    rows, cols = encoded.shape
+    m = encoded.group_size
+    padded_rows = rows + ((-rows) % m)
+    plane = np.zeros((padded_rows, cols), dtype=np.uint8)
+    payload = encoded.payload
+    pos = 0
+    for start in range(0, padded_rows, m):
+        for c in range(cols):
+            if pos >= payload.size:
+                raise ValueError("truncated BSTC payload")
+            indicator = payload[pos]
+            pos += 1
+            if indicator:
+                column = payload[pos : pos + m]
+                if column.size < m:
+                    raise ValueError("truncated BSTC payload")
+                plane[start : start + m, c] = column
+                pos += m
+    if pos != payload.size:
+        raise ValueError(
+            f"BSTC payload has {payload.size - pos} trailing bits after decoding"
+        )
+    return plane[:rows]
+
+
+def _with_payload(encoded, payload):
+    return EncodedPlane(
+        payload=np.asarray(payload, dtype=np.uint8),
+        compressed=encoded.compressed,
+        shape=encoded.shape,
+        group_size=encoded.group_size,
+    )
 
 
 class TestEncodeDecodePlane:
@@ -70,7 +107,36 @@ class TestEncodeDecodePlane:
         with pytest.raises(ValueError):
             decode_plane(encoded)
 
-    @settings(max_examples=40, deadline=None)
+    def test_trailing_bits_raise(self):
+        plane = np.ones((4, 4), dtype=np.uint8)
+        encoded = encode_plane(plane, group_size=4)
+        encoded.payload = np.concatenate([encoded.payload, [0]]).astype(np.uint8)
+        with pytest.raises(ValueError, match="1 trailing bits"):
+            decode_plane(encoded)
+
+    def test_empty_plane_roundtrips(self):
+        for shape in ((0, 5), (6, 0), (0, 0)):
+            encoded = encode_plane(np.zeros(shape, dtype=np.uint8), group_size=3)
+            assert encoded.encoded_bits == 0
+            assert decode_plane(encoded).shape == shape
+
+    def test_encode_rejects_non_binary_plane(self):
+        for bad in (2, -1):
+            plane = np.array([[bad, 0], [0, 0], [0, 0], [0, 0]])
+            for compress in (True, False):
+                with pytest.raises(ValueError, match="0/1"):
+                    encode_plane(plane, group_size=4, compress=compress)
+
+    def test_decode_rejects_non_binary_payload(self):
+        plane = np.array([[0, 1], [0, 0], [0, 0], [0, 0]], dtype=np.uint8)
+        for compress in (True, False):
+            encoded = encode_plane(plane, group_size=4, compress=compress)
+            payload = encoded.payload.copy()
+            payload[np.flatnonzero(payload)[0]] = 2
+            with pytest.raises(ValueError, match="0/1"):
+                decode_plane(_with_payload(encoded, payload))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=1, max_value=20),
@@ -83,6 +149,37 @@ class TestEncodeDecodePlane:
         plane = (rng.random((rows, cols)) < density).astype(np.uint8)
         encoded = encode_plane(plane, group_size=m)
         assert np.array_equal(decode_plane(encoded), plane)
+
+
+class TestDecoderAgainstLoop:
+    """The vectorised decoder equals the symbol-by-symbol loop, errors included."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_loop_and_rejects_bad_lengths(self, rows, cols, m, density, seed):
+        rng = np.random.default_rng(seed)
+        plane = (rng.random((rows, cols)) < density).astype(np.uint8)
+        encoded = encode_plane(plane, group_size=m)
+        decoded = decode_plane(encoded)
+        assert decoded.dtype == np.uint8
+        assert np.array_equal(decoded, _decode_plane_loop(encoded))
+        assert np.array_equal(decoded, plane)
+
+        payload = encoded.payload
+        for cut in range(payload.size):
+            with pytest.raises(ValueError, match="truncated BSTC payload"):
+                decode_plane(_with_payload(encoded, payload[:cut]))
+        for extra in range(1, m + 2):
+            longer = np.concatenate([payload, rng.integers(0, 2, size=extra)])
+            for decoder in (decode_plane, _decode_plane_loop):
+                with pytest.raises(ValueError, match=f"{extra} trailing bits"):
+                    decoder(_with_payload(encoded, longer))
 
 
 class TestCompressionRatioModels:
@@ -177,7 +274,25 @@ class TestCodecRoundtrip:
         with pytest.raises(ValueError):
             BSTCConfig(sparsity_threshold=1.5)
 
-    @settings(max_examples=20, deadline=None)
+    @pytest.mark.parametrize("bits", [2, 4, 8, 9, 10, 16, 17, 27, 32])
+    def test_lossless_at_every_width(self, bits):
+        hi = (1 << (bits - 1)) - 1
+        rng = np.random.default_rng(bits)
+        # mostly zeros and small magnitudes, so the planes are sparse enough
+        # to be compressed, plus the extremes
+        small = min(hi, 3)
+        weights = rng.integers(-small, small + 1, size=(12, 40))
+        weights *= rng.random((12, 40)) < 0.25
+        weights[0, :3] = [hi, -hi, 0]
+        weights[5, 7] = rng.integers(-hi, hi + 1)
+        codec = BSTCCodec(BSTCConfig(bits=bits))
+        encoded = codec.encode(weights)
+        assert encoded.compressed_plane_indices
+        decoded = codec.decode(encoded)
+        assert decoded.dtype == np.int64
+        assert np.array_equal(decoded, weights)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
         st.integers(min_value=1, max_value=24),
         st.integers(min_value=1, max_value=24),
