@@ -4,8 +4,8 @@ For each batch size ``B`` in {1, 4, 8, 16} the same ``B`` prefilled decode
 streams advance ``N_STEPS`` tokens two ways:
 
 * **per-session loop** -- one ``model.forward`` call per stream per step
-  over standalone caches (what the engine's per-stream fallback runs for
-  models without ``prefill_batch``);
+  over standalone caches (the serial ``IncrementalDecoder.step`` driver of
+  ``generate()``);
 * **fused batched step** -- ``IncrementalDecoder.prefill_step_batch`` with
   every stream a one-row chunk (the engine's only decode path) stacks the
   streams into one ``(B, hidden)`` batch and runs a single quantised forward
@@ -20,13 +20,9 @@ policy-driven :class:`ServingEngine` under the shipped policies
 p95 latency, preemption and deadline-miss counts, and wall-clock tokens/sec.
 
 A third grid measures the **chunked batched prefill pipeline**: one
-prefill-heavy bursty (Pareto) trace at ``B = 8`` runs on the serial path
-(the model behind :class:`SerialOnly`: one-shot prefill at admission,
-per-stream decode) vs the batched pass, recording per-request *wall-clock*
-TTFT p50/p95
-(queue delay in steps is identical by construction, so wall time isolates
-the prefill execution strategy) plus a ``prefill_token_budget`` sweep
-showing the TTFT-vs-decode-throughput trade.
+prefill-heavy bursty (Pareto) trace at ``B = 8`` runs under a
+``prefill_token_budget`` sweep, recording per-request step-domain and
+*wall-clock* TTFT to show the TTFT-vs-decode-throughput trade.
 
 A fourth grid measures the **cross-request prefix cache**: a shared-prefix
 trace (every prompt opens with the same long head) runs with
@@ -40,9 +36,9 @@ solo decode, and every chunked/mixed prefill step), fused >= per-session at
 ``B = 8``, exactly one BSTC decode per weight matrix, the priority policy
 must cut high-priority p95
 latency strictly below FCFS on the bursty trace (with real preemptions),
-the deadline policy must not miss more deadlines than FCFS, batched
-prefill must not lose to serial prefill on wall-clock TTFT p95 (its
-step-domain report must be bit-identical), and the prefix cache must
+the deadline policy must not miss more deadlines than FCFS, the unbudgeted
+prefill run must keep the one-shot schedule (every first token in its
+request's admission step), and the prefix cache must
 allocate strictly fewer pages on the shared-prefix trace without losing
 the cache-off TTFT p95 (tokens, per-request metrics and -- on the
 divergent trace -- page faults all bit-identical).  Results are written to
@@ -90,13 +86,9 @@ HIGH_PRIORITY = 2
 
 # prefill grid: one prefill-heavy bursty trace (long prompts, short decodes,
 # dense Pareto bursts -- the regime where admissions dominate each step) at
-# B = GATED_BATCH, serial vs chunked batched prefill + a chunk-budget sweep
+# B = GATED_BATCH under a chunk-budget sweep
 PREFILL_REQUESTS = 32
 PREFILL_BUDGETS = (16, 32, 64, None)
-# batched prefill sits ~1.2-1.4x under serial TTFT p95; the gate allows a
-# 10% excursion on the median per-round p95 ratio so one noisy round on a
-# loaded CI runner cannot flip an unrelated PR red
-PREFILL_TTFT_GATE = 1.1
 TTFT_ROUNDS = 5
 
 # prefix-cache grid: one shared-prefix trace (a long common prompt head,
@@ -154,19 +146,6 @@ SPEC_SEED = 43
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
 
 
-class SerialOnly:
-    """``model`` without ``prefill_batch``: a forward-only model.
-
-    The engine serves it through ``IncrementalDecoder.prefill_step_batch``'s
-    per-stream fallback (one ``forward`` per stream, whole-prompt chunks).
-    """
-
-    def __init__(self, model):
-        self.forward = model.forward
-        self.new_cache = model.new_cache
-        self.config = model.config
-
-
 def _decode_step(decoders, tokens):
     """One batched decode step: every stream a one-row chunk.
 
@@ -182,8 +161,8 @@ def _paired_cpu_rounds(runs, rounds):
     ``runs`` maps two names ``(a, b)`` to callables returning
     ``(result, cost)``.  The cost is usually CPU seconds of the run's own
     hot loop, timed with ``time.process_time`` (immune to the container
-    scheduler preempting one run but not its partner); the TTFT grids pass
-    a wall-clock p95 TTFT instead.  Both run once untimed to warm caches, then
+    scheduler preempting one run but not its partner); the prefix-cache grid
+    passes a wall-clock p95 TTFT instead.  Both run once untimed to warm caches, then
     ``rounds`` rounds time them back to back in alternating order with the
     cyclic GC off, so drift cancels within a round and ordering bias across
     rounds.  ``ratio`` is the median over rounds of ``elapsed[a] /
@@ -335,22 +314,20 @@ def _prefill_trace(config):
     )
 
 
-def _ttft_wall_run(
-    model, requests, batched, budget=None, page_size=32, prefix_cache=False
-):
+def _ttft_wall_run(model, requests, budget=None, page_size=32, prefix_cache=False):
     """One engine run recording per-request wall-clock TTFT.
 
     A request's wall TTFT is the time from the start of its arrival step to
     the emission of its first token -- the wall-clock shadow of the
-    step-domain ``time_to_first_token_steps``, so the serial and batched
-    runs (whose step schedules are identical when ``budget`` is ``None``)
-    differ only by how fast each step executes its prefill work.
+    step-domain ``time_to_first_token_steps``, so two runs with the same
+    step schedule differ only by how fast each step executes its work.
     """
+    config = model.config
     engine = ServingEngine(
-        model if batched else SerialOnly(model),
+        model,
         max_active=GATED_BATCH,
+        arena=PagedKVArena(config.n_layers, config.hidden_size, page_size=page_size),
         prefill_token_budget=budget,
-        page_size=page_size,
         prefix_cache=prefix_cache,
     )
     first_token_wall = {}
@@ -373,13 +350,15 @@ def _ttft_wall_run(
 
 
 def _prefill_rows(model):
-    """Serial vs chunked batched prefill TTFT, plus the chunk-budget sweep.
+    """The chunk-budget sweep over the prefill-heavy trace.
 
     Every run -- any budget, any mixed decode+prefill step, including the
     budget-stretched multi-step prefills -- must reproduce each request's
     solo-decode tokens exactly; that is the CI gate pinning that the chunked
-    pipeline never changes content.  Preemption resumes ride the same
-    batched path (see the policy grid's priority/deadline runs).
+    pipeline never changes content.  The unbudgeted run must also keep the
+    one-shot schedule: each prompt completes in its admission step.
+    Preemption resumes ride the same batched path (see the policy grid's
+    priority/deadline runs).
     """
     config = model.config
     requests = _prefill_trace(config)
@@ -389,52 +368,28 @@ def _prefill_rows(model):
         ).generated_tokens
         for r in requests
     }
-    def ttft_p95(mode):
-        report, handles, ttfts = _ttft_wall_run(
-            model, requests, batched=mode == "batched"
-        )
-        for handle in handles:
-            assert handle.generated_tokens == reference[handle.request_id], (
-                f"{mode} prefill diverged from the solo reference for "
-                f"{handle.request_id}"
-            )
-        return (report, ttfts), float(np.percentile(ttfts, 95))
-
-    # gate value: the median over interleaved rounds of serial / batched p95
-    speedup, best, results = _paired_cpu_rounds(
-        {mode: lambda mode=mode: ttft_p95(mode) for mode in ("serial", "batched")},
-        TTFT_ROUNDS,
-    )
-    rows = {}
-    reports = {}
-    for mode, (report, ttfts) in results.items():
-        reports[mode] = report
-        rows[mode] = {
-            "ttft_wall_p50_ms": float(np.percentile(ttfts, 50)) * 1e3,
-            "ttft_wall_p95_ms": best[mode] * 1e3,
-            "steps": report.steps,
-            "ttft_steps_p95": float(
-                np.percentile(
-                    [m.time_to_first_token_steps for m in report.requests], 95
-                )
-            ),
-        }
-    # with no budget cap the batched pipeline must not perturb the
-    # step-domain schedule at all: the whole report is bit-identical
-    assert (
-        reports["batched"].requests == reports["serial"].requests
-    ), "chunked prefill changed the step-domain schedule at unlimited budget"
-
     sweep = []
     for budget in PREFILL_BUDGETS:
-        report, handles, ttfts = _ttft_wall_run(
-            model, requests, batched=True, budget=budget
-        )
+        report, handles, ttfts = _ttft_wall_run(model, requests, budget=budget)
         for handle in handles:
             assert handle.generated_tokens == reference[handle.request_id], (
                 f"budget={budget} prefill diverged for {handle.request_id}"
             )
         metrics = report.requests
+        if budget is None:
+            assert all(
+                m.first_token_step == m.admitted_step for m in metrics
+            ), "an unbudgeted prompt spilled past its admission step"
+            batched = {
+                "ttft_wall_p50_ms": float(np.percentile(ttfts, 50)) * 1e3,
+                "ttft_wall_p95_ms": float(np.percentile(ttfts, 95)) * 1e3,
+                "steps": report.steps,
+                "ttft_steps_p95": float(
+                    np.percentile(
+                        [m.time_to_first_token_steps for m in metrics], 95
+                    )
+                ),
+            }
         sweep.append(
             {
                 "prefill_token_budget": budget,
@@ -459,9 +414,7 @@ def _prefill_rows(model):
     return {
         "batch": GATED_BATCH,
         "requests": PREFILL_REQUESTS,
-        "serial": rows["serial"],
-        "batched": rows["batched"],
-        "ttft_p95_speedup": speedup,
+        "batched": batched,
         "budget_sweep": sweep,
     }
 
@@ -515,7 +468,6 @@ def _prefix_cache_block(model):
         report, handles, ttfts = _ttft_wall_run(
             model,
             shared,
-            batched=True,
             page_size=PREFIX_PAGE_SIZE,
             prefix_cache=mode == "on",
         )
@@ -559,7 +511,6 @@ def _prefix_cache_block(model):
         report, handles, _ = _ttft_wall_run(
             model,
             divergent,
-            batched=True,
             page_size=PREFIX_PAGE_SIZE,
             prefix_cache=cache,
         )
@@ -746,9 +697,11 @@ def _snapshot_block(model):
         engine = ServingEngine(
             model,
             max_active=GATED_BATCH,
+            arena=PagedKVArena(
+                config.n_layers, config.hidden_size, kv_dtype=kv_dtype
+            ),
             scheduling=make_policy("priority"),
             kv_snapshots=kv_snapshots,
-            kv_dtype=kv_dtype,
         )
         handles = engine.submit_many(requests)
         report = engine.run()
@@ -1046,7 +999,7 @@ def test_batched_decode_throughput(benchmark):
     # policy grid: priority/deadline/aging service under one bursty trace
     policy_rows = _policy_rows(model)
 
-    # prefill grid: chunked batched prefill vs serial, wall-clock TTFT
+    # prefill grid: chunk-budget sweep, step-domain and wall-clock TTFT
     prefill_block = _prefill_rows(model)
 
     # prefix-cache grid: shared-head trace cache on/off + divergent no-op
@@ -1101,10 +1054,9 @@ def test_batched_decode_throughput(benchmark):
                 for name, r in policy_rows.items()
             ]
         )
-        + "\nprefill TTFT (wall): serial p95 "
-        f"{prefill_block['serial']['ttft_wall_p95_ms']:.2f} ms   batched p95 "
-        f"{prefill_block['batched']['ttft_wall_p95_ms']:.2f} ms   "
-        f"(median round {prefill_block['ttft_p95_speedup']:.2f}x)"
+        + "\nprefill TTFT (wall, unbudgeted): p50 "
+        f"{prefill_block['batched']['ttft_wall_p50_ms']:.2f} ms   p95 "
+        f"{prefill_block['batched']['ttft_wall_p95_ms']:.2f} ms"
         + "\n"
         + "\n".join(
             f"  budget={str(r['prefill_token_budget']):>4}: "
@@ -1184,18 +1136,6 @@ def test_batched_decode_throughput(benchmark):
         policy_rows["deadline"]["deadline_misses"]
         <= policy_rows["fcfs"]["deadline_misses"]
     ), "deadline policy misses more deadlines than FCFS"
-    # CI gate: chunked batched prefill must not lose to the serial path on
-    # wall-clock TTFT p95 over the prefill-heavy bursty trace: the median
-    # per-round serial/batched p95 ratio stays >= 1 / PREFILL_TTFT_GATE.
-    # Token divergence and step-schedule divergence assert inside
-    # _prefill_rows, so correctness never rides on a timer.
-    assert prefill_block["ttft_p95_speedup"] >= 1.0 / PREFILL_TTFT_GATE, (
-        "batched prefill lost to serial prefill on TTFT p95: median round "
-        f"{prefill_block['ttft_p95_speedup']:.2f}x (best "
-        f"{prefill_block['batched']['ttft_wall_p95_ms']:.2f} vs "
-        f"{prefill_block['serial']['ttft_wall_p95_ms']:.2f} ms, "
-        f"gate 1/{PREFILL_TTFT_GATE})"
-    )
     # CI gate: the prefix cache must not lose the cache-off TTFT p95 on the
     # shared-prefix trace (it skips most prompt rows, so it should win; the
     # gate only absorbs timer noise in the median off/on round ratio).

@@ -67,6 +67,7 @@ from repro.model import (
 )
 from repro.serve import (
     FaultPlan,
+    PagedKVArena,
     Request,
     ServingEngine,
     SpeculationConfig,
@@ -79,7 +80,7 @@ POLICY_NAMES = ("fcfs", "priority", "deadline", "aging")
 
 def simulate_traffic(n_requests: int = 24, max_active: int = 8, quiet: bool = False):
     config = get_model_config("tiny")
-    model = TransformerModel(config, seed=0)
+    model = QuantizedTransformer(TransformerModel(config, seed=0), seed=1)
     predictor = make_bgpp_predictor(alpha=0.7, rounds=3)
     requests = sample_requests(
         n_requests,
@@ -117,7 +118,7 @@ def policy_comparison(policy: str = None, n_requests: int = 32,
                       max_active: int = 4) -> None:
     """The same bursty trace under FCFS vs priority vs deadline policies."""
     config = get_model_config("tiny")
-    model = TransformerModel(config, seed=0)
+    model = QuantizedTransformer(TransformerModel(config, seed=0), seed=1)
     requests = _bursty_prioritized_requests(config.vocab_size, n_requests)
     n_high = sum(1 for r in requests if r.priority > 0)
 
@@ -190,8 +191,8 @@ def fused_decode_demo(n_requests: int = 16, max_active: int = 8) -> None:
           f"{fused_report.steps} steps "
           f"({fused_report.throughput_tokens_per_step:.2f} tok/step, "
           f"bit-exact vs solo generate() per request)")
-    print(f"forward passes/step : 1 fused (vs up to {forwards_per_step} "
-          f"per-session calls on the sequential path)")
+    print(f"forward passes/step : 1 fused (for up to {forwards_per_step} "
+          f"co-resident sessions)")
     print(f"BSTC decodes        : {engine.codec.decode_calls} "
           f"(= {n_matrices} weight matrices, decoded once each; "
           f"plane-cache hit rate {hit_rate:.1%})")
@@ -212,8 +213,6 @@ def prefix_cache_demo(n_requests: int = 16, max_active: int = 8) -> None:
     model = QuantizedTransformer(TransformerModel(config, seed=0), seed=1)
     rng = np.random.default_rng(7)
     system_prompt = rng.integers(0, config.vocab_size, size=40).tolist()
-    from repro.serve import Request
-
     requests = [
         Request(
             f"chat{i:02d}",
@@ -226,8 +225,9 @@ def prefix_cache_demo(n_requests: int = 16, max_active: int = 8) -> None:
     ]
 
     def run(prefix_cache: bool):
+        arena = PagedKVArena(config.n_layers, config.hidden_size, page_size=8)
         serving = ServingEngine(
-            model, max_active=max_active, page_size=8, prefix_cache=prefix_cache
+            model, max_active=max_active, arena=arena, prefix_cache=prefix_cache
         )
         handles = serving.submit_many(requests)
         report = serving.run()
@@ -270,13 +270,15 @@ def snapshot_demo(n_requests: int = 24, max_active: int = 4) -> None:
     )
 
     def run(kv_snapshots: bool, kv_dtype=None):
+        arena = PagedKVArena(
+            config.n_layers, config.hidden_size, page_size=8, kv_dtype=kv_dtype
+        )
         serving = ServingEngine(
             model,
             max_active=max_active,
+            arena=arena,
             scheduling=make_policy("priority"),
-            page_size=8,
             kv_snapshots=kv_snapshots,
-            kv_dtype=kv_dtype,
         )
         handles = serving.submit_many(requests)
         report = serving.run()

@@ -77,16 +77,21 @@ class IncrementalDecoder:
 
     This is the unit the serving layer multiplexes -- each concurrent request
     owns one decoder (its KV caches and per-stage statistics) while all
-    decoders share the same underlying model weights.  :func:`generate` is a
-    thin single-stream driver over the same API.
+    decoders share the same underlying model weights.
 
-    ``model`` may be a :class:`~repro.model.transformer.TransformerModel` or
-    :class:`~repro.model.transformer.QuantizedTransformer` -- anything exposing
-    ``forward(tokens, caches, predictor)`` and ``new_cache()``.  When
-    ``arena`` (a :class:`~repro.serve.kv_arena.PagedKVArena`) is given, the
-    decoder's KV caches are thin handles onto one arena session instead of
-    standalone buffers; :meth:`release` returns the session's pages once the
-    stream is finished.
+    Two drivers share the class.  The serial one, :meth:`prefill` then
+    :meth:`step`, runs ``forward(tokens, caches, predictor)`` on anything
+    exposing it and ``new_cache()`` -- a
+    :class:`~repro.model.transformer.TransformerModel` or
+    :class:`~repro.model.transformer.QuantizedTransformer` -- over standalone
+    caches; :func:`generate` drives it, and it is the oracle the serving
+    tests compare against.  The serving one, :meth:`begin_prefill` then
+    :meth:`prefill_step_batch`, needs a model with ``prefill_batch`` (the
+    quantised transformer) and runs every stream of a step in one fused
+    pass.  When ``arena`` (a :class:`~repro.serve.kv_arena.PagedKVArena`) is
+    given, the decoder's KV caches are thin handles onto one arena session
+    instead of standalone buffers; :meth:`release` returns the session's
+    pages once the stream is finished.
 
     With ``prefix_cache=True`` (requires an arena) the decoder consults the
     arena's cross-request prefix index in :meth:`begin_prefill` (the serial
@@ -310,14 +315,6 @@ class IncrementalDecoder:
         share one model and one predictor.  A step of decode rows alone is
         simply a batch of one-row chunks.
 
-        A model without ``prefill_batch`` (the float model, test stubs) runs
-        one ``forward(chunk, caches, predictor)`` per stream instead, with the
-        same return values.  Its prompt chunks must each be the decoder's
-        whole remaining prompt (``ValueError`` otherwise): a per-stream
-        forward reduces each softmax over the keys present so far, which is
-        the one-shot :meth:`prefill` width only when nothing of the prompt is
-        left over.
-
         **Speculative decode** (``draft_tokens``: one token list per decode
         stream; ``None`` means an empty list for every stream, which is plain
         decode): stream ``j``'s chunk is
@@ -360,7 +357,6 @@ class IncrementalDecoder:
         everyone = prefills + decodes
         model = everyone[0].model
         predictor = everyone[0].predictor
-        fused = getattr(model, "prefill_batch", None)
         if not all(d.model is model and d.predictor is predictor for d in everyone):
             raise RuntimeError("mixed prefill batches need one shared model")
 
@@ -374,12 +370,6 @@ class IncrementalDecoder:
                     f"chunk of {n} rows outside the remaining "
                     f"{decoder.prefill_remaining}-token prompt"
                 )
-            if fused is None and n != decoder.prefill_remaining:
-                raise ValueError(
-                    f"chunk of {n} rows leaves part of the remaining "
-                    f"{decoder.prefill_remaining}-token prompt; a model "
-                    f"without prefill_batch prefills whole prompts only"
-                )
             start = decoder._prefill_done
             chunks.append(decoder._prefill_pending[start : start + n])
             totals.append(len(decoder._prefill_pending))
@@ -390,19 +380,13 @@ class IncrementalDecoder:
             totals.append(decoder.seq_len + 1 + len(tail))
 
         spec_idx = [len(prefills) + j for j, d in enumerate(drafts) if d]
-        caches = [d.caches for d in everyone]
-        if fused is None:
-            logits, stats_list, row_logits = _forward_each(
-                model, chunks, caches, predictor
-            )
-        else:
-            logits, stats_list, row_logits = fused(
-                chunks,
-                caches,
-                predictor=predictor,
-                total_lens=totals,
-                row_logits_for=spec_idx,
-            )
+        logits, stats_list, row_logits = model.prefill_batch(
+            chunks,
+            [d.caches for d in everyone],
+            predictor=predictor,
+            total_lens=totals,
+            row_logits_for=spec_idx,
+        )
 
         prefill_out: List[Optional[int]] = []
         for i, (decoder, n) in enumerate(zip(prefills, chunk_sizes)):
@@ -479,20 +463,6 @@ class IncrementalDecoder:
         base = self.prefill_stats or self._prefill_partial
         total = base.keys_total if base else 0
         return total + sum(s.keys_total for s in self.decode_stats)
-
-
-def _forward_each(model, chunks, caches_list, predictor):
-    """One ``model.forward`` per stream, in ``prefill_batch``'s return shape.
-
-    Per-row logits come back for every stream: the forward computed them.
-    """
-    logits, stats = zip(
-        *(
-            model.forward(chunk, caches=caches, predictor=predictor)
-            for chunk, caches in zip(chunks, caches_list)
-        )
-    )
-    return np.stack([rows[-1] for rows in logits]), list(stats), dict(enumerate(logits))
 
 
 def generate(

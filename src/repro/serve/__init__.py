@@ -24,12 +24,11 @@ Execution is *fused*: each engine step builds one mixed batch -- every
 decoding session's token as a one-row chunk plus up to
 ``prefill_token_budget`` ragged prompt chunk rows from the ``PREFILLING``
 sessions (the chunked batched prefill pipeline: admissions and preemption
-resumes alike) -- and models exposing ``prefill_batch`` (the quantised
-transformer) run a single forward pass for the whole batch, one GEMM per
+resumes alike) -- and the model's ``prefill_batch`` (the quantised
+transformer's) runs a single forward pass for the whole batch, one GEMM per
 weight matrix and one ragged attention per layer, with bit-identical tokens
-and statistics to per-session serial prefill and stepping.  Pure-decode
-steps take the same pass; models without ``prefill_batch`` take the same
-step body with one ``forward`` per stream and whole-prompt chunks.
+and statistics to a solo :func:`~repro.model.generation.generate` run.
+Pure-decode steps take the same pass.
 
 KV storage is *paged*: every session's per-layer keys/values live as
 fixed-size pages inside one :class:`PagedKVArena` (vLLM-style), read by
@@ -43,8 +42,9 @@ deadline-miss counts.  Two opt-in capacity levers layer on top:
 **snapshot preemption** (``ServingEngine(kv_snapshots=True)``) copies a
 victim's pages off-arena and faults them back on resume -- zero re-prefill
 forward passes, bit-identical tokens *and* metrics -- and **int8 KV pages**
-(``kv_dtype="int8"``) store pool rows quantised with per-page scales for an
-~8x smaller arena and snapshots (:class:`KVDtype`, :class:`KVSnapshot`).
+(``PagedKVArena(..., kv_dtype="int8")``) store pool rows quantised with
+per-page scales for an ~8x smaller arena and snapshots (:class:`KVDtype`,
+:class:`KVSnapshot`).
 
 The failure model lives in :mod:`repro.serve.faults`: a deterministic,
 seedable :class:`FaultInjector` (driven by a :class:`FaultPlan`) threads

@@ -328,7 +328,8 @@ class PagedKVArena:
         large pages mean fewer allocations.
     initial_pages:
         Pool capacity to preallocate; the pool doubles (bounded by
-        ``max_pages``) whenever the free list runs dry.
+        ``max_pages``) whenever the free list runs dry.  ``None`` (the
+        default) preallocates 64 pages, or ``max_pages`` when that is fewer.
     max_pages:
         Hard capacity bound; exhausting it raises ``RuntimeError`` instead of
         growing, modelling a fixed HBM budget.
@@ -351,11 +352,13 @@ class PagedKVArena:
         n_layers: int,
         hidden_size: int,
         page_size: int = 32,
-        initial_pages: int = 64,
+        initial_pages: Optional[int] = None,
         max_pages: Optional[int] = None,
         dtype=np.float64,
         kv_dtype=None,
     ) -> None:
+        if initial_pages is None:
+            initial_pages = 64 if max_pages is None else min(64, max_pages)
         if n_layers < 1 or hidden_size < 1:
             raise ValueError("n_layers and hidden_size must be >= 1")
         if page_size < 1:

@@ -48,7 +48,6 @@ you also re-verify drain behaviour -- see ``src/repro/serve/README.md``.
 from __future__ import annotations
 
 import math
-import warnings
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -75,12 +74,6 @@ def _deadline_value(handle: "RequestHandle") -> float:
 
 def _arrival_key(handle: "RequestHandle") -> Tuple:
     return (handle.request.arrival_step, handle.index)
-
-
-# one-shot process-wide latch: wrapping a policy in ArenaBudgetPolicy on an
-# engine that has no arena is legal (the gate just admits everything) but
-# almost certainly a misconfiguration, so the first such submit warns once
-_arena_budget_warned = False
 
 
 class SchedulingPolicy(ABC):
@@ -374,9 +367,8 @@ class ArenaBudgetPolicy(_DelegatingPolicy):
     bound (the ROADMAP's "reject/queue when the pool is near ``max_pages``
     instead of growing or raising").
 
-    Engines without an arena (a one-shot ``RuntimeWarning`` flags the inert
-    pairing), arenas without a ``max_pages`` budget, and an idle engine
-    (nothing active -- refusing then would deadlock the queue) admit
+    Arenas without a ``max_pages`` budget and an idle engine (nothing
+    active -- refusing then would deadlock the queue) admit
     unconditionally.
 
     Reservations are pinned per handle at admission (:meth:`on_admit`) and
@@ -460,7 +452,7 @@ class ArenaBudgetPolicy(_DelegatingPolicy):
         """
         super().on_admit(handle, engine)
         arena = engine.arena
-        if arena is None or arena.max_pages is None:
+        if arena.max_pages is None:
             return
         handle.reserved_pages = self._charged_pages(arena, handle, engine)
 
@@ -486,18 +478,6 @@ class ArenaBudgetPolicy(_DelegatingPolicy):
         """
         super().check_submit(request, engine)
         arena = engine.arena
-        if arena is None:
-            global _arena_budget_warned
-            if not _arena_budget_warned:
-                _arena_budget_warned = True
-                warnings.warn(
-                    "ArenaBudgetPolicy runs on an engine that has no KV "
-                    "arena; the page-budget gate is inert and every "
-                    "request admits unconditionally",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return
         if arena.max_pages is None:
             return
         needed = self._request_pages(arena, request)
@@ -511,7 +491,7 @@ class ArenaBudgetPolicy(_DelegatingPolicy):
 
     def may_admit(self, handle: "RequestHandle", engine: "ServingEngine") -> bool:
         arena = engine.arena
-        if arena is None or arena.max_pages is None:
+        if arena.max_pages is None:
             return True
         if not super().may_admit(handle, engine):
             return False

@@ -33,11 +33,7 @@ Each engine step:
    one GEMM per weight matrix for the whole step, one ragged chunked
    attention per layer.  Sessions whose last chunk landed emit their first
    token.  A pure-decode step is the same pass over one-row chunks (even a
-   batch of one): there is no separate decode driver.  Models without
-   ``prefill_batch`` (the float model, test stubs) take the same step body:
-   their decoders run one ``forward`` per stream, and each admission gets
-   its whole remaining prompt as one chunk whatever the budget, so the step
-   schedule is one-shot prefill at admission plus one token per step;
+   batch of one): there is no separate decode driver;
 5. retires finished sessions, freeing their slots -- and their KV arena
    pages -- for the next step.
 
@@ -101,8 +97,9 @@ class ServingReport:
     """Aggregate outcome of an engine run.
 
     ``arena`` carries the KV arena's occupancy / paging / copy-traffic
-    counters (:meth:`repro.serve.kv_arena.ArenaStats.to_json`) when the run
-    used one, ``None`` otherwise.  ``policy`` is the per-policy metrics
+    counters (:meth:`repro.serve.kv_arena.ArenaStats.to_json`); it is
+    ``None`` only in reports loaded from payloads written before the arena
+    existed.  ``policy`` is the per-policy metrics
     block: which scheduling policy ran plus its aggregate
     preemption / deadline-miss / cancellation counts (and, since the failure
     model landed, failed / timed-out / shed / retry / callback-error counts).
@@ -370,56 +367,33 @@ class ServingEngine:
     Parameters
     ----------
     model:
-        Shared inference substrate (``forward``/``new_cache``), typically a
-        :class:`~repro.model.transformer.TransformerModel` or
-        :class:`~repro.model.transformer.QuantizedTransformer`.  Every step
-        -- prompt chunks, decode rows, speculative verify chunks -- goes
-        through :meth:`GenerationSession.prefill_step_batch`: one batched
-        pass for a model exposing ``prefill_batch`` (the quantised
-        transformer), one ``forward`` per stream for any other model, which
-        then prefills each prompt in one chunk.  Tokens are identical either
-        way.
+        Shared inference substrate exposing ``prefill_batch``, ``new_cache``
+        and ``config`` -- the
+        :class:`~repro.model.transformer.QuantizedTransformer`
+        (``TypeError`` otherwise).  Every step -- prompt chunks, decode
+        rows, speculative verify chunks -- goes through one
+        :meth:`GenerationSession.prefill_step_batch` pass over the arena.
     max_active:
         Maximum number of concurrently decoding sessions (batch slots).
     predictor:
         Optional BGPP/top-k key predictor shared by all sessions.
     arena:
-        An optional :class:`~repro.serve.kv_arena.PagedKVArena` to share
-        (several engines may use one pool).  ``None`` (the default) builds
-        one sized from ``model.config`` if and only if the model exposes
-        ``prefill_batch`` and a ``config``: every session's KV then lives in
-        one paged pool, finished sessions return their pages, and batched
-        attention reads the pool through an incrementally maintained view.
-        Other models keep standalone per-session caches (a per-stream
-        ``forward`` would materialise the whole context from the pool every
-        step).
-    page_size:
-        Tokens per arena page when the engine builds the arena itself.
-    max_pages:
-        Hard page budget of the self-built arena (``None`` = unbounded,
-        geometric growth).  Set it when running the engine with
-        :class:`~repro.serve.policies.ArenaBudgetPolicy`, whose watermark
-        gate is relative to this bound -- with an unbounded arena the gate
-        has nothing to enforce and admits everything.  Needs a self-built
-        arena: ``ValueError`` on an engine without one (the budget would be
-        silently unenforced) and beside a shared ``PagedKVArena`` (whose own
-        constructor owns the bound).
+        The :class:`~repro.serve.kv_arena.PagedKVArena` holding every
+        session's KV (several engines may share one pool); finished
+        sessions return their pages, and batched attention reads the pool
+        through an incrementally maintained view.  ``None`` (the default)
+        builds ``PagedKVArena(config.n_layers, config.hidden_size)``:
+        32-token pages, unbounded, full precision.  Page size, the
+        ``max_pages`` budget that
+        :class:`~repro.serve.policies.ArenaBudgetPolicy` gates against, and
+        the ``kv_dtype`` storage mode are set on the arena itself.
     prefix_cache:
         Share prompt KV across requests through the arena's content-keyed
         prefix index: completed prefills register their prompt pages, later
         sessions with a matching prompt head map those pages read-only and
         skip the matched rows' prefill compute (copy-on-write protects
         shared pages; see :class:`~repro.serve.kv_arena.PagedKVArena`).
-        Tokens and per-request metrics are bit-identical to a cold run;
-        requires an arena (``ValueError`` otherwise).
-    kv_dtype:
-        Storage dtype of the self-built arena's KV pool:
-        :class:`~repro.serve.kv_arena.KVDtype` (or its string value).
-        ``"int8"`` stores rows quantised with per-page per-layer scales
-        (~8x smaller pool and snapshots) and dequantises on every read;
-        ``None`` (the default) keeps full-precision rows, byte-identical
-        to an engine without the knob.  Needs a self-built arena, like
-        ``max_pages``.
+        Tokens and per-request metrics are bit-identical to a cold run.
     kv_snapshots:
         Preempt and (trusted-)retry arena-backed sessions by **snapshot**:
         the victim's KV pages are copied off-arena
@@ -429,9 +403,8 @@ class ServingEngine:
         tokens and metrics to an uninterrupted run.  Untrusted KV --
         fault sites at or after the forward pass (``session.compute``,
         ``session.append`` corruption) -- always falls back to the
-        re-prefill path.  Requires an arena (``ValueError`` otherwise);
-        off (the default) keeps the release-and-re-prefill behaviour
-        byte-identical to before the knob existed.
+        re-prefill path.  Off (the default) keeps the
+        release-and-re-prefill behaviour.
     speculative:
         Draft-then-verify multi-token decode
         (:mod:`repro.serve.speculative`).  An ``int`` is shorthand for
@@ -446,9 +419,7 @@ class ServingEngine:
         :meth:`~repro.serve.kv_arena.PagedKVArena.truncate_session` rolls
         the rejected KV rows back, so the committed token stream is
         **bit-identical** to one-token decode for any drafter and any
-        ``k``.  Requires a KV arena (``ValueError`` otherwise); ``None``
-        (the default) keeps plain one-token decode, byte-identical to an
-        engine without the knob.
+        ``k``.  ``None`` (the default) keeps plain one-token decode.
     scheduling:
         The :class:`~repro.serve.policies.SchedulingPolicy` that orders the
         ready queue, gates admissions and picks preemption victims;
@@ -493,13 +464,10 @@ class ServingEngine:
         model,
         max_active: int = 8,
         predictor: Optional[KeyPredictor] = None,
-        arena=None,
-        page_size: int = 32,
-        max_pages: Optional[int] = None,
+        arena: Optional[PagedKVArena] = None,
         scheduling: Optional[SchedulingPolicy] = None,
         prefill_token_budget: Optional[int] = None,
         prefix_cache: bool = False,
-        kv_dtype=None,
         kv_snapshots: bool = False,
         speculative=None,
         faults=None,
@@ -512,56 +480,30 @@ class ServingEngine:
             raise ValueError("prefill_token_budget must be >= 1 when given")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        missing = [
+            name
+            for name in ("prefill_batch", "new_cache", "config")
+            if not hasattr(model, name)
+        ]
+        if missing:
+            raise TypeError(
+                f"ServingEngine serves a model with prefill_batch, new_cache "
+                f"and config (the quantised transformer); "
+                f"{type(model).__name__} lacks {', '.join(missing)}"
+            )
+        if arena is None:
+            arena = PagedKVArena(model.config.n_layers, model.config.hidden_size)
+        elif not isinstance(arena, PagedKVArena):
+            raise TypeError(
+                f"arena must be a PagedKVArena to share or None, "
+                f"got {type(arena).__name__}"
+            )
         self.model = model
         self.max_active = max_active
         self.predictor = predictor
         self.prefill_token_budget = prefill_token_budget
-        # forward-only models prefill each prompt in one chunk
-        self._batched = hasattr(model, "prefill_batch")
         self.scheduling = scheduling if scheduling is not None else FCFSPolicy()
         self._speculative = resolve_speculation(speculative)
-        # the options that act on the engine's arena, as given
-        arena_options = [
-            name
-            for name, value in (
-                ("max_pages", max_pages),
-                ("kv_dtype", kv_dtype),
-                ("kv_snapshots", kv_snapshots or None),
-                ("prefix_cache", prefix_cache or None),
-                ("speculative", self._speculative),
-            )
-            if value is not None
-        ]
-        config = getattr(model, "config", None)
-        if arena is not None:
-            if not isinstance(arena, PagedKVArena):
-                raise TypeError(
-                    f"arena must be a PagedKVArena to share or None, "
-                    f"got {type(arena).__name__}"
-                )
-            # the instance's own constructor set (or declined) these;
-            # accepting them here too would silently shadow it
-            shadowed = [n for n in arena_options if n in ("max_pages", "kv_dtype")]
-            if shadowed:
-                raise ValueError(
-                    f"{' and '.join(shadowed)} conflict with a shared arena: "
-                    f"configure them on the PagedKVArena instance instead"
-                )
-        elif self._batched and config is not None:
-            arena = PagedKVArena(
-                n_layers=config.n_layers,
-                hidden_size=config.hidden_size,
-                page_size=page_size,
-                initial_pages=64 if max_pages is None else min(64, max_pages),
-                max_pages=max_pages,
-                kv_dtype=kv_dtype,
-            )
-        elif arena_options:
-            raise ValueError(
-                f"{', '.join(arena_options)} need a KV arena, and the engine "
-                f"has none: the model lacks prefill_batch or a config and no "
-                f"PagedKVArena was shared"
-            )
         if self._speculative is not None:
             self._drafter = self._speculative.drafter or NGramDrafter()
         else:
@@ -1081,19 +1023,17 @@ class ServingEngine:
         # schedule-time arena probe: every session about to append KV rows
         # this step (prefill chunks and decode rows alike) is tested before
         # the fused forward; faulted ones never enter it
-        if self._faults is not None and self.arena is not None:
+        if self._faults is not None:
             prefilling = self._check_arena_faults(prefilling, step)
             decoding = self._check_arena_faults(decoding, step)
         # spend the step's prefill-row budget in service order: the head
         # always progresses (its chunk is clamped to >= 1 row even under a
         # zero-returning policy override, so the engine cannot livelock),
         # long prompts split across steps, later sessions may wait a step
-        # entirely.  A forward-only model takes whole prompts
-        budget = None
-        if self._batched:
-            budget = self.scheduling.prefill_token_budget(self)
-            if self.watchdog is not None:
-                budget = self.watchdog.throttle(budget)
+        # entirely
+        budget = self.scheduling.prefill_token_budget(self)
+        if self.watchdog is not None:
+            budget = self.watchdog.throttle(budget)
         chunked: List[RequestHandle] = []
         chunk_sizes: List[int] = []
         for handle in prefilling:
@@ -1182,11 +1122,10 @@ class ServingEngine:
         if self._speculative is not None:
             stats["draft_proposed"] = spec_proposed
             stats["draft_accepted"] = spec_accepted
-        if self.arena is not None:
-            a = self.arena.stats
-            stats["arena_pages_in_use"] = a.pages_in_use
-            stats["arena_page_faults"] = a.page_faults
-            stats["arena_gather_bytes_copied"] = a.gather_bytes_copied
+        a = self.arena.stats
+        stats["arena_pages_in_use"] = a.pages_in_use
+        stats["arena_page_faults"] = a.page_faults
+        stats["arena_gather_bytes_copied"] = a.gather_bytes_copied
         self.last_step_stats = stats
 
         self.current_step += 1
@@ -1273,7 +1212,7 @@ class ServingEngine:
             steps=self.current_step,
             max_concurrency=self._max_concurrency,
             requests=metrics,
-            arena=self.arena.stats.to_json() if self.arena is not None else None,
+            arena=self.arena.stats.to_json(),
             policy=policy,
             truncated=self.has_work,
             leftover_queued=self.n_queued,

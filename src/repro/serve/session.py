@@ -33,9 +33,7 @@ Admission enters the **chunked prefill pipeline**: a ``PREFILLING`` session
 feeds its prompt to the model in ragged chunks (batched with every other
 prefilling and decoding session, one fused pass per engine step) and emits
 its first token the step the last chunk lands; decoding sessions ride the
-same pass as one-row chunks.  Models without ``prefill_batch`` ride the
-same step body: their decoders run one ``forward`` per stream, and the
-engine hands each admission its whole prompt as one chunk.
+same pass as one-row chunks.
 
 Preemption is the mechanism behind priority/deadline scheduling policies: a
 preempted session -- mid-decode *or* mid-prefill -- *releases its KV
@@ -284,7 +282,7 @@ class GenerationSession:
         self.model = model
         self.predictor = predictor
         self.arena = arena
-        self.prefix_cache = bool(prefix_cache and arena is not None)
+        self.prefix_cache = bool(prefix_cache)
         self.decoder: Optional[IncrementalDecoder] = IncrementalDecoder(
             model, predictor=predictor, arena=arena, prefix_cache=self.prefix_cache
         )
@@ -390,8 +388,8 @@ class GenerationSession:
         so the restored stream is indistinguishable from an uninterrupted
         one, metrics included (nothing is recomputed, so nothing is folded
         into the preemption bases).  Otherwise, or when there is nothing to
-        copy (standalone buffers have no page table), the decoder is dropped
-        and the resume re-prefills.
+        copy (a decoder without arena pages), the decoder is dropped and the
+        resume re-prefills.
         """
         live = self.state in (SessionState.ACTIVE, SessionState.PREFILLING)
         if snapshot and self.kv_snapshot is None and live:
@@ -426,19 +424,17 @@ class GenerationSession:
     def preempt(self, step: int, snapshot: bool = False) -> None:
         """Evict the session: release its KV storage, keep only the tokens.
 
-        The arena pages (or standalone buffers) return to the pool right away;
-        the generated-token snapshot is all :meth:`begin_resume` needs to
-        rebuild the stream.  Active *and mid-prefill* sessions can be
-        preempted -- a prefilling victim's partial chunks are discarded with
-        its pages (the KV rows *are* the progress) and the resume re-prefills
-        from scratch.
+        The arena pages return to the pool right away; the generated-token
+        snapshot is all :meth:`begin_resume` needs to rebuild the stream.
+        Active *and mid-prefill* sessions can be preempted -- a prefilling
+        victim's partial chunks are discarded with its pages (the KV rows
+        *are* the progress) and the resume re-prefills from scratch.
 
-        With ``snapshot=True`` an arena-backed session instead copies its KV
-        rows off-arena (:meth:`~repro.serve.kv_arena.PagedKVArena.\
+        With ``snapshot=True`` the session instead copies its KV rows
+        off-arena (:meth:`~repro.serve.kv_arena.PagedKVArena.\
 snapshot_session`) and keeps its decoder, so
-        :meth:`resume_from_snapshot` skips re-prefill entirely; non-arena
-        sessions silently fall back to the release path.  Either way the
-        pages a policy wanted back are free when this returns.
+        :meth:`resume_from_snapshot` skips re-prefill entirely.  Either way
+        the pages a policy wanted back are free when this returns.
         """
         if self.state not in (SessionState.ACTIVE, SessionState.PREFILLING):
             raise RuntimeError(
@@ -701,7 +697,7 @@ snapshot_session`) and keeps its decoder, so
         caches[0].append(garbage, garbage)
 
     def release_kv(self) -> None:
-        """Free the session's KV storage (arena pages or standalone buffers).
+        """Free the session's KV storage: its arena pages.
 
         The engine calls this when it retires a finished session, so arena
         occupancy tracks live tokens rather than peak concurrency.  Metrics

@@ -12,9 +12,9 @@ Pins every new batched fast path bit-exact against its sequential reference:
   chunks through ``QuantizedTransformer.prefill_batch`` over arena-backed
   caches) vs stepping each stream alone on standalone caches (tokens,
   logits and per-stream statistics);
-* the batched serving engine vs the same model behind :class:`SerialOnly`
-  (one ``forward`` per stream) over random traffic (ragged context lengths,
-  sessions finishing mid-run, B = 1 and all-finished steps);
+* the batched serving engine vs solo ``generate()`` runs over random
+  traffic (ragged context lengths, sessions finishing mid-run, B = 1 and
+  all-finished steps): tokens, attention traffic and the one-shot schedule;
 * ``MCBPEngine.matmul`` vs the bit-serial ``gemm`` path and its counters;
 * ``ServingReport`` JSON round-tripping (the schema shared between the
   example and the serving benchmark).
@@ -44,7 +44,7 @@ from repro.model.generation import IncrementalDecoder
 from repro.serve import PagedKVArena, Request, ServingEngine, ServingReport
 from repro.serve.session import GenerationSession
 from repro.workloads import sample_requests
-from doubles import SerialOnly, StubModel
+from doubles import assert_matches_solo
 
 
 @pytest.fixture(scope="module")
@@ -416,23 +416,6 @@ class TestStepBatch:
         assert np.array_equal(fast.keys_attended, slow.keys_attended)
         assert np.array_equal(fast.keys_total, slow.keys_total)
 
-    def test_falls_back_without_forward_batch(self):
-        """Decoders of a forward-only model step through the fallback."""
-        model = StubModel()
-        decoders = [IncrementalDecoder(model) for _ in range(2)]
-        tokens = [d.prefill([start]) for d, start in zip(decoders, (3, 7))]
-        calls = model.forward_calls
-        assert _decode_step(decoders, tokens) == [5, 9]
-        assert model.forward_calls == calls + 2  # one forward per stream
-        engine = ServingEngine(model, max_active=2)
-        handles = [
-            engine.submit(Request(f"r{start}", prompt_tokens=[start], max_new_tokens=3))
-            for start in (3, 7)
-        ]
-        engine.run()
-        assert engine.arena is None
-        assert [h.generated_tokens for h in handles] == [[4, 5, 6], [8, 9, 10]]
-
 
 class TestFusedScheduler:
     @settings(max_examples=8, deadline=None)
@@ -447,28 +430,22 @@ class TestFusedScheduler:
         )
         max_active = int(rng.integers(1, 9))
         fused = ServingEngine(tiny_quantized, max_active=max_active)
-        sequential = ServingEngine(SerialOnly(tiny_quantized), max_active=max_active)
-        fused_handles = fused.submit_many(requests)
-        seq_handles = sequential.submit_many(requests)
-        fused_report = fused.run()
-        seq_report = sequential.run()
-        assert fused_report.steps == seq_report.steps
-        for fh, sh in zip(fused_handles, seq_handles):
-            assert fh.generated_tokens == sh.generated_tokens
-            assert fh.metrics() == sh.metrics()
+        handles = fused.submit_many(requests)
+        report = fused.run()
+        assert_matches_solo(tiny_quantized, requests, handles)
+        # no prefill budget: every prompt lands in its admission step
+        for metrics in report.requests:
+            assert metrics.first_token_step == metrics.admitted_step
 
     def test_fused_with_bgpp_predictor_bit_exact(self, tiny_quantized):
         predictor = make_bgpp_predictor(alpha=0.7, rounds=3)
         requests = sample_requests(
             8, vocab_size=tiny_quantized.config.vocab_size, mean_interarrival=0.5, seed=4
         )
-        runs = []
-        for model in (tiny_quantized, SerialOnly(tiny_quantized)):
-            engine = ServingEngine(model, max_active=4, predictor=predictor)
-            handles = engine.submit_many(requests)
-            engine.run()
-            runs.append([h.generated_tokens for h in handles])
-        assert runs[0] == runs[1]
+        engine = ServingEngine(tiny_quantized, max_active=4, predictor=predictor)
+        handles = engine.submit_many(requests)
+        engine.run()
+        assert_matches_solo(tiny_quantized, requests, handles, predictor=predictor)
 
     def test_decode_step_batch_requires_active_sessions(self, tiny_quantized):
         request = Request("r0", prompt_tokens=[1, 2], max_new_tokens=4)

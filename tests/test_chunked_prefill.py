@@ -9,10 +9,8 @@ tests pin its core contract three ways:
   chunkings (including mixed decode+prefill batches) reproduces the one-shot
   serial forward bit-exactly: logits, KV rows and per-stream statistics;
 * **engine layer** -- a ``ServingEngine`` under any ``prefill_token_budget``
-  emits the same tokens as the engine serving the forward-only
-  :class:`SerialOnly` (whole-prompt chunks, one ``forward`` per stream) and
-  as solo ``generate()`` runs, with TTFT split into its queue/prefill
-  components;
+  emits the same tokens and attention traffic as solo ``generate()`` runs,
+  with TTFT split into its queue/prefill components;
 * **grouped decode rows** -- the batched pass is the engine's only decode
   path, so mixed batches of ragged one-row decode streams, prompt chunks and
   speculative verify chunks are fuzzed row by row against the serial
@@ -44,7 +42,7 @@ from repro.serve import (
     SessionState,
     make_policy,
 )
-from doubles import SerialOnly
+from doubles import assert_matches_solo
 
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
 
@@ -217,13 +215,6 @@ class TestModelLayerBitIdentity:
         with pytest.raises(ValueError):
             IncrementalDecoder.prefill_step_batch([decoder], [9])  # > remaining
         assert decoder.prefill_remaining == 3
-        # a forward-only model prefills whole prompts: a partial chunk would
-        # narrow its softmax below the one-shot width
-        forward_only = IncrementalDecoder(SerialOnly(model))
-        forward_only.begin_prefill([1, 2, 3])
-        with pytest.raises(ValueError, match="whole prompts"):
-            IncrementalDecoder.prefill_step_batch([forward_only], [2])
-        assert forward_only.prefill_remaining == 3
 
     def test_prompt_shorter_than_one_chunk(self, model):
         """A one-token prompt completes in its first (partial) chunk."""
@@ -434,46 +425,15 @@ class TestGroupedDecodeRows:
             assert batched.keys_attended[b] == serial.keys_attended
             assert batched.keys_total[b] == serial.keys_total
 
-    def test_model_without_prefill_batch_is_served_serially_bit_identical(
-        self, model
-    ):
-        rng = np.random.default_rng(13)
-        vocab = model.config.vocab_size
-        requests = [
-            Request(
-                f"s{i}",
-                prompt_tokens=rng.integers(0, vocab, size=int(n)).tolist(),
-                max_new_tokens=int(m),
-                arrival_step=i // 2,
-            )
-            for i, (n, m) in enumerate(zip([3, 9, 1, 6, 12], [4, 2, 5, 1, 3]))
-        ]
-        predictor = make_bgpp_predictor(alpha=0.7, rounds=3)
-        runs = [
-            _run_engine(model, requests, max_active=3, serial=serial,
-                        predictor=predictor)
-            for serial in (False, True)
-        ]
-        (fast, fast_report, fast_engine), (slow, slow_report, slow_engine) = runs
-        assert fast_engine.arena is not None and slow_engine.arena is None
-        assert fast_report.requests == slow_report.requests
-        assert fast_report.steps == slow_report.steps
-        for request, handle in zip(requests, slow):
-            solo = generate(
-                model, request.prompt_tokens, max_new_tokens=request.max_new_tokens,
-                predictor=predictor,
-            )
-            assert handle.generated_tokens == solo.generated_tokens
 
-
-def _run_engine(model, requests, max_active=4, budget=None, serial=False,
-                policy="fcfs", predictor=None):
+def _run_engine(model, requests, max_active=4, budget=None, policy="fcfs",
+                predictor=None):
     engine = ServingEngine(
-        SerialOnly(model) if serial else model,
+        model,
         max_active=max_active,
         predictor=predictor,
+        arena=_arena(model),
         scheduling=make_policy(policy),
-        page_size=4,
         prefill_token_budget=budget,
     )
     handles = engine.submit_many(requests)
@@ -501,15 +461,11 @@ class TestEngineBudgets:
         requests.sort(key=lambda r: r.arrival_step)
         max_active = int(rng.integers(1, 5))
         budget = int(rng.integers(1, 9))
-        serial_handles, _, _ = _run_engine(
-            model, requests, max_active, serial=True
-        )
         budget_handles, report, engine = _run_engine(
             model, requests, max_active, budget=budget
         )
-        assert [h.generated_tokens for h in budget_handles] == [
-            h.generated_tokens for h in serial_handles
-        ], "token content must not depend on the prefill budget"
+        # token content and attention traffic do not depend on the budget
+        assert_matches_solo(model, requests, budget_handles)
         for metrics in report.requests:
             assert (
                 metrics.queue_steps + metrics.prefill_steps
@@ -532,15 +488,14 @@ class TestEngineBudgets:
             )
             for i in range(5)
         ]
-        serial_handles, serial_report, _ = _run_engine(
-            model, requests, 2, serial=True
-        )
-        batched_handles, batched_report, _ = _run_engine(model, requests, 2)
-        # with no budget cap the step-domain schedule is untouched: every
-        # prompt completes in its admission step, so the whole report matches
-        assert batched_report.requests == serial_report.requests
-        assert batched_report.steps == serial_report.steps
-        assert all(m.prefill_steps == 0 for m in batched_report.requests)
+        handles, report, _ = _run_engine(model, requests, 2)
+        assert_matches_solo(model, requests, handles)
+        # with no budget cap the schedule is one-shot prefill: every prompt
+        # completes in its admission step, then one token per step
+        for metrics in report.requests:
+            assert metrics.first_token_step == metrics.admitted_step
+            assert metrics.prefill_steps == 0
+            assert metrics.finished_step == metrics.admitted_step + 2
 
     def test_tight_budget_stretches_prefill_not_queue(self, model):
         prompt = list(range(1, 13))  # 12 tokens, budget 4 -> 3 prefill steps
@@ -563,31 +518,6 @@ class TestEngineBudgets:
         by_id = {m.request_id: m for m in report.requests}
         assert by_id["head"].first_token_step < by_id["tail"].first_token_step
 
-    def test_batched_prefill_auto_disables_without_model_support(self):
-        class Stub:
-            def __init__(self):
-                self.calls = []
-
-            def new_cache(self):
-                return []
-
-            def forward(self, token_ids, caches=None, predictor=None):
-                from repro.model.transformer import ForwardStats
-
-                self.calls.append(list(token_ids))
-                logits = np.zeros((len(token_ids), 8))
-                logits[-1, (int(token_ids[-1]) + 1) % 8] = 1.0
-                return logits, ForwardStats(tokens_processed=len(token_ids))
-
-        stub = Stub()
-        engine = ServingEngine(stub, max_active=2, prefill_token_budget=1)
-        engine.submit(Request("r0", prompt_tokens=[1, 2, 3], max_new_tokens=2))
-        report = engine.run()
-        assert report.requests[0].n_generated == 2
-        # serial path: the whole prompt in one forward despite the budget,
-        # then one forward per decode token
-        assert stub.calls == [[1, 2, 3], [4]]
-
     def test_rejects_bad_budget(self, model):
         with pytest.raises(ValueError):
             ServingEngine(model, prefill_token_budget=0)
@@ -602,7 +532,7 @@ class TestEngineBudgets:
 
         prompt = list(range(1, 10))
         engine = ServingEngine(
-            model, max_active=2, scheduling=Starver(), page_size=4
+            model, max_active=2, scheduling=Starver(), arena=_arena(model)
         )
         handle = engine.submit(Request("r0", prompt_tokens=prompt, max_new_tokens=2))
         report = engine.run(max_steps=50)
@@ -626,7 +556,7 @@ class TestMidPrefillLifecycle:
         )
         engine = ServingEngine(
             model, max_active=2, scheduling=make_policy("fcfs"),
-            page_size=4, prefill_token_budget=3,
+            arena=_arena(model), prefill_token_budget=3,
         )
         handle_doomed = engine.submit(doomed)
         handle_survivor = engine.submit(survivor)
@@ -658,7 +588,7 @@ class TestMidPrefillLifecycle:
         )
         engine = ServingEngine(
             model, max_active=1, scheduling=make_policy("priority"),
-            page_size=4, prefill_token_budget=4,
+            arena=_arena(model), prefill_token_budget=4,
         )
         handles = engine.submit_many([bulk, urgent])
         engine.step()  # bulk admitted, 4 of 11 rows in

@@ -11,7 +11,7 @@ and drains the arena with balanced books -- with and without KV snapshots.
 import pytest
 
 from repro.model import QuantizedTransformer, TransformerModel, get_model_config
-from repro.serve import ServingEngine
+from repro.serve import PagedKVArena, ServingEngine
 from repro.workloads import sample_requests
 
 
@@ -23,9 +23,14 @@ def model():
     )
 
 
+def _arena(model):
+    config = model.config
+    return PagedKVArena(config.n_layers, config.hidden_size, page_size=8)
+
+
 def _reference_tokens(model, requests):
     """Token streams of an uninterrupted engine on ``requests``."""
-    reference = ServingEngine(model, max_active=4, page_size=8)
+    reference = ServingEngine(model, max_active=4, arena=_arena(model))
     handles = reference.submit_many(requests)
     reference.run()
     return [h.generated_tokens for h in handles]
@@ -38,7 +43,7 @@ class TestReleaseInflight:
         )
         expected = _reference_tokens(model, requests)
 
-        engine = ServingEngine(model, max_active=4, page_size=8)
+        engine = ServingEngine(model, max_active=4, arena=_arena(model))
         handles = engine.submit_many(requests)
         truncated = engine.run(max_steps=6)
         assert truncated.truncated and truncated.leftover_active > 0
@@ -62,7 +67,7 @@ class TestReleaseInflight:
         expected = _reference_tokens(model, requests)
 
         engine = ServingEngine(
-            model, max_active=4, page_size=8, kv_snapshots=True
+            model, max_active=4, arena=_arena(model), kv_snapshots=True
         )
         handles = engine.submit_many(requests)
         assert engine.run(max_steps=6).truncated

@@ -25,6 +25,7 @@ from repro.core import BGPPConfig
 from repro.core.engine import EngineStats, MCBPEngine
 from repro.model import QuantizedTransformer, TransformerModel, get_model_config
 from repro.serve import (
+    PagedKVArena,
     Request,
     ServingEngine,
     ServingReport,
@@ -244,6 +245,12 @@ REPORT_JSON_KEYS = {
 }
 
 
+def _golden_arena(model):
+    """The pinned runs' arena: 4-token pages, otherwise the defaults."""
+    config = model.config
+    return PagedKVArena(config.n_layers, config.hidden_size, page_size=4)
+
+
 def run_fixed_serving_workload():
     """Four fixed requests through two slots over a 4-token-page arena."""
     model = QuantizedTransformer(
@@ -255,7 +262,7 @@ def run_fixed_serving_workload():
         Request("g2", prompt_tokens=[11] * 9, max_new_tokens=5, arrival_step=2),
         Request("g3", prompt_tokens=[3, 1], max_new_tokens=7, arrival_step=3),
     ]
-    engine = ServingEngine(model, max_active=2, page_size=4)
+    engine = ServingEngine(model, max_active=2, arena=_golden_arena(model))
     engine.submit_many(requests)
     report = engine.run()
     return engine, report
@@ -298,7 +305,7 @@ class TestServingGolden:
         model = QuantizedTransformer(
             TransformerModel(get_model_config("tiny"), seed=0), seed=1
         )
-        engine = ServingEngine(model, max_active=2, page_size=4)
+        engine = ServingEngine(model, max_active=2, arena=_golden_arena(model))
         victim = engine.submit(
             Request("gc0", prompt_tokens=[1, 2, 3, 4, 5], max_new_tokens=6)
         )

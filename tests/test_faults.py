@@ -35,7 +35,7 @@ from repro.serve import (
 )
 from repro.serve.session import GenerationSession
 from repro.workloads import sample_requests
-from doubles import SerialOnly, StubModel, admit
+from doubles import admit
 
 
 @pytest.fixture(scope="module")
@@ -239,9 +239,11 @@ class TestRetryAndIsolation:
         assert handle.generated_tokens == reference
 
     def test_verify_kv_rows_raises_on_mismatch(self, model):
-        # forward-only: standalone caches, no arena
+        arena = PagedKVArena(
+            model.config.n_layers, model.config.hidden_size, page_size=4
+        )
         session = GenerationSession(
-            Request("r", [1, 2], max_new_tokens=4), SerialOnly(model)
+            Request("r", [1, 2], max_new_tokens=4), model, arena=arena
         )
         admit(session, 0)  # caches hold exactly the 2 prompt rows
         session.decoder.verify_kv_rows(2)  # clean cache passes

@@ -258,6 +258,12 @@ class TestPageReuse:
         with pytest.raises(RuntimeError, match="exhausted"):
             arena.append(sid, 0, np.ones((1, 4)), np.ones((1, 4)))
 
+    def test_bounded_arena_builds_with_default_initial_pages(self):
+        """The default preallocation is clamped to a smaller ``max_pages``."""
+        assert PagedKVArena(2, 8, max_pages=8).n_pages == 8
+        assert PagedKVArena(2, 8, max_pages=100).n_pages == 64
+        assert PagedKVArena(2, 8).n_pages == 64
+
     def test_cleared_then_refilled_session_serves_fresh_rows(self):
         """A cleared+refilled session must not serve stale cached rows."""
         arena = PagedKVArena(1, 3, page_size=2, initial_pages=2)

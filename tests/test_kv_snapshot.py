@@ -496,7 +496,10 @@ class TestSatelliteRegressions:
         ]
 
         def run():
-            engine = ServingEngine(model, max_active=4, kv_dtype="int8")
+            arena = PagedKVArena(
+                model.config.n_layers, model.config.hidden_size, kv_dtype="int8"
+            )
+            engine = ServingEngine(model, max_active=4, arena=arena)
             handles = engine.submit_many(requests)
             engine.run()
             return {h.request_id: list(h.generated_tokens) for h in handles}
@@ -547,15 +550,20 @@ class TestSnapshotEngineFuzz:
         scheduling = make_policy(policy)
         if policy_wrap is not None:
             scheduling = policy_wrap(scheduling)
+        arena = PagedKVArena(
+            model.config.n_layers,
+            model.config.hidden_size,
+            page_size=4,
+            max_pages=max_pages,
+            kv_dtype=kv_dtype,
+        )
         engine = ServingEngine(
             model,
             max_active=max_active,
+            arena=arena,
             scheduling=scheduling,
             prefix_cache=prefix_cache,
             kv_snapshots=kv_snapshots,
-            kv_dtype=kv_dtype,
-            page_size=4,
-            max_pages=max_pages,
         )
         handles = engine.submit_many(requests)
         cancelled = set()

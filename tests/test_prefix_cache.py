@@ -19,10 +19,8 @@ Three layers of pinning for the arena's content-keyed prefix index (PR 6):
   request retires, is evicted for real, or is cancelled -- including a
   cancel while still queued.
 
-``TestMaxPagesValidation`` pins the companion bugfix: an explicit
-``max_pages`` on an engine that resolves to no arena now raises instead of
-being silently unenforced, and pairing ``ArenaBudgetPolicy`` with an
-arena-less engine warns exactly once per process.
+``TestMaxPagesValidation`` pins that a ``max_pages`` budget is set on the
+arena the engine is handed, and that budget admission over it runs quietly.
 """
 
 import warnings
@@ -32,7 +30,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.serve.policies as policies_module
 from repro.core.bgpp import make_bgpp_predictor
 from repro.model import (
     QuantizedTransformer,
@@ -47,7 +44,6 @@ from repro.serve import (
     ServingEngine,
     make_policy,
 )
-from doubles import StubModel
 
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
 
@@ -69,6 +65,14 @@ def make_arena(page_size=4, initial_pages=8, max_pages=None, n_layers=2):
         page_size=page_size,
         initial_pages=initial_pages,
         max_pages=max_pages,
+    )
+
+
+def engine_arena(model, max_pages=None):
+    """A 4-token-page arena shaped for ``model``, to hand to an engine."""
+    config = model.config
+    return PagedKVArena(
+        config.n_layers, config.hidden_size, page_size=4, max_pages=max_pages
     )
 
 
@@ -327,7 +331,7 @@ def _run_engine(model, requests, max_active, prefix_cache, predictor=None):
         model,
         max_active=max_active,
         predictor=predictor,
-        page_size=4,
+        arena=engine_arena(model),
         prefix_cache=prefix_cache,
     )
     handles = engine.submit_many(requests)
@@ -450,7 +454,7 @@ class TestPrefixLifecycleFuzz:
             model,
             max_active=int(rng.integers(1, 4)),
             scheduling=make_policy("priority"),
-            page_size=4,
+            arena=engine_arena(model),
             prefix_cache=True,
         )
         handles = engine.submit_many(requests)
@@ -493,8 +497,7 @@ class TestReservationBooks:
             model,
             max_active=1,
             scheduling=ArenaBudgetPolicy(watermark=1.0),
-            page_size=4,
-            max_pages=64,
+            arena=engine_arena(model, max_pages=64),
         )
         handles = engine.submit_many(
             Request(f"q{i}", prompt_tokens=[1, 2, 3], max_new_tokens=3,
@@ -514,8 +517,7 @@ class TestReservationBooks:
             model,
             max_active=2,
             scheduling=ArenaBudgetPolicy(watermark=1.0),
-            page_size=4,
-            max_pages=64,
+            arena=engine_arena(model, max_pages=64),
         )
         handles = engine.submit_many(
             Request(f"a{i}", prompt_tokens=[4, 5, 6], max_new_tokens=8,
@@ -534,8 +536,7 @@ class TestReservationBooks:
             model,
             max_active=2,
             scheduling=ArenaBudgetPolicy(watermark=1.0),
-            page_size=4,
-            max_pages=64,
+            arena=engine_arena(model, max_pages=64),
             prefix_cache=True,
         )
         prompt = list(range(1, 13))  # 3 full pages -> 2 reusable (last row live)
@@ -567,8 +568,7 @@ class TestReservationBooks:
             scheduling=ArenaBudgetPolicy(
                 watermark=float(rng.uniform(0.5, 1.0))
             ),
-            page_size=4,
-            max_pages=128,
+            arena=engine_arena(model, max_pages=128),
             prefix_cache=bool(rng.integers(0, 2)),
         )
         handles = engine.submit_many(requests)
@@ -592,59 +592,20 @@ class TestReservationBooks:
         assert engine.arena.stats.pages_in_use == 0
 
 
-# -- max_pages / arena-less misconfiguration (companion bugfix) ----------------
+# -- max_pages lives on the arena ---------------------------------------------
 
 
 class TestMaxPagesValidation:
-    def test_explicit_max_pages_without_arena_support_raises(self):
-        with pytest.raises(ValueError, match="max_pages"):
-            ServingEngine(StubModel(), max_pages=8)
-
-    def test_explicit_max_pages_with_arena_false_raises(self, model):
-        # arena takes no on/off switch: only None or a pool to share
-        with pytest.raises(TypeError, match="PagedKVArena"):
-            ServingEngine(model, arena=False, max_pages=8)
-
-    def test_max_pages_with_external_arena_instance_raises(self, model):
-        arena = PagedKVArena(
-            n_layers=model.config.n_layers,
-            hidden_size=model.config.hidden_size,
-            page_size=4,
-            initial_pages=8,
-            max_pages=8,
-        )
-        with pytest.raises(ValueError, match="PagedKVArena instance"):
-            ServingEngine(model, arena=arena, max_pages=8)
-
-    def test_prefix_cache_without_arena_raises(self):
-        with pytest.raises(ValueError, match="prefix_cache"):
-            ServingEngine(StubModel(), prefix_cache=True)
-
     def test_bounded_arena_engine_still_builds(self, model):
-        engine = ServingEngine(model, max_pages=8, page_size=4)
-        assert engine.arena is not None
+        engine = ServingEngine(model, arena=engine_arena(model, max_pages=8))
         assert engine.arena.max_pages == 8
+        assert engine.arena.n_pages == 8
 
-    def test_arena_less_budget_admission_warns_exactly_once(
-        self, model, monkeypatch
-    ):
-        monkeypatch.setattr(policies_module, "_arena_budget_warned", False)
-        engine = ServingEngine(StubModel(), scheduling=ArenaBudgetPolicy())
-        with pytest.warns(RuntimeWarning, match="no KV arena"):
-            engine.submit(
-                Request("w0", prompt_tokens=[1, 2], max_new_tokens=2)
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.submit(
-                Request("w1", prompt_tokens=[1, 2], max_new_tokens=2)
-            )
-        engine.run()
-
-    def test_arena_backed_budget_admission_does_not_warn(self, model, monkeypatch):
-        monkeypatch.setattr(policies_module, "_arena_budget_warned", False)
+    def test_arena_backed_budget_admission_does_not_warn(self, model):
         engine = ServingEngine(
-            model, scheduling=ArenaBudgetPolicy(), max_pages=64, page_size=4
+            model,
+            scheduling=ArenaBudgetPolicy(),
+            arena=engine_arena(model, max_pages=64),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")

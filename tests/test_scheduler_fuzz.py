@@ -4,14 +4,11 @@ Two fuzzed contracts:
 
 * ``TestFuzzedTraces`` -- each example replays one serving trace (Poisson or
   bursty arrivals, random prompt/output lengths, capacities 1..16) through
-  the FCFS engine in four configurations: the batched model and the
-  forward-only :class:`SerialOnly` (one ``forward`` per stream), each on
-  the engine's own KV storage (a self-built arena for the batched model,
-  standalone caches for the forward-only one) and on a shared
-  ``PagedKVArena``.  Every configuration must emit bit-identical tokens and
-  identical :class:`RequestMetrics`, the forward-only legs must match solo
-  ``generate()`` too, and every arena must drain completely (every page
-  freed) once the trace finishes.
+  the FCFS engine twice: on the engine's own arena and on a shared
+  ``PagedKVArena``.  Both runs must emit bit-identical tokens and identical
+  :class:`RequestMetrics`, match solo ``generate()`` in tokens and
+  attention traffic, and drain their arena completely (every page freed)
+  once the trace finishes.
 * ``TestPreemptionFuzz`` -- each example replays one prioritized bursty
   trace under the preemptive priority/deadline policies with tight slot
   counts.  Runs must be deterministic under a fixed seed, every request's
@@ -37,13 +34,10 @@ from repro.serve import (
     ServingEngine,
     make_policy,
 )
-from doubles import SerialOnly, StubModel
+from doubles import assert_matches_solo
 
 # deterministic on CI: no wall-clock deadline, fixed example sequence
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
-
-#: (forward-only model, shared arena) for every engine configuration
-CONFIGS = [(serial, shared) for serial in (False, True) for shared in (False, True)]
 
 
 @pytest.fixture(scope="module")
@@ -78,66 +72,51 @@ def _arena(model):
     return PagedKVArena(config.n_layers, config.hidden_size, page_size=4)
 
 
-def _run(model, requests, max_active, serial, shared, predictor=None):
+def _run(model, requests, max_active, arena=None, predictor=None):
     engine = ServingEngine(
-        SerialOnly(model) if serial else model,
-        max_active=max_active,
-        predictor=predictor,
-        arena=_arena(model) if shared else None,
-        page_size=4,  # small pages so traces exercise multi-page sessions
+        model, max_active=max_active, predictor=predictor, arena=arena
     )
     handles = engine.submit_many(requests)
     engine.run()
-    tokens = [h.generated_tokens for h in handles]
-    metrics = [h.metrics() for h in handles]
-    return tokens, metrics, engine
+    return handles, engine
 
 
 class TestFuzzedTraces:
     @FUZZ
     @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_all_four_configurations_are_bit_identical(self, model, seed):
+    def test_own_and_shared_arena_are_bit_identical(self, model, seed):
         rng = np.random.default_rng(seed)
         requests = _sample_trace(rng, model.config.vocab_size)
         max_active = int(rng.integers(1, 17))
 
-        results = {
-            cfg: _run(model, requests, max_active, serial=cfg[0], shared=cfg[1])
-            for cfg in CONFIGS
-        }
-        ref_tokens, ref_metrics, _ = results[(False, False)]
-        solo = [
-            generate(
-                model, r.prompt_tokens, max_new_tokens=r.max_new_tokens
-            ).generated_tokens
-            for r in requests
+        own_handles, own = _run(model, requests, max_active)
+        # small pages so traces exercise multi-page sessions
+        shared_handles, shared = _run(model, requests, max_active, _arena(model))
+        assert_matches_solo(model, requests, own_handles)
+        assert [h.generated_tokens for h in shared_handles] == [
+            h.generated_tokens for h in own_handles
         ]
-        assert ref_tokens == solo
-        assert results[(False, False)][2].arena is not None
-        assert results[(True, False)][2].arena is None
-        for cfg, (tokens, metrics, scheduler) in results.items():
-            assert tokens == ref_tokens, f"tokens diverge for serial,shared={cfg}"
-            assert metrics == ref_metrics, f"metrics diverge for serial,shared={cfg}"
-            if scheduler.arena is not None:
-                stats = scheduler.arena.stats
-                # the drained arena holds zero live pages and balanced books
-                assert stats.pages_in_use == 0
-                assert stats.page_faults == stats.pages_freed
-                assert stats.sessions_opened == stats.sessions_freed == len(requests)
-                assert stats.peak_pages_in_use <= stats.n_pages
+        assert [h.metrics() for h in shared_handles] == [
+            h.metrics() for h in own_handles
+        ]
+        for engine in (own, shared):
+            stats = engine.arena.stats
+            # the drained arena holds zero live pages and balanced books
+            assert stats.pages_in_use == 0
+            assert stats.page_faults == stats.pages_freed
+            assert stats.sessions_opened == stats.sessions_freed == len(requests)
+            assert stats.peak_pages_in_use <= stats.n_pages
 
     @FUZZ
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_with_bgpp_predictor(self, model, seed):
-        """Sparse-attention serving is config-invariant too (2 configs for cost)."""
+        """Sparse-attention serving matches solo sparse generation too."""
         rng = np.random.default_rng(seed)
         requests = _sample_trace(rng, model.config.vocab_size)[:4]
         max_active = int(rng.integers(1, 9))
         predictor = make_bgpp_predictor(alpha=0.7, rounds=3)
-        arena_run = _run(model, requests, max_active, False, False, predictor)
-        plain_run = _run(model, requests, max_active, True, False, predictor)
-        assert arena_run[0] == plain_run[0]
-        assert arena_run[1] == plain_run[1]
+        handles, _ = _run(model, requests, max_active, predictor=predictor)
+        assert_matches_solo(model, requests, handles, predictor=predictor)
 
 
 def _sample_prioritized_trace(rng, vocab):
@@ -169,7 +148,7 @@ def _run_policy(model, requests, max_active, policy_name):
         model,
         max_active=max_active,
         scheduling=make_policy(policy_name),
-        page_size=4,
+        arena=_arena(model),
     )
     handles = engine.submit_many(requests)
     engine.run()
@@ -244,21 +223,6 @@ class TestPreemptionFuzz:
         assert tokens == reference
 
 
-class TestArenaPolicy:
-    def test_auto_mode_skips_arena_for_per_session_stepping(self, model):
-        """The engine builds an arena only where gather_batch can consume it.
-
-        ``arena`` takes no on/off switch: only ``None`` or a pool to share.
-        """
-        assert ServingEngine(model).arena is not None
-        assert ServingEngine(SerialOnly(model)).arena is None
-        shared = _arena(model)
-        assert ServingEngine(SerialOnly(model), arena=shared).arena is shared
-        for switch in (True, False):
-            with pytest.raises(TypeError, match="PagedKVArena"):
-                ServingEngine(model, arena=switch)
-
-
 class TestSharedArena:
     def test_one_pool_across_two_schedulers(self, model):
         """An externally built arena can back several scheduler instances."""
@@ -269,7 +233,10 @@ class TestSharedArena:
             Request(f"q{i}", prompt_tokens=[i + 1, i + 2], max_new_tokens=3)
             for i in range(4)
         ]
-        baseline, _, _ = _run(model, requests, 2, serial=True, shared=False)
+        baseline = [
+            generate(model, r.prompt_tokens, max_new_tokens=3).generated_tokens
+            for r in requests
+        ]
         for _ in range(2):  # the same pool drains and is reused run after run
             sched = ServingEngine(model, max_active=2, arena=arena)
             handles = sched.submit_many(requests)
@@ -277,12 +244,3 @@ class TestSharedArena:
             assert [h.generated_tokens for h in handles] == baseline
             assert arena.stats.pages_in_use == 0
         assert arena.stats.sessions_opened == 8
-
-    def test_model_without_config_falls_back_to_standalone(self):
-        # StubModel has neither prefill_batch nor a config, so the engine
-        # must stay on standalone caches
-        sched = ServingEngine(StubModel(vocab=8), max_active=2)
-        assert sched.arena is None
-        sched.submit(Request("r0", prompt_tokens=[1], max_new_tokens=2))
-        report = sched.run()
-        assert report.arena is None

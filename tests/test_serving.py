@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.model import TransformerModel, generate, get_model_config
+from repro.model import (
+    QuantizedTransformer,
+    TransformerModel,
+    generate,
+    get_model_config,
+)
 from repro.model.generation import IncrementalDecoder
 from repro.serve import (
     Request,
@@ -12,7 +17,7 @@ from repro.serve import (
 )
 from repro.serve.session import GenerationSession
 from repro.workloads import poisson_arrival_steps, sample_requests
-from doubles import StubModel, admit, decode
+from doubles import StubModel, admit, assert_matches_solo, decode
 
 
 class TestIncrementalDecoder:
@@ -67,7 +72,7 @@ class TestSession:
         decode(session, 1)
         assert session.is_finished
         # prefill + exactly one decode forward: the final token needs no pass
-        assert model.forward_calls == 2
+        assert model.passes == 2
 
     def test_state_guards(self):
         request = Request("r2", prompt_tokens=[0], max_new_tokens=1)
@@ -130,19 +135,37 @@ class TestScheduler:
         assert metrics.queue_delay_steps == metrics.admitted_step - 5
 
     def test_tokens_identical_to_solo_generate(self):
-        model = TransformerModel(get_model_config("tiny"), seed=0)
+        model = QuantizedTransformer(
+            TransformerModel(get_model_config("tiny"), seed=0), seed=1
+        )
         requests = sample_requests(
             10, vocab_size=model.config.vocab_size, mean_interarrival=1.0, seed=3
         )
         sched = ServingEngine(model, max_active=8)
-        sessions = sched.submit_many(requests)
+        handles = sched.submit_many(requests)
         report = sched.run()
         assert report.max_concurrency >= 2
-        for request, session in zip(requests, sessions):
-            solo = generate(
-                model, request.prompt_tokens, max_new_tokens=request.max_new_tokens
-            )
-            assert session.generated_tokens == solo.generated_tokens, request.request_id
+        assert_matches_solo(model, requests, handles)
+
+    def test_rejects_models_without_prefill_batch(self):
+        """The engine serves one kind of model: the fused ``prefill_batch`` one."""
+
+        class ForwardOnly:
+            def __init__(self, model):
+                self.forward = model.forward
+                self.new_cache = model.new_cache
+
+        float_model = TransformerModel(get_model_config("tiny"), seed=0)
+        for model in (float_model, ForwardOnly(float_model)):
+            with pytest.raises(TypeError, match="prefill_batch"):
+                ServingEngine(model)
+
+    def test_builds_the_default_arena(self):
+        engine = ServingEngine(StubModel())
+        arena = engine.arena
+        assert (arena.n_layers, arena.hidden_size) == (1, 1)
+        assert (arena.page_size, arena.n_pages, arena.max_pages) == (32, 64, None)
+        assert arena.kv_dtype.value == "fp"
 
     def test_eight_concurrent_sessions_multiplex(self):
         sched = ServingEngine(StubModel(), max_active=8)

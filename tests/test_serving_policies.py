@@ -332,7 +332,7 @@ class TestAdmissionPolicies:
         'arena exhausted' RuntimeError halfway through its prefill.
         """
         engine = ServingEngine(
-            model, max_active=2, page_size=4, max_pages=8,
+            model, max_active=2, arena=_bounded_arena(model, 8),
             scheduling=ArenaBudgetPolicy(),
         )
         with pytest.raises(ValueError, match="can never be admitted"):
@@ -346,13 +346,13 @@ class TestAdmissionPolicies:
         assert len(report.requests) == 1
 
     def test_engine_builds_bounded_arena(self, model):
-        """max_pages threads through to the self-built arena's budget."""
+        """A bounded arena handed to the engine gates admission by its budget."""
         engine = ServingEngine(
-            model, max_active=4, page_size=4, max_pages=8,
+            model, max_active=4, arena=_bounded_arena(model, 8),
             scheduling=ArenaBudgetPolicy(),
         )
-        assert engine.arena is not None and engine.arena.max_pages == 8
-        assert engine.arena.n_pages <= 8  # initial allocation respects it
+        assert engine.arena.max_pages == 8
+        assert engine.arena.n_pages == 8  # the default initial allocation fits it
         engine.submit_many(
             Request(f"b{i}", prompt_tokens=[i + 1] * 9, max_new_tokens=3)
             for i in range(5)
@@ -580,6 +580,14 @@ class TestSchedulingPolicies:
 # -- per-discipline schedule pins ---------------------------------------------
 
 
+def _bounded_arena(model, max_pages):
+    """4-token pages under a ``max_pages`` budget, shaped for ``model``."""
+    config = model.config
+    return PagedKVArena(
+        config.n_layers, config.hidden_size, page_size=4, max_pages=max_pages
+    )
+
+
 def _pin_trace(seed, n, vocab, span, max_prompt, max_new, deadlines=False):
     """Seeded request stream with priorities and (optionally) deadlines."""
     rng = np.random.default_rng(seed)
@@ -711,7 +719,7 @@ class TestDisciplinePins:
     def test_arena_budget_priority_schedule(self, model):
         requests = _pin_trace(1, 6, model.config.vocab_size, 4, 24, 6)
         engine = ServingEngine(
-            model, max_active=3, page_size=4, max_pages=16,
+            model, max_active=3, arena=_bounded_arena(model, 16),
             scheduling=ArenaBudgetPolicy(PriorityPolicy()),
         )
         schedule = self._schedule(engine, requests)
@@ -725,7 +733,7 @@ class TestDisciplinePins:
         requests = _pin_trace(1, 6, model.config.vocab_size, 4, 24, 6)
         policy = ArenaBudgetPolicy(PriorityPolicy())
         engine = ServingEngine(
-            model, max_active=3, page_size=4, max_pages=12, scheduling=policy
+            model, max_active=3, arena=_bounded_arena(model, 12), scheduling=policy
         )
         handles = engine.submit_many(requests)
         while engine.has_work:

@@ -40,7 +40,6 @@ from repro.serve import (
     make_policy,
 )
 from repro.serve.speculative import _SessionThrottle, resolve_speculation
-from doubles import SerialOnly
 
 
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
@@ -186,9 +185,6 @@ class TestSpeculationConfig:
     def test_engine_knob_validation(self, model):
         with pytest.raises(TypeError, match="PagedKVArena"):
             ServingEngine(model, speculative=2, arena=False)
-        with pytest.raises(ValueError, match="speculative"):
-            # a forward-only model gets no arena, and rollback needs one
-            ServingEngine(SerialOnly(model), speculative=2)
         with pytest.raises(TypeError):
             ServingEngine(model, speculative="yes")
 
@@ -311,17 +307,17 @@ class TestSpeculativeBitIdentity:
         shared = PagedKVArena(
             model.config.n_layers, model.config.hidden_size, page_size=4
         )
-        for served, drafter, arena in (
-            (model, NGramDrafter(), None),
-            (model, TruncatedBitDrafter(model, bits=4), None),
-            # forward-only: verify chunks run through the per-stream fallback
-            (SerialOnly(model), NGramDrafter(), shared),
+        for drafter, arena in (
+            (NGramDrafter(), None),
+            (TruncatedBitDrafter(model, bits=4), None),
+            # 4-token pages: verify chunks and rollbacks cross page boundaries
+            (NGramDrafter(), shared),
         ):
             cfg = SpeculationConfig(
                 k=k, adaptive=bool(rng.random() < 0.5), drafter=drafter
             )
             tokens, states, engine = _run(
-                served, requests, speculative=cfg, max_active=max_active, arena=arena
+                model, requests, speculative=cfg, max_active=max_active, arena=arena
             )
             assert tokens == base_tokens, f"k={k} drafter={drafter.name}"
             assert states == base_states
@@ -336,14 +332,26 @@ class TestSpeculativeBitIdentity:
         rng = np.random.default_rng(seed)
         requests = _sample_trace(rng, model.config.vocab_size, repetitive=True)
         max_active = int(rng.integers(1, 7))
-        kwargs = {"max_active": max_active}
-        if rng.random() < 0.5:
-            kwargs["prefix_cache"] = True
-        else:
-            kwargs["kv_dtype"] = "int8"
-        base_tokens, base_states, _ = _run(model, requests, **kwargs)
-        cfg = SpeculationConfig(k=int(rng.integers(1, 5)))
-        tokens, states, engine = _run(model, requests, speculative=cfg, **kwargs)
+        prefix_cache = bool(rng.random() < 0.5)
+
+        def run(speculative=None):
+            arena = None
+            if not prefix_cache:
+                config = model.config
+                arena = PagedKVArena(
+                    config.n_layers, config.hidden_size, kv_dtype="int8"
+                )
+            return _run(
+                model,
+                requests,
+                speculative=speculative,
+                max_active=max_active,
+                prefix_cache=prefix_cache,
+                arena=arena,
+            )
+
+        base_tokens, base_states, _ = run()
+        tokens, states, engine = run(SpeculationConfig(k=int(rng.integers(1, 5))))
         assert tokens == base_tokens
         assert states == base_states
         accepted = sum(m.draft_accepted for m in engine.report().requests)
